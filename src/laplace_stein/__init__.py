@@ -3,7 +3,7 @@
 from .laplace import LaplaceParams, cdf, char_fn, moment, pdf, quantile, sample
 from .metrics import (DistanceEstimate, EmpiricalSample, bl_lower_bound,
                       dkw_band, kolmogorov_empirical, kolmogorov_from_bl,
-                      wasserstein_empirical)
+                      wasserstein_empirical, within_four_se)
 from .random_sums import (BoundReport, ExplicitIndex, GeometricIndex,
                           MDistribution, RandomSumSpec, Summands,
                           convergence_sweep, expected_sqrt_index_gap,

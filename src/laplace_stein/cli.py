@@ -15,9 +15,12 @@ bounds           bound reports (with itemized components) for one random-sum
 
 Reports are byte-identical for identical (config, seed).  Exit status: 0 when
 every certified inequality passes, 1 on any FAIL verdict, 2 on usage errors,
-3 on numeric failures.  Flags override values from an optional key=value
-config file (--config); all defaults are spelled out in --help.  A relative
---out path is resolved against $LAPLACE_STEIN_OUT when that is set.
+3 on numeric or resource failures (quadrature, truncation, I/O, memory).  A
+--config file of key=value lines stands for the flags --key=value and is read
+before the command line, whose flags therefore win; every option, its type
+and its default is declared once, in the argparse parser, and shown by
+--help.  A bare-filename --out resolves against $LAPLACE_STEIN_OUT when that
+is set.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import QuadratureError, TruncationError
 from .laplace import LaplaceParams
-from .metrics import EmpiricalSample, kolmogorov_empirical
+from .metrics import EmpiricalSample, kolmogorov_empirical, within_four_se
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
@@ -52,54 +54,27 @@ ENV_OUT_DIR = "LAPLACE_STEIN_OUT"
 SWEEP_COLUMNS = ("p", "d_K", "d_K_band", "d_BL_lower", "d_W_upper",
                  "thm7_bound", "prop1_bound", "verdict")
 
-
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment parameters (flags override config-file entries)."""
-
-    command: str
-    source: str = "rademacher"
-    c: float = math.sqrt(2.0)
-    b: float = 1.0
-    b_grid: tuple = (0.5, 1.0, 2.0)
-    p_grid: tuple = (0.1, 0.01, 0.001)
-    n: int = 100_000
-    seed: int = 7
-    coupling: str = "comonotone"
-    index: str = "geometric"
-    k: int = 5
-    scales: tuple = (1.0,)
-    out: Optional[str] = None
-    fmt: Optional[str] = None
-    plot_data: bool = False
-    tol: dict = field(default_factory=dict)
+SOURCES = {"rademacher": transforms.rademacher,
+           "uniform": transforms.uniform_symmetric,
+           "laplace": transforms.laplace_source}
 
 
 class UsageError(Exception):
     pass
 
 
-def make_source(cfg: ExperimentConfig):
-    factories = {
-        "rademacher": transforms.rademacher,
-        "uniform": transforms.uniform_symmetric,
-        "laplace": transforms.laplace_source,
-    }
-    if cfg.source not in factories:
-        raise UsageError(f"unknown source {cfg.source!r}; choose from "
-                         f"{sorted(factories)}")
-    return factories[cfg.source](cfg.c)
-
-
 def _float_list(text):
     return tuple(float(v) for v in str(text).split(",") if v != "")
 
 
-def _tol_entry(text):
-    key, _, value = str(text).partition("=")
-    if not _:
-        raise argparse.ArgumentTypeError("expected name=value")
-    return key.strip(), float(value)
+def _tolerance(name):
+    """argparse type of --tol: NAME=VALUE, where NAME is the command's own."""
+    def tolerance(text):
+        key, sep, value = text.partition("=")
+        if not sep or key.strip() != name:
+            raise argparse.ArgumentTypeError(f"expected {name}=VALUE")
+        return name, float(value)
+    return tolerance
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,74 +84,81 @@ def build_parser() -> argparse.ArgumentParser:
                     "Laplace approximation of random sums")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file; "
-                                        "explicit flags take precedence")
-        p.add_argument("--seed", type=int, help="master seed (default 7)")
-        p.add_argument("--n", type=int,
-                       help="samples per estimate (default 100000)")
-        p.add_argument("--out", help="output path (default: stdout); relative "
-                                     f"paths resolve against ${ENV_OUT_DIR}")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       help="report format (default: csv for sweep, "
-                            "json otherwise)")
-        p.add_argument("--tol", type=_tol_entry, action="append",
-                       help="tolerance override, name=value (repeatable)")
+    def command(name, handler, summary, sampled=True, tol=None):
+        p = sub.add_parser(
+            name, help=summary,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="file of key=value lines, each "
+                       "the flag --key=value; command-line flags win")
+        p.add_argument("--out", help="output path, stdout if absent; a bare "
+                       f"file name resolves against ${ENV_OUT_DIR}")
+        if sampled:
+            p.add_argument("--seed", type=int, default=7, help="master seed")
+            p.add_argument("--n", type=int, default=100_000,
+                           help="samples per estimate")
+        if tol is not None:
+            p.add_argument("--tol", type=_tolerance(tol[0]), action="append",
+                           default=[tol], metavar=f"{tol[0]}=VALUE",
+                           help="tolerance override (repeatable, last wins)")
+        return p
 
-    p = sub.add_parser("stein-check",
-                       help="equation residuals and derivative certificates")
-    p.add_argument("--b", dest="b_grid", type=_float_list,
-                   help="comma list of scales (default 0.5,1,2)")
-    common(p)
+    def source(p, what):
+        p.add_argument("--source", choices=SOURCES, default="rademacher",
+                       help=what)
+        p.add_argument("--c", type=float, default=math.sqrt(2.0),
+                       help="source scale parameter")
 
-    p = sub.add_parser("transform-check",
-                       help="equilibrium-transform identities for one source")
-    p.add_argument("--source", choices=("rademacher", "uniform", "laplace"),
-                   help="source family (default rademacher)")
-    p.add_argument("--c", type=float,
-                   help="source scale parameter (default sqrt(2))")
-    common(p)
+    p = command("stein-check", cmd_stein_check,
+                "equation residuals and derivative certificates",
+                sampled=False, tol=("residual", 1e-6))
+    p.add_argument("--b", type=_float_list, default="0.5,1,2",
+                   help="comma list of scales")
 
-    p = sub.add_parser("fixed-point",
-                       help="Kolmogorov test of the Laplace fixed point")
-    p.add_argument("--b", type=float, help="target scale (default 1)")
-    common(p)
+    p = command("transform-check", cmd_transform_check,
+                "equilibrium-transform identities for one source")
+    source(p, "source family")
 
-    p = sub.add_parser("sweep", help="geometric-sum convergence sweep")
-    p.add_argument("--source", choices=("rademacher", "uniform", "laplace"),
-                   help="summand family (default rademacher)")
-    p.add_argument("--c", type=float,
-                   help="source scale parameter (default sqrt(2))")
-    p.add_argument("--b", type=float,
-                   help="target scale; must match the source variance "
-                        "(default 1)")
-    p.add_argument("--p", dest="p_grid", type=_float_list,
-                   help="comma list of success probabilities "
-                        "(default 0.1,0.01,0.001)")
-    p.add_argument("--plot-data", action="store_true", default=None,
-                   help="also write two-column .dat files per metric")
-    common(p)
+    p = command("fixed-point", cmd_fixed_point,
+                "Kolmogorov test of the Laplace fixed point",
+                tol=("band_factor", 1.5))
+    p.add_argument("--b", type=float, default=1.0, help="target scale")
 
-    p = sub.add_parser("bounds", help="bound reports for one random-sum spec")
-    p.add_argument("--source", choices=("rademacher", "uniform", "laplace"),
-                   help="summand family (default rademacher)")
-    p.add_argument("--c", type=float,
-                   help="source scale parameter (default sqrt(2))")
+    p = command("sweep", cmd_sweep, "geometric-sum convergence sweep",
+                tol=("dkw_alpha", 0.05))
+    source(p, "summand family")
+    p.add_argument("--b", type=float, default=1.0,
+                   help="target scale; must match the source variance")
+    p.add_argument("--p", type=_float_list, default="0.1,0.01,0.001",
+                   help="comma list of success probabilities")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="report format")
+    p.add_argument("--plot-data", action="store_true",
+                   help="also write two-column .dat files per metric next "
+                        "to --out")
+
+    p = command("bounds", cmd_bounds,
+                "bound reports for one random-sum spec", sampled=False)
+    source(p, "summand family")
     p.add_argument("--index", choices=("geometric", "fixed"),
-                   help="index law (default geometric)")
-    p.add_argument("--p", dest="p_grid", type=_float_list,
-                   help="geometric success probabilities (default 0.1,0.01,0.001)")
-    p.add_argument("--k", type=int, help="fixed index value (default 5)")
-    p.add_argument("--scales", type=_float_list,
-                   help="cyclic per-index scale factors (default 1)")
+                   default="geometric", help="index law")
+    p.add_argument("--p", type=_float_list, default="0.1,0.01,0.001",
+                   help="geometric success probabilities")
+    p.add_argument("--k", type=int, default=5, help="fixed index value")
+    p.add_argument("--scales", type=_float_list, default="1",
+                   help="cyclic per-index scale factors")
     p.add_argument("--coupling", choices=("comonotone", "independent"),
-                   help="index coupling for the gap term (default comonotone)")
-    common(p)
+                   default="comonotone",
+                   help="index coupling for the gap term")
     return parser
 
 
-def load_config_file(path: str) -> dict:
-    values = {}
+def config_flags(path: str, parsed: argparse.Namespace) -> list:
+    """The flags a key=value config file stands for: key k (underscores read
+    as dashes) with value v is --k=v, and a switch such as plot_data takes
+    true/yes/1 or false/no/0.  ``parsed``, any parse of the same command,
+    tells switches from flags that take a value.  ``#`` starts a comment."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -185,36 +167,15 @@ def load_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-_FILE_PARSERS = {
-    "b_grid": _float_list, "p_grid": _float_list, "scales": _float_list,
-    "n": int, "seed": int, "k": int, "c": float, "b": float,
-    "plot_data": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    known = {f.name for f in fields(ExperimentConfig)}
-    aliases = {"p": "p_grid", "b": "b_grid" if args.command == "stein-check"
-               else "b", "format": "fmt"}
-    for key, raw in file_values.items():
-        key = aliases.get(key, key)
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        parser = _FILE_PARSERS.get(key, str)
-        setattr(cfg, key, parser(raw))
-    for key in known:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if getattr(args, "tol", None):
-        cfg.tol = dict(cfg.tol, **dict(args.tol))
-    return cfg
+            key, value = key.strip().replace("_", "-"), value.strip()
+            if not isinstance(getattr(parsed, key.replace("-", "_"), None),
+                              bool):
+                flags.append(f"--{key}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                flags.append(f"--{key}")
+            elif value.lower() not in ("0", "false", "no"):
+                raise UsageError(f"{path}:{lineno}: {key} takes true or false")
+    return flags
 
 
 def _fmt_float(x) -> str:
@@ -238,10 +199,8 @@ def emit_report(results, fmt: str) -> bytes:
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
     base = os.environ.get(ENV_OUT_DIR)
-    if base and not os.path.isabs(path) and os.path.dirname(path) == "":
+    if path and base and os.path.dirname(path) == "":
         return os.path.join(base, path)
     return path
 
@@ -254,14 +213,10 @@ def _write(data: bytes, out: Optional[str]) -> None:
             fh.write(data)
 
 
-def _estimate_dict(est) -> dict:
-    return {"value": est.value, "std_error": est.std_error}
-
-
-def cmd_stein_check(cfg: ExperimentConfig):
-    tol = cfg.tol.get("residual", 1e-6)
+def cmd_stein_check(args):
+    tol = dict(args.tol)["residual"]
     checks = []
-    for b in cfg.b_grid:
+    for b in args.b:
         grid = standard_grid(b)
         for h in stein_family():
             sol = solve(h, b)
@@ -278,22 +233,22 @@ def cmd_stein_check(cfg: ExperimentConfig):
             })
     all_pass = all(c["pass"] for c in checks)
     report = {"schema_version": SCHEMA_VERSION, "command": "stein-check",
-              "b_grid": list(cfg.b_grid), "residual_tolerance": tol,
+              "b_grid": list(args.b), "residual_tolerance": tol,
               "family_size": len(stein_family()), "checks": checks,
               "all_pass": all_pass}
-    return report, 0 if all_pass else 1
+    return report, all_pass, {}
 
 
 def _four_se_check(name, observed, expected, se) -> dict:
     se = max(se, 5e-324)
-    ok = abs(observed - expected) <= 4.0 * se
     return {"check": name, "observed": observed, "expected": expected,
-            "std_error": se, "pass": bool(ok)}
+            "std_error": se,
+            "pass": within_four_se(abs(observed - expected), 0.0, se)}
 
 
-def cmd_transform_check(cfg: ExperimentConfig):
-    src = make_source(cfg)
-    n, seed = cfg.n, cfg.seed
+def cmd_transform_check(args):
+    src = SOURCES[args.source](args.c)
+    n, seed = args.n, args.seed
     results = []
 
     xl = sym_equilibrium_sample(src, n, derive_seed(seed, "tc-equilibrium"))
@@ -319,7 +274,7 @@ def cmd_transform_check(cfg: ExperimentConfig):
     bound = src.abs_mean + src.abs_third / (6.0 * src.b_equiv ** 2)
     results.append({"check": "equilibrium_gap_bound", "observed": gap.value,
                     "bound": bound, "std_error": gap.std_error,
-                    "pass": bool(gap.value <= bound + 4.0 * gap.std_error)})
+                    "pass": within_four_se(gap.value, bound, gap.std_error)})
 
     if src.zero_bias_sampler is not None:
         for name, f_dd in (("one", lambda x: np.ones_like(x)),
@@ -333,64 +288,57 @@ def cmd_transform_check(cfg: ExperimentConfig):
     report = {"schema_version": SCHEMA_VERSION, "command": "transform-check",
               "source": src.label, "n": n, "seed": seed, "checks": results,
               "all_pass": all_pass}
-    return report, 0 if all_pass else 1
+    return report, all_pass, {}
 
 
-def cmd_fixed_point(cfg: ExperimentConfig):
-    b = cfg.b
-    src = transforms.laplace_source(b)
-    sample = sym_equilibrium_sample(src, cfg.n, derive_seed(cfg.seed, "fp"))
+def cmd_fixed_point(args):
+    src = transforms.laplace_source(args.b)
+    sample = sym_equilibrium_sample(src, args.n, derive_seed(args.seed, "fp"))
     d_k = kolmogorov_empirical(EmpiricalSample.from_values(sample.values),
-                               LaplaceParams(0.0, b))
-    factor = cfg.tol.get("band_factor", 1.5)
-    band = factor * 1.36 / math.sqrt(cfg.n)
+                               LaplaceParams(0.0, args.b))
+    factor = dict(args.tol)["band_factor"]
+    band = factor * 1.36 / math.sqrt(args.n)
     ok = d_k.value <= band
     report = {"schema_version": SCHEMA_VERSION, "command": "fixed-point",
-              "b": b, "n": cfg.n, "seed": cfg.seed, "d_K": d_k.value,
+              "b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,
               "band": band, "band_factor": factor,
               "verdict": "PASS" if ok else "FAIL"}
-    return report, 0 if ok else 1
+    return report, ok, {}
 
 
-def _sweep_rows(result) -> list:
-    rows = []
-    for pt in result.points:
-        rep = pt.report
-        rows.append([pt.p,
-                     rep.empirical["d_K"].value,
-                     rep.components["dkw_band"],
-                     rep.empirical["d_BL_lower"].value,
-                     rep.empirical["d_W_upper"].value,
-                     rep.value,
-                     rep.components["dk_conversion"],
-                     "PASS" if rep.verdict else "FAIL"])
-    return rows
+def _sweep_row(pt) -> list:
+    """One sweep point in SWEEP_COLUMNS order."""
+    rep = pt.report
+    return [pt.p, rep.empirical["d_K"].value,
+            rep.components["dkw_band"], rep.empirical["d_BL_lower"].value,
+            rep.empirical["d_W_upper"].value, rep.value,
+            rep.components["dk_conversion"],
+            "PASS" if rep.verdict else "FAIL"]
 
 
-def cmd_sweep(cfg: ExperimentConfig):
-    src = make_source(cfg)
-    if abs(src.sigma2 - 2.0 * cfg.b ** 2) > 1e-9 * max(1.0, src.sigma2):
+def cmd_sweep(args):
+    src = SOURCES[args.source](args.c)
+    if abs(src.sigma2 - 2.0 * args.b ** 2) > 1e-9 * max(1.0, src.sigma2):
         raise UsageError(
             f"source variance {src.sigma2:g} does not match 2*b^2 = "
-            f"{2 * cfg.b ** 2:g}; adjust --c or --b")
-    result = convergence_sweep(src, cfg.p_grid, cfg.n, cfg.seed,
-                               alpha=cfg.tol.get("dkw_alpha", 0.05))
-    rows = _sweep_rows(result)
-    fmt = cfg.fmt or "csv"
-    if fmt == "csv":
+            f"{2 * args.b ** 2:g}; adjust --c or --b")
+    result = convergence_sweep(src, args.p, args.n, args.seed,
+                               alpha=dict(args.tol)["dkw_alpha"])
+    rows = [_sweep_row(pt) for pt in result.points]
+    if args.format == "csv":
         report = {"columns": list(SWEEP_COLUMNS), "rows": rows}
     else:
+        # no slope is fitted to fewer than two points; JSON has no NaN
+        slope = result.slope if math.isfinite(result.slope) else None
         report = {"schema_version": SCHEMA_VERSION, "command": "sweep",
-                  "source": src.label, "b": cfg.b, "n": cfg.n,
-                  "seed": cfg.seed, "slope": result.slope,
+                  "source": src.label, "b": args.b, "n": args.n,
+                  "seed": args.seed, "slope": slope,
                   "family_size": result.family_size,
                   "points": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
                   "components": [pt.report.components for pt in result.points]}
     all_pass = all(pt.report.verdict for pt in result.points)
-    extra = None
-    if cfg.plot_data and cfg.out:
-        extra = _plot_data_files(cfg.out, rows)
-    return report, (0 if all_pass else 1), fmt, extra
+    plots = args.plot_data and args.out
+    return report, all_pass, _plot_data_files(args.out, rows) if plots else {}
 
 
 def _plot_data_files(out: str, rows) -> dict:
@@ -402,78 +350,58 @@ def _plot_data_files(out: str, rows) -> dict:
     return files
 
 
-def _spec_from_config(cfg: ExperimentConfig, p: float) -> RandomSumSpec:
-    src = make_source(cfg)
-    if cfg.index == "fixed":
-        index = fixed_index(cfg.k)
-    else:
-        index = GeometricIndex(p)
-    return RandomSumSpec(index, Summands(src, cfg.scales))
+def _bound_entry(rep) -> dict:
+    return {"value": rep.value, "components": rep.components}
 
 
-def cmd_bounds(cfg: ExperimentConfig):
+def cmd_bounds(args):
+    src = SOURCES[args.source](args.c)
+    fixed = args.index == "fixed"
     reports = []
-    p_values = cfg.p_grid if cfg.index == "geometric" else (None,)
-    for p in p_values:
-        spec = _spec_from_config(cfg, p if p is not None else 0.5)
-        entry = {"index": cfg.index, "p": p, "k": cfg.k if cfg.index == "fixed"
-                 else None, "scales": list(cfg.scales),
-                 "coupling": cfg.coupling}
+    for p in (None,) if fixed else args.p:
+        index = fixed_index(args.k) if fixed else GeometricIndex(p)
+        spec = RandomSumSpec(index, Summands(src, args.scales))
+        entry = {"index": args.index, "p": p, "k": args.k if fixed else None,
+                 "scales": list(args.scales), "coupling": args.coupling}
         if spec.summands.is_iid:
-            rep = iid_sum_bound(spec, coupling=cfg.coupling)
-            entry["iid_sum"] = {"value": rep.value,
-                                "components": rep.components}
+            entry["iid_sum"] = _bound_entry(
+                iid_sum_bound(spec, coupling=args.coupling))
             if p is not None:
-                grep = geometric_sum_bound(
-                    p, spec.b_equiv, float(spec.summands.abs_third_at(1)))
-                entry["geometric_sum"] = {"value": grep.value,
-                                          "components": grep.components}
-        rep = general_sum_bound(spec, coupling=cfg.coupling)
-        entry["general_sum"] = {"value": rep.value,
-                                "components": rep.components}
+                entry["geometric_sum"] = _bound_entry(geometric_sum_bound(
+                    p, spec.b_equiv, float(spec.summands.abs_third_at(1))))
+        entry["general_sum"] = _bound_entry(
+            general_sum_bound(spec, coupling=args.coupling))
         reports.append(entry)
     report = {"schema_version": SCHEMA_VERSION, "command": "bounds",
-              "source": make_source(cfg).label, "reports": reports}
-    return report, 0
-
-
-def run(cfg: ExperimentConfig) -> int:
-    """Execute one command; writes the report and returns the exit status."""
-    fmt = cfg.fmt or "json"
-    extra_files = None
-    if cfg.command == "stein-check":
-        report, status = cmd_stein_check(cfg)
-    elif cfg.command == "transform-check":
-        report, status = cmd_transform_check(cfg)
-    elif cfg.command == "fixed-point":
-        report, status = cmd_fixed_point(cfg)
-    elif cfg.command == "sweep":
-        report, status, fmt, extra_files = cmd_sweep(cfg)
-    elif cfg.command == "bounds":
-        report, status = cmd_bounds(cfg)
-    else:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    out = _resolve_out(cfg.out)
-    _write(emit_report(report, fmt), out)
-    for path, data in (extra_files or {}).items():
-        _write(data, path)
-    return status
+              "source": src.label, "reports": reports}
+    return report, True, {}
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.  Every command handler
+    returns (report, passed, extra files as {path: bytes})."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(
+                argv[:1] + config_flags(args.config, args) + argv[1:])
+        args.out = _resolve_out(args.out)
+        payload, passed, extra_files = args.handler(args)
+        _write(emit_report(payload, getattr(args, "format", "json")),
+               args.out)
+        for path, data in extra_files.items():
+            _write(data, path)
+        return 0 if passed else 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    try:
-        cfg = resolve_config(args)
-        return run(cfg)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, TruncationError, OSError) as exc:
-        print(f"numeric/runtime failure: {exc}", file=sys.stderr)
+    except (QuadratureError, TruncationError, OSError, MemoryError) as exc:
+        print(f"numeric/runtime failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

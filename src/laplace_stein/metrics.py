@@ -59,6 +59,12 @@ def dkw_band(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
+def within_four_se(observed: float, limit: float, std_error: float) -> bool:
+    """The 4-standard-error rule, observed <= limit + 4 std_error; checked
+    two-sided as within_four_se(abs(estimate - exact), 0.0, std_error)."""
+    return bool(observed <= limit + 4.0 * std_error)
+
+
 def kolmogorov_empirical(s: EmpiricalSample,
                          target: LaplaceParams) -> DistanceEstimate:
     """Exact sup-distance between the empirical CDF and the target CDF."""

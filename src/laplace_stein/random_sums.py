@@ -45,7 +45,7 @@ from .errors import TruncationError
 from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, bl_lower_bound, dkw_band,
                       kolmogorov_empirical, kolmogorov_from_bl,
-                      wasserstein_empirical)
+                      wasserstein_empirical, within_four_se)
 from .seeding import derive_seed, substream
 from .stein import dense_bl_family
 from .transforms import SourceDistribution
@@ -183,10 +183,6 @@ class RandomSumSpec:
     index: Index
     summands: Summands
 
-    @property
-    def mean_index(self) -> float:
-        return self.index.mean
-
     def sigma2_total(self) -> float:
         """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2."""
         sm = self.summands
@@ -213,7 +209,6 @@ class MDistribution:
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
-    coupling_rule: str = "comonotone"
 
     @property
     def support(self) -> np.ndarray:
@@ -224,8 +219,7 @@ class MDistribution:
         return float(np.dot(self.support, self.pmf))
 
 
-def m_distribution(spec: RandomSumSpec, truncation: int,
-                   coupling_rule: str = "comonotone") -> MDistribution:
+def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
     """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..truncation.
 
     Raises TruncationError when the certified tail mass beyond the truncation
@@ -249,8 +243,7 @@ def m_distribution(spec: RandomSumSpec, truncation: int,
         raise TruncationError(
             f"tail mass {tail:.3e} above {_TAIL_TOL:g} at truncation "
             f"{truncation}; increase the truncation")
-    return MDistribution(pmf=pmf, tail_bound=float(tail),
-                         coupling_rule=coupling_rule)
+    return MDistribution(pmf=pmf, tail_bound=float(tail))
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -369,8 +362,7 @@ def iid_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
     sm = spec.summands
     mu = spec.index.mean
     b = math.sqrt(sm.sigma2_at(1) / 2.0)
-    m_dist = m_distribution(spec, truncation or _gap_truncation(spec),
-                            coupling_rule=coupling)
+    m_dist = m_distribution(spec, truncation or _gap_truncation(spec))
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("iid_sum", {
         "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
@@ -393,8 +385,7 @@ def general_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
     sm = spec.summands
     mu = spec.index.mean
     sigma = math.sqrt(spec.sigma2_total())
-    m_dist = m_distribution(spec, truncation or _gap_truncation(spec),
-                            coupling_rule=coupling)
+    m_dist = m_distribution(spec, truncation or _gap_truncation(spec))
     m = m_dist.support
     pmf = m_dist.pmf
     live = pmf > 0
@@ -505,7 +496,7 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
         band = dkw_band(n, alpha)
         report = geometric_sum_bound(float(p), b, rho)
         conversion = kolmogorov_from_bl(report.value, 1.0 / (2.0 * b))
-        verdict = (d_bl.value <= report.value + 4.0 * d_bl.std_error
+        verdict = (within_four_se(d_bl.value, report.value, d_bl.std_error)
                    and d_k.value <= conversion + band)
         report = replace(
             report,

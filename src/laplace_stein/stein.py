@@ -35,7 +35,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CertificationError
-from .laplace import LaplaceParams, pdf
 from .quadrature import exp_weighted_right_tail, laplace_expectation
 
 _HBL_SLACK = 1e-12
@@ -321,8 +320,3 @@ def verify_first_order(g, g_d, b: float, kinks=()) -> float:
     esg = laplace_expectation(lambda w: np.sign(w) * g(w), b,
                               kinks=tuple(kinks) + (0.0,))
     return egd - esg / b
-
-
-def density_sup(params: LaplaceParams) -> float:
-    """Uniform bound on the target density: 1/(2b), attained at the center."""
-    return float(pdf(params.a, params))

@@ -61,6 +61,18 @@ class TestSweepCommand:
             assert point["thm7_bound"] == recompute_bound("geometric_sum",
                                                           comps)
 
+    def test_json_slope_is_null_below_two_points(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "s.json"
+        assert run_cli(["sweep", "--source", "rademacher", "--c", RADC,
+                        "--b", "1", "--p", "0.3", "--n", "1000", "--seed", "3",
+                        "--format", "json", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        assert rep["slope"] is None
+        assert len(rep["points"]) == 1
+
     def test_plot_data_files(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli(["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
@@ -72,6 +84,21 @@ class TestSweepCommand:
             lines = path.read_text().strip().splitlines()
             assert len(lines) == 2
             assert all(len(line.split()) == 2 for line in lines)
+
+    def test_plot_data_follows_env_var_output_dir(self, tmp_path,
+                                                  monkeypatch):
+        outdir, cwd = tmp_path / "out", tmp_path / "cwd"
+        outdir.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(outdir))
+        monkeypatch.chdir(cwd)
+        assert run_cli(["sweep", "--source", "rademacher", "--c", RADC,
+                        "--b", "1", "--p", "0.3,0.1", "--n", "1000",
+                        "--seed", "2", "--out", "sweep.csv",
+                        "--plot-data"]) == 0
+        assert (outdir / "sweep.csv").exists()
+        assert len(list(outdir.glob("sweep_*.dat"))) == 6
+        assert list(cwd.iterdir()) == []
 
     def test_mismatched_variance_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--source", "rademacher", "--c", "2.0",
@@ -131,6 +158,44 @@ class TestOtherCommands:
         assert {"geometric_sum", "iid_sum", "general_sum"} <= set(entry)
 
 
+class TestFlags:
+    @pytest.mark.parametrize("command", ["stein-check", "transform-check",
+                                         "fixed-point", "bounds"])
+    def test_format_belongs_to_sweep_alone(self, command, capsys):
+        assert run_cli([command, "--format", "csv"]) == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["stein-check", "--seed", "1"], ["stein-check", "--n", "10"],
+        ["bounds", "--seed", "1"], ["bounds", "--n", "10"],
+        ["transform-check", "--tol", "x=1"], ["bounds", "--tol", "x=1"]])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+        assert run_cli(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stein-check", "--tol", "resid=1"],
+        ["fixed-point", "--tol", "residual=1e-3"],
+        ["sweep", "--tol", "band_factor=2"],
+        ["sweep", "--tol", "dkw_alpha"],
+        ["sweep", "--tol", "dkw_alpha=abc"]])
+    def test_foreign_or_malformed_tolerance_is_usage_error(self, argv):
+        assert run_cli(argv) == 2
+
+    def test_tolerance_flag_takes_effect(self, tmp_path):
+        out = tmp_path / "fp.json"
+        assert run_cli(["fixed-point", "--n", "2000", "--seed", "3",
+                        "--tol", "band_factor=3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["band_factor"] == 3.0
+
+    def test_memory_error_is_runtime_failure(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "general_sum_bound", exhausted)
+        assert run_cli(["bounds", "--p", "0.1"]) == 3
+        assert "MemoryError" in capsys.readouterr().err
+
+
 class TestConfigResolution:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -148,6 +213,40 @@ class TestConfigResolution:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana=1\n")
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
+
+    def test_config_values_are_validated(self, tmp_path):
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text("index=bogus\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+
+    def test_config_tolerance_line_takes_effect(self, tmp_path):
+        cfg = tmp_path / "stein.cfg"
+        cfg.write_text("b=1\ntol=residual=1e-3\n")
+        out = tmp_path / "stein.json"
+        assert run_cli(["stein-check", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["residual_tolerance"] == 1e-3
+        assert rep["b_grid"] == [1.0]
+
+    def test_config_switch(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"c={RADC}\np=0.3,0.1\nn=500\nplot_data=true\n")
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s_d_K.dat").exists()
+        cfg.write_text("plot_data=maybe\n")
+        assert run_cli(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command,line", [
+        ("sweep", "p_grid=0.1"), ("sweep", "fmt=json"),
+        ("stein-check", "b_grid=1"), ("stein-check", "format=json"),
+        ("stein-check", "seed=1")])
+    def test_config_keys_are_the_command_flags(self, tmp_path, command,
+                                               line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli([command, "--config", str(cfg)]) == 2
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))

@@ -9,7 +9,8 @@ from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
 from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
                                    dkw_band, kolmogorov_empirical,
-                                   kolmogorov_from_bl, wasserstein_empirical)
+                                   kolmogorov_from_bl, wasserstein_empirical,
+                                   within_four_se)
 from laplace_stein.stein import dense_bl_family, smoothed_indicator, stein_family
 
 UNIT = LaplaceParams(0.0, 1.0)
@@ -66,6 +67,20 @@ class TestDkwBand:
         assert dkw_band(10 ** 4) == pytest.approx(1.3581 / 100.0, rel=1e-3)
         assert dkw_band(10 ** 4, alpha=0.01) == pytest.approx(1.6276 / 100.0,
                                                               rel=1e-3)
+
+
+class TestFourSeRule:
+    def test_band_edge_is_inclusive(self):
+        assert within_four_se(1.5, 1.0, 0.125) is True
+        assert within_four_se(1.5 + 1e-12, 1.0, 0.125) is False
+
+    def test_two_sided_use(self):
+        assert within_four_se(abs(0.7 - 1.0), 0.0, 0.1)
+        assert not within_four_se(abs(1.5 - 1.0), 0.0, 0.1)
+
+    def test_zero_error_means_exact_limit(self):
+        assert within_four_se(1.0, 1.0, 0.0)
+        assert not within_four_se(np.nextafter(1.0, 2.0), 1.0, 0.0)
 
 
 class TestBlLowerBound:
