@@ -247,6 +247,9 @@ def _four_se_check(name, observed, expected, se) -> dict:
 
 
 def cmd_transform_check(args):
+    if args.n < 2:
+        raise UsageError("--n must be at least 2: the 4-standard-error checks "
+                         "need a standard error, which one draw does not have")
     src = SOURCES[args.source](args.c)
     n, seed = args.n, args.seed
     results = []
@@ -292,12 +295,15 @@ def cmd_transform_check(args):
 
 
 def cmd_fixed_point(args):
+    factor = dict(args.tol)["band_factor"]
+    band = factor * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
+    if band >= 1.0:
+        raise UsageError(f"--n {args.n} gives a band of {band:g}, and every "
+                         "Kolmogorov distance is at most 1; raise --n")
     src = transforms.laplace_source(args.b)
     sample = sym_equilibrium_sample(src, args.n, derive_seed(args.seed, "fp"))
     d_k = kolmogorov_empirical(EmpiricalSample.from_values(sample.values),
                                LaplaceParams(0.0, args.b))
-    factor = dict(args.tol)["band_factor"]
-    band = factor * 1.36 / math.sqrt(args.n)
     ok = d_k.value <= band
     report = {"schema_version": SCHEMA_VERSION, "command": "fixed-point",
               "b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,

@@ -68,18 +68,22 @@ def quantile(q, params: LaplaceParams):
     return _maybe_scalar(out, q)
 
 
-def sample(n: int, params: LaplaceParams, seed: int):
-    """n i.i.d. draws by inverse transform, deterministic for a fixed seed.
+def draw(rng, n: int, params: LaplaceParams) -> np.ndarray:
+    """n draws from rng by inverse transform.
 
     The uniforms are drawn independently of (a, b), so with a = 0 the same
-    seed at scale c*b yields exactly c times the values (the quantile is
+    stream at scale c*b yields exactly c times the values (the quantile is
     linear in b).
     """
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    rng = substream(seed, "laplace-sample")
     u = np.maximum(rng.random(n), 2.0 ** -53)  # quantile(0) = -inf
     return quantile(u, params)
+
+
+def sample(n: int, params: LaplaceParams, seed: int):
+    """n i.i.d. draws by inverse transform, deterministic for a fixed seed."""
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    return draw(substream(seed, "laplace-sample"), n, params)
 
 
 def moment(k: int, params: LaplaceParams) -> float:

@@ -22,7 +22,7 @@ Two tools live here:
 
     yields every point in one sweep.  On kink-free panels no longer than b the
     10-point rule is accurate far below 1e-15 for the bounded, mildly varying
-    integrands used here, so the dominant error is the exp(-span) truncation.
+    integrands used here, so the exp(-TAIL_SPAN) truncation is the main error.
 """
 
 from __future__ import annotations
@@ -38,52 +38,55 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 TAIL_SPAN = 40.0
 
 
-def laplace_expectation(f, b: float, kinks=(), span: float = 80.0,
-                        epsabs: float = 1e-12, epsrel: float = 1e-12,
-                        tol: float = 1e-8) -> float:
-    """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature.
+def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
+    """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there.
     Raises QuadratureError when the error estimate exceeds ``tol``.
     """
-    hi = span * b
+    hi = 80.0 * b
 
     def folded(u):
         return (f(u) + f(-u)) * np.exp(-u / b)
 
     points = sorted({abs(k) for k in kinks if 0.0 < abs(k) < hi})
     val, err = integrate.quad(folded, 0.0, hi, points=points or None,
-                              limit=300, epsabs=epsabs, epsrel=epsrel)
+                              limit=300, epsabs=1e-12, epsrel=1e-12)
     if err / (2.0 * b) > tol:
         raise QuadratureError("expectation quadrature did not converge",
                               residual=err / (2.0 * b))
     return val / (2.0 * b)
 
 
-def exp_weighted_right_tail(f, b: float, xs, kinks=(), span: float = TAIL_SPAN,
-                            max_panel: float | None = None) -> np.ndarray:
+def _gl_panels(nodes):
+    """Per-panel left ends, widths, 10-point Gauss-Legendre nodes, weights."""
+    left = nodes[:-1]
+    width = np.diff(nodes)
+    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
+    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
+    return left, width, y, wts
+
+
+def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
     """T(x) = (1/(2b)) int_0^inf exp(-u/b) f(x+u) du on sorted points xs.
 
-    ``f`` must accept ndarray input.  ``kinks`` are abscissae where f is not
-    smooth; they become panel boundaries so each panel integrand is analytic.
+    ``f`` must accept ndarray input.  Panels end at the points xs, at the
+    ``kinks`` (where f is not smooth) and on a b/2 grid up to the truncation
+    point xs[-1] + TAIL_SPAN*b, so each panel integrand is analytic.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a nonempty 1-d array")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be sorted ascending")
-    top = xs[-1] + span * b
-    step = max_panel if max_panel is not None else 0.5 * b
-    pieces = [xs, np.arange(xs[-1], top, step), np.asarray([top])]
+    top = xs[-1] + TAIL_SPAN * b
+    pieces = [xs, np.arange(xs[-1], top, 0.5 * b), np.asarray([top])]
     interior = [k for k in kinks if xs[0] < k < top]
     if interior:
         pieces.append(np.asarray(interior, dtype=float))
     nodes = np.unique(np.concatenate(pieces))
 
-    left = nodes[:-1]
-    width = np.diff(nodes)
-    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
-    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
+    left, width, y, wts = _gl_panels(nodes)
     panel = np.sum(wts * np.exp(-(y - left[:, None]) / b) * f(y), axis=1)
 
     decay = np.exp(-width / b)
@@ -101,10 +104,6 @@ def cumulative_integral(f, nodes) -> np.ndarray:
     ``nodes`` must be sorted and f smooth on each panel; used to tabulate
     CDFs of reweighted densities on a fixed grid.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    left = nodes[:-1]
-    width = np.diff(nodes)
-    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
-    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
+    _, _, y, wts = _gl_panels(np.asarray(nodes, dtype=float))
     panel = np.sum(wts * f(y), axis=1)
     return np.concatenate([[0.0], np.cumsum(panel)])

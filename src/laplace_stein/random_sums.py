@@ -353,8 +353,8 @@ def _gap_truncation(spec: RandomSumSpec) -> int:
     return spec.index.truncation_for(_GAP_TAIL)
 
 
-def iid_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
-                  truncation: Optional[int] = None) -> BoundReport:
+def iid_sum_bound(spec: RandomSumSpec,
+                  coupling: str = "comonotone") -> BoundReport:
     """(b+2)/(b sqrt(mu)) ( E|X_1| + rho/(6 b^2) + b sqrt(2) E|N-M|^(1/2) )
     for i.i.d. summands with E[X_1^2] = 2 b^2."""
     if not spec.summands.is_iid:
@@ -362,7 +362,7 @@ def iid_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
     sm = spec.summands
     mu = spec.index.mean
     b = math.sqrt(sm.sigma2_at(1) / 2.0)
-    m_dist = m_distribution(spec, truncation or _gap_truncation(spec))
+    m_dist = m_distribution(spec, _gap_truncation(spec))
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("iid_sum", {
         "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
@@ -375,8 +375,8 @@ def iid_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
     })
 
 
-def general_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
-                      truncation: Optional[int] = None) -> BoundReport:
+def general_sum_bound(spec: RandomSumSpec,
+                      coupling: str = "comonotone") -> BoundReport:
     """The three-term bound with per-index variances (see module docstring).
 
     Expectations over M use the truncated, tail-certified pmf; atoms with
@@ -385,7 +385,7 @@ def general_sum_bound(spec: RandomSumSpec, coupling: str = "comonotone",
     sm = spec.summands
     mu = spec.index.mean
     sigma = math.sqrt(spec.sigma2_total())
-    m_dist = m_distribution(spec, truncation or _gap_truncation(spec))
+    m_dist = m_distribution(spec, _gap_truncation(spec))
     m = m_dist.support
     pmf = m_dist.pmf
     live = pmf > 0
@@ -467,25 +467,23 @@ class SweepResult:
     points: tuple
     slope: float
     n: int
-    seed: int
-    b: float
-    source_label: str
     family_size: int
 
 
 def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
-                      family=None, alpha: float = 0.05) -> SweepResult:
+                      alpha: float = 0.05) -> SweepResult:
     """Sample geometric sums of the source on a p grid and certify the bounds.
 
     Per point: exact Kolmogorov statistic with its DKW band, the
     bounded-Lipschitz bracket (family lower bound, Wasserstein upper proxy),
     the geometric-sum bound, and its Kolmogorov conversion.  The verdict is
     PASS when the lower estimates sit below the bounds within noise bands.
+    The lower bound runs over ``dense_bl_family()``.
     """
     b = source.b_equiv
     rho = source.abs_third
     target = LaplaceParams(0.0, b)
-    family = tuple(family) if family is not None else dense_bl_family()
+    family = dense_bl_family()
     points = []
     for i, p in enumerate(p_grid):
         spec = RandomSumSpec(GeometricIndex(float(p)), Summands(source))
@@ -510,5 +508,5 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
         xs = np.log([pt.p for pt in points])
         ys = np.log([pt.report.empirical["d_W_upper"].value for pt in points])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return SweepResult(points=tuple(points), slope=slope, n=n, seed=seed, b=b,
-                       source_label=source.label, family_size=len(family))
+    return SweepResult(points=tuple(points), slope=slope, n=n,
+                       family_size=len(family))

@@ -56,9 +56,6 @@ class TestFunction:
     deriv: Optional[Callable] = None
     kinks: tuple = ()
 
-    def __call__(self, x):
-        return self.fn(x)
-
     @property
     def in_hbl(self) -> bool:
         return (self.sup_bound <= 1.0 + _HBL_SLACK
@@ -211,28 +208,22 @@ class SteinSolution:
             g3 = (a_vals - b_vals) / b ** 3 - self.h.deriv(xs) / b ** 2
         return SolutionProfile(x=xs, g=g, g1=g1, g2=g2, g3=g3)
 
-    def _eval(self, x, which: str):
+    def _eval(self, x, of: Callable):
+        """of(profile) at x in any order: profile sorted x, then unsort."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         order = np.argsort(arr, kind="stable")
-        prof = self.profile(arr[order])
         out = np.empty_like(arr)
-        out[order] = getattr(prof, which)
+        out[order] = of(self.profile(arr[order]))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def g(self, x):
-        return self._eval(x, "g")
+        return self._eval(x, lambda prof: prof.g)
 
     def g1(self, x):
-        return self._eval(x, "g1")
+        return self._eval(x, lambda prof: prof.g1)
 
     def g2(self, x):
-        return self._eval(x, "g2")
-
-    def g3(self, x):
-        if self.h.deriv is None:
-            raise ValueError(f"{self.h.label}: no derivative recipe, g''' "
-                             "is unavailable (use finite differences of g'')")
-        return self._eval(x, "g3")
+        return self._eval(x, lambda prof: prof.g2)
 
 
 def solve(h: TestFunction, b: float) -> SteinSolution:
@@ -245,13 +236,8 @@ def solve(h: TestFunction, b: float) -> SteinSolution:
 
 def residual(sol: SteinSolution, x):
     """g(x) - b^2 g''(x) - ht(x); vanishes wherever the solver is consistent."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    order = np.argsort(arr, kind="stable")
-    prof = sol.profile(arr[order])
-    res = prof.g - sol.b ** 2 * prof.g2 - sol.centered(prof.x)
-    out = np.empty_like(arr)
-    out[order] = res
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return sol._eval(x, lambda prof: prof.g - sol.b ** 2 * prof.g2
+                     - sol.centered(prof.x))
 
 
 def standard_grid(b: float) -> np.ndarray:
@@ -264,8 +250,6 @@ class BoundCertificate:
     """Grid maxima of |g|, |g'|, |g''| and the finite-difference slope of g''
     against their analytic limits 2, 2/b, 4/b^2, (b+2)/b^3."""
 
-    label: str
-    b: float
     values: dict = field(default_factory=dict)
     limits: dict = field(default_factory=dict)
     passed: bool = False
@@ -303,8 +287,7 @@ def certify_bounds(sol: SteinSolution, grid) -> BoundCertificate:
     }
     passed = all(values[k] <= limits[k] + BoundCertificate.TOLERANCE
                  for k in values)
-    return BoundCertificate(label=sol.h.label, b=b, values=values,
-                            limits=limits, passed=passed)
+    return BoundCertificate(values=values, limits=limits, passed=passed)
 
 
 def verify_characterization(g, g_dd, b: float, kinks=()) -> float:

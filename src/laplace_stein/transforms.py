@@ -64,7 +64,6 @@ class SourceDistribution:
     z_sampler: Optional[Callable] = None
     zero_bias_sampler: Optional[Callable] = None
     density: Optional[Callable] = None
-    cdf: Optional[Callable] = None
     cf: Optional[Callable] = None
     moment: Optional[Callable] = None
     sum_sampler: Optional[Callable] = None
@@ -90,18 +89,17 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
     if c <= 0:
         raise ValueError("atom magnitude must be positive")
 
-    def cdf(x, c=c):
-        x = np.asarray(x, float)
-        return np.where(x < -c, 0.0, np.where(x < c, 0.5, 1.0))
+    def atoms(rng, n, c=c):
+        # Y = +-c equiprobable: the |y|-reweighting leaves the law of X
+        return _signed(rng, np.full(n, c))
 
     return SourceDistribution(
         label=f"rademacher({c:g})",
         sigma2=c ** 2, abs_mean=c, abs_third=c ** 3,
-        sampler=lambda rng, n, c=c: _signed(rng, np.full(n, c)),
-        y_sampler=lambda rng, n, c=c: _signed(rng, np.full(n, c)),
+        sampler=atoms,
+        y_sampler=atoms,
         z_sampler=lambda rng, n, c=c: _signed(rng, c * np.sqrt(rng.random(n))),
         zero_bias_sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
-        cdf=cdf,
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
         moment=lambda k, c=c: c ** k if k % 2 == 0 else 0.0,
         sum_sampler=lambda rng, counts, c=c: c * (
@@ -137,8 +135,6 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         zero_bias_sampler=zero_bias,
         density=lambda x, c=c: np.where(np.abs(np.asarray(x, float)) <= c,
                                         1.0 / (2.0 * c), 0.0),
-        cdf=lambda x, c=c: np.clip((np.asarray(x, float) + c) / (2.0 * c),
-                                   0.0, 1.0),
         cf=lambda t, c=c: np.sinc(c * np.asarray(t, float) / np.pi),
         moment=moment,
         half_width=c,
@@ -149,9 +145,9 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
     """Laplace(0, b): the fixed point of the symmetric-equilibrium transform."""
     params = laplace.LaplaceParams(0.0, b)
 
-    def sampler(rng, n, params=params):
-        u = np.maximum(rng.random(n), 2.0 ** -53)
-        return np.atleast_1d(laplace.quantile(u, params))
+    def gamma2(rng, n, b=b):
+        # |Y| and |Z| are both Gamma(2, b): X_P is Laplace(0, b) again
+        return _signed(rng, b * rng.standard_gamma(np.full(n, 2.0)))
 
     def zero_bias(rng, n, b=b):
         # density (|x|+b) exp(-|x|/b)/(4 b^2): equal mixture of Gamma(1, b)
@@ -167,14 +163,11 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
     return SourceDistribution(
         label=f"laplace({b:g})",
         sigma2=2.0 * b ** 2, abs_mean=b, abs_third=6.0 * b ** 3,
-        sampler=sampler,
-        y_sampler=lambda rng, n, b=b: _signed(rng, b * rng.standard_gamma(
-            np.full(n, 2.0))),
-        z_sampler=lambda rng, n, b=b: _signed(rng, b * rng.standard_gamma(
-            np.full(n, 2.0))),
+        sampler=lambda rng, n, params=params: laplace.draw(rng, n, params),
+        y_sampler=gamma2,
+        z_sampler=gamma2,
         zero_bias_sampler=zero_bias,
         density=lambda x, params=params: laplace.pdf(x, params),
-        cdf=lambda x, params=params: laplace.cdf(x, params),
         cf=lambda t, params=params: laplace.char_fn(t, params),
         moment=lambda k, params=params: laplace.moment(k, params),
         sum_sampler=sum_sampler,
@@ -182,14 +175,13 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
 
 
 def from_density(label: str, density, *, half_width: float = math.inf,
-                 tail_scale: Optional[float] = None,
-                 grid_size: int = 8193) -> SourceDistribution:
+                 tail_scale: Optional[float] = None) -> SourceDistribution:
     """Numeric transform recipes for a symmetric density.
 
     The sign-bias magnitude |Y| ~ 2 y f(y)/E|X| and the equilibrium magnitude
     |Z| ~ 2 z S(z)/(E|X| beta) (S = one-sided survival) get their CDFs
-    tabulated on a cached grid and inverted with a monotone cubic; the grid is
-    built once and immutable, so samplers are safe for concurrent use.
+    tabulated on an 8193-point grid and inverted with a monotone cubic; the
+    grid is built once and immutable, so samplers are safe for concurrent use.
     """
     if math.isinf(half_width):
         if tail_scale is None:
@@ -198,7 +190,7 @@ def from_density(label: str, density, *, half_width: float = math.inf,
     else:
         top = half_width
 
-    grid = np.linspace(0.0, top, grid_size)
+    grid = np.linspace(0.0, top, 8193)
     dens = lambda y: np.asarray(density(y), float)
     mass = cumulative_integral(dens, grid)            # int_0^y f
     first = cumulative_integral(lambda y: y * dens(y), grid)
@@ -230,11 +222,6 @@ def from_density(label: str, density, *, half_width: float = math.inf,
             return _signed(rng, np.asarray(inv(rng.random(n)), float))
         return sampler
 
-    def full_cdf(x):
-        x = np.asarray(x, float)
-        half = np.interp(np.abs(x), grid, mass)
-        return np.where(x >= 0, 0.5 + half, 0.5 - half)
-
     def base_sampler(rng, n):
         mag = np.interp(rng.random(n), mass / mass[-1], grid)
         return _signed(rng, mag)
@@ -244,18 +231,15 @@ def from_density(label: str, density, *, half_width: float = math.inf,
         sampler=base_sampler,
         y_sampler=make_sampler(y_inv),
         z_sampler=make_sampler(z_inv),
-        density=dens, cdf=full_cdf, half_width=half_width,
+        density=dens, half_width=half_width,
     )
 
 
 @dataclass(frozen=True)
 class TransformSample:
-    """Draws from one transform, reproducible from (source, provenance, seed)."""
+    """Draws from one transform of one source, reproducible from its seed."""
 
     values: np.ndarray
-    provenance: str
-    source: str
-    seed: int
 
     @property
     def n(self) -> int:
@@ -266,9 +250,6 @@ class TransformSample:
 class MonteCarloEstimate:
     value: float
     std_error: float
-
-    def __float__(self):
-        return self.value
 
 
 def mc_estimate(values) -> MonteCarloEstimate:
@@ -281,17 +262,22 @@ def mc_estimate(values) -> MonteCarloEstimate:
     return MonteCarloEstimate(value=float(np.mean(arr)), std_error=se)
 
 
-def _product_sample(src, n, seed, magnitude_sampler, provenance):
+def _transform_stream(src, n, seed, recipe, transform):
+    """The substream for n draws of one transform of src, once the sample
+    size and the source's recipe for that transform have been checked."""
     if n < 0:
         raise ValueError("sample size must be nonnegative")
-    if magnitude_sampler is None:
+    if recipe is None:
         raise UnsupportedSourceError(
-            f"{src.label}: no {provenance} recipe available")
-    rng = substream(seed, provenance, src.label)
+            f"{src.label}: no {transform} recipe available")
+    return substream(seed, transform, src.label)
+
+
+def _product_sample(src, n, seed, magnitude_sampler, transform):
+    rng = _transform_stream(src, n, seed, magnitude_sampler, transform)
     u = rng.random(n)
     factor = magnitude_sampler(rng, n)
-    return TransformSample(values=u * factor, provenance=provenance,
-                           source=src.label, seed=seed)
+    return TransformSample(values=u * factor)
 
 
 def sgn_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:
@@ -307,13 +293,8 @@ def sym_equilibrium_sample(src: SourceDistribution, n: int,
 
 def zero_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:
     """Draws from the zero-bias law of the source (exact recipes only)."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    if src.zero_bias_sampler is None:
-        raise UnsupportedSourceError(f"{src.label}: zero-bias law unknown")
-    rng = substream(seed, "zero-bias", src.label)
-    return TransformSample(values=np.asarray(src.zero_bias_sampler(rng, n)),
-                           provenance="zero-bias", source=src.label, seed=seed)
+    rng = _transform_stream(src, n, seed, src.zero_bias_sampler, "zero-bias")
+    return TransformSample(values=np.asarray(src.zero_bias_sampler(rng, n)))
 
 
 def equilibrium_moment(k: int, src: SourceDistribution) -> float:
@@ -384,8 +365,7 @@ def equilibrium_density(s, src: SourceDistribution) -> float:
     return val / b2
 
 
-def equilibrium_density_2d(s, src: SourceDistribution,
-                           tol: float = 1e-8) -> float:
+def equilibrium_density_2d(s, src: SourceDistribution) -> float:
     """Tensor-product adaptive quadrature of the raw double integral.
 
     Substituting u = exp(-a), v = exp(-r) turns the (0,1)^2 integral with its
@@ -414,12 +394,12 @@ def equilibrium_density_2d(s, src: SourceDistribution,
         top = math.log(hw / abs(s))
         val, _ = integrate.dblquad(integrand, 0.0, top,
                                    0.0, lambda a: top - a,
-                                   epsabs=tol, epsrel=1e-10)
+                                   epsabs=1e-8, epsrel=1e-10)
     else:
         top = math.log(80.0 * math.sqrt(src.sigma2) / abs(s))
         val, _ = integrate.dblquad(integrand, 0.0, max(top, 1.0),
                                    0.0, max(top, 1.0),
-                                   epsabs=tol, epsrel=1e-10)
+                                   epsabs=1e-8, epsrel=1e-10)
     return s ** 2 * val / b2
 
 

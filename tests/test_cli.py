@@ -158,6 +158,35 @@ class TestOtherCommands:
         assert {"geometric_sum", "iid_sum", "general_sum"} <= set(entry)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestTinySamples:
+    """A verdict that no sample could fail is a usage error, not a PASS."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transform-check", "--n", "1"], ["transform-check", "--n", "0"],
+        ["fixed-point", "--n", "1"], ["fixed-point", "--n", "4"],
+        ["fixed-point", "--n", "0"],
+        ["fixed-point", "--n", "8", "--tol", "band_factor=3"]])
+    def test_usage_error_before_sampling(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out
+        assert "--n" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["transform-check", "--n", "2"], ["fixed-point", "--n", "5"],
+        ["fixed-point", "--n", "2", "--tol", "band_factor=0.5"]])
+    def test_smallest_sizes_write_valid_json(self, argv, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", ["stein-check", "transform-check",
                                          "fixed-point", "bounds"])

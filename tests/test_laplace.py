@@ -121,6 +121,15 @@ class TestSample:
         doubled = sample(10 ** 4, LaplaceParams(0.0, 2.0), seed=21)
         assert np.array_equal(doubled, 2.0 * base)
 
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           b=st.floats(min_value=1e-3, max_value=1e3),
+           k=st.integers(min_value=-8, max_value=8))
+    def test_scale_equivariance_across_seeds(self, seed, b, k):
+        # a power-of-two factor scales every rounding exactly
+        base = sample(64, LaplaceParams(0.0, b), seed=seed)
+        scaled = sample(64, LaplaceParams(0.0, b * 2.0 ** k), seed=seed)
+        assert np.array_equal(scaled, 2.0 ** k * base)
+
     def test_mean_within_clt_band(self):
         n = 10 ** 5
         values = sample(n, UNIT, seed=7)

@@ -191,6 +191,28 @@ class TestGeometricSumBound:
         assert recompute_bound(rep.kind, rep.components) == rep.value
 
 
+class TestRecomputeProperty:
+    @given(p=st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+           b=st.floats(min_value=1e-3, max_value=1e3),
+           rho=st.floats(min_value=0.0, max_value=1e6))
+    def test_geometric_sum_round_trip(self, p, b, rho):
+        rep = geometric_sum_bound(p, b, rho)
+        assert recompute_bound(rep.kind, rep.components) == rep.value
+
+    @given(weights=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                            max_size=6).filter(any),
+           scales=st.lists(st.floats(min_value=0.25, max_value=4.0),
+                           min_size=1, max_size=3),
+           source=st.sampled_from(tr.builtin_sources(1.0)),
+           coupling=st.sampled_from(("comonotone", "independent")))
+    def test_general_sum_round_trip(self, weights, scales, source, coupling):
+        total = sum(weights)
+        index = ExplicitIndex(tuple(w / total for w in weights))
+        spec = RandomSumSpec(index, Summands(source, tuple(scales)))
+        rep = general_sum_bound(spec, coupling=coupling)
+        assert recompute_bound(rep.kind, rep.components) == rep.value
+
+
 class TestIidSumBound:
     def test_geometric_collapses_to_closed_form(self):
         # comonotone coupling makes M = N, so the gap term drops and the
@@ -324,6 +346,15 @@ class TestConvergenceSweep:
         assert a.points[0].report.empirical["d_K"].value == \
             b.points[0].report.empirical["d_K"].value
         assert a.slope is not a.points  # smoke: slope is nan for single point
+
+    def test_points_do_not_depend_on_their_neighbours(self):
+        # point i draws from its own (seed, i) stream, so changing the other
+        # p values leaves it bit-for-bit unchanged
+        a = convergence_sweep(RAD, (0.3, 0.1), 5000, 11).points[1].report
+        b = convergence_sweep(RAD, (0.5, 0.1), 5000, 11).points[1].report
+        assert a.empirical == b.empirical
+        assert a.components == b.components
+        assert a.value == b.value and a.verdict == b.verdict
 
     def test_bracket_ordering(self):
         res = convergence_sweep(RAD, (0.2,), 20000, 21)
