@@ -46,8 +46,7 @@ def main():
                         "--out", str(outdir / "fixed_point.json")],
         "sweep": ["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
                   "--p", "0.1,0.03,0.01,0.003,0.001", "--n", args.n,
-                  "--seed", args.seed, "--plot-data",
-                  "--out", str(outdir / "sweep.csv")],
+                  "--seed", args.seed, "--out", str(outdir / "sweep.csv")],
     }
 
     worst = 0

@@ -15,12 +15,11 @@ bounds           bound reports (with itemized components) for one random-sum
 
 Reports are byte-identical for identical (config, seed).  Exit status: 0 when
 every certified inequality passes, 1 on any FAIL verdict, 2 on usage errors,
-3 on numeric or resource failures (quadrature, truncation, I/O, memory).  A
---config file of key=value lines stands for the flags --key=value and is read
-before the command line, whose flags therefore win; every option, its type
-and its default is declared once, in the argparse parser, and shown by
---help.  A bare-filename --out resolves against $LAPLACE_STEIN_OUT when that
-is set.
+3 on numeric or resource failures (quadrature, truncation, I/O, memory).
+Every option, its type and its default is declared once, in the argparse
+parser, and shown by --help.  An argument @FILE stands for the lines of FILE,
+one flag such as --n=500 per line; flags after it on the command line win.
+A bare-filename --out resolves against $LAPLACE_STEIN_OUT when that is set.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import numpy as np
 
 from .errors import QuadratureError, TruncationError
 from .laplace import LaplaceParams
-from .metrics import EmpiricalSample, kolmogorov_empirical, within_four_se
+from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
+                      within_four_se)
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
@@ -67,21 +67,21 @@ def _float_list(text):
     return tuple(float(v) for v in str(text).split(",") if v != "")
 
 
-def _tolerance(name):
-    """argparse type of --tol: NAME=VALUE, where NAME is the command's own."""
-    def tolerance(text):
-        key, sep, value = text.partition("=")
-        if not sep or key.strip() != name:
-            raise argparse.ArgumentTypeError(f"expected {name}=VALUE")
-        return name, float(value)
-    return tolerance
+def _positive(text):
+    """argparse type of --c, --tol and sweep's --b: a finite positive
+    number."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite and positive")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laplace-stein",
         description="verification suites and convergence experiments for "
-                    "Laplace approximation of random sums")
+                    "Laplace approximation of random sums",
+        fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, sampled=True, tol=None):
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=summary,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", help="file of key=value lines, each "
-                       "the flag --key=value; command-line flags win")
         p.add_argument("--out", help="output path, stdout if absent; a bare "
                        f"file name resolves against ${ENV_OUT_DIR}")
         if sampled:
@@ -98,20 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=100_000,
                            help="samples per estimate")
         if tol is not None:
-            p.add_argument("--tol", type=_tolerance(tol[0]), action="append",
-                           default=[tol], metavar=f"{tol[0]}=VALUE",
-                           help="tolerance override (repeatable, last wins)")
+            p.add_argument("--tol", type=_positive, default=tol[1],
+                           help=tol[0])
         return p
 
     def source(p, what):
         p.add_argument("--source", choices=SOURCES, default="rademacher",
                        help=what)
-        p.add_argument("--c", type=float, default=math.sqrt(2.0),
+        p.add_argument("--c", type=_positive, default=math.sqrt(2.0),
                        help="source scale parameter")
 
     p = command("stein-check", cmd_stein_check,
                 "equation residuals and derivative certificates",
-                sampled=False, tol=("residual", 1e-6))
+                sampled=False, tol=("residual tolerance", 1e-6))
     p.add_argument("--b", type=_float_list, default="0.5,1,2",
                    help="comma list of scales")
 
@@ -121,21 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fixed-point", cmd_fixed_point,
                 "Kolmogorov test of the Laplace fixed point",
-                tol=("band_factor", 1.5))
+                tol=("factor on the 1.36/sqrt(n) band", 1.5))
     p.add_argument("--b", type=float, default=1.0, help="target scale")
 
     p = command("sweep", cmd_sweep, "geometric-sum convergence sweep",
-                tol=("dkw_alpha", 0.05))
+                tol=("DKW band level alpha", 0.05))
     source(p, "summand family")
-    p.add_argument("--b", type=float, default=1.0,
+    p.add_argument("--b", type=_positive, default=1.0,
                    help="target scale; must match the source variance")
     p.add_argument("--p", type=_float_list, default="0.1,0.01,0.001",
                    help="comma list of success probabilities")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format")
-    p.add_argument("--plot-data", action="store_true",
-                   help="also write two-column .dat files per metric next "
-                        "to --out")
 
     p = command("bounds", cmd_bounds,
                 "bound reports for one random-sum spec", sampled=False)
@@ -151,31 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="comonotone",
                    help="index coupling for the gap term")
     return parser
-
-
-def config_flags(path: str, parsed: argparse.Namespace) -> list:
-    """The flags a key=value config file stands for: key k (underscores read
-    as dashes) with value v is --k=v, and a switch such as plot_data takes
-    true/yes/1 or false/no/0.  ``parsed``, any parse of the same command,
-    tells switches from flags that take a value.  ``#`` starts a comment."""
-    flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = key.strip().replace("_", "-"), value.strip()
-            if not isinstance(getattr(parsed, key.replace("-", "_"), None),
-                              bool):
-                flags.append(f"--{key}={value}")
-            elif value.lower() in ("1", "true", "yes"):
-                flags.append(f"--{key}")
-            elif value.lower() not in ("0", "false", "no"):
-                raise UsageError(f"{path}:{lineno}: {key} takes true or false")
-    return flags
 
 
 def _fmt_float(x) -> str:
@@ -214,7 +183,6 @@ def _write(data: bytes, out: Optional[str]) -> None:
 
 
 def cmd_stein_check(args):
-    tol = dict(args.tol)["residual"]
     checks = []
     for b in args.b:
         grid = standard_grid(b)
@@ -222,7 +190,7 @@ def cmd_stein_check(args):
             sol = solve(h, b)
             res_max = float(np.max(np.abs(residual(sol, grid))))
             cert = certify_bounds(sol, grid)
-            ok = bool(res_max <= tol and cert.passed
+            ok = bool(res_max <= args.tol and cert.passed
                       and abs(sol.g(0.0)) <= 1e-10)
             checks.append({
                 "label": h.label, "b": b, "target_mean": sol.target_mean,
@@ -233,10 +201,10 @@ def cmd_stein_check(args):
             })
     all_pass = all(c["pass"] for c in checks)
     report = {"schema_version": SCHEMA_VERSION, "command": "stein-check",
-              "b_grid": list(args.b), "residual_tolerance": tol,
+              "b_grid": list(args.b), "residual_tolerance": args.tol,
               "family_size": len(stein_family()), "checks": checks,
               "all_pass": all_pass}
-    return report, all_pass, {}
+    return report, all_pass
 
 
 def _four_se_check(name, observed, expected, se) -> dict:
@@ -291,12 +259,11 @@ def cmd_transform_check(args):
     report = {"schema_version": SCHEMA_VERSION, "command": "transform-check",
               "source": src.label, "n": n, "seed": seed, "checks": results,
               "all_pass": all_pass}
-    return report, all_pass, {}
+    return report, all_pass
 
 
 def cmd_fixed_point(args):
-    factor = dict(args.tol)["band_factor"]
-    band = factor * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
+    band = args.tol * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
     if band >= 1.0:
         raise UsageError(f"--n {args.n} gives a band of {band:g}, and every "
                          "Kolmogorov distance is at most 1; raise --n")
@@ -307,9 +274,9 @@ def cmd_fixed_point(args):
     ok = d_k.value <= band
     report = {"schema_version": SCHEMA_VERSION, "command": "fixed-point",
               "b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,
-              "band": band, "band_factor": factor,
+              "band": band, "band_factor": args.tol,
               "verdict": "PASS" if ok else "FAIL"}
-    return report, ok, {}
+    return report, ok
 
 
 def _sweep_row(pt) -> list:
@@ -323,13 +290,19 @@ def _sweep_row(pt) -> list:
 
 
 def cmd_sweep(args):
+    if args.tol >= 1.0:
+        raise UsageError("--tol, the DKW level alpha, must be below 1")
+    band = dkw_band(args.n, args.tol) if args.n >= 2 else math.inf
+    if band >= 1.0:
+        raise UsageError(f"--n {args.n} gives a DKW band of {band:g}, and "
+                         "every Kolmogorov distance is at most 1; raise --n")
     src = SOURCES[args.source](args.c)
     if abs(src.sigma2 - 2.0 * args.b ** 2) > 1e-9 * max(1.0, src.sigma2):
         raise UsageError(
             f"source variance {src.sigma2:g} does not match 2*b^2 = "
             f"{2 * args.b ** 2:g}; adjust --c or --b")
     result = convergence_sweep(src, args.p, args.n, args.seed,
-                               alpha=dict(args.tol)["dkw_alpha"])
+                               alpha=args.tol)
     rows = [_sweep_row(pt) for pt in result.points]
     if args.format == "csv":
         report = {"columns": list(SWEEP_COLUMNS), "rows": rows}
@@ -343,17 +316,7 @@ def cmd_sweep(args):
                   "points": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
                   "components": [pt.report.components for pt in result.points]}
     all_pass = all(pt.report.verdict for pt in result.points)
-    plots = args.plot_data and args.out
-    return report, all_pass, _plot_data_files(args.out, rows) if plots else {}
-
-
-def _plot_data_files(out: str, rows) -> dict:
-    stem = os.path.splitext(out)[0]
-    files = {}
-    for j, col in enumerate(SWEEP_COLUMNS[1:-1], start=1):
-        lines = [f"{_fmt_float(r[0])} {_fmt_float(r[j])}" for r in rows]
-        files[f"{stem}_{col}.dat"] = ("\n".join(lines) + "\n").encode()
-    return files
+    return report, all_pass
 
 
 def _bound_entry(rep) -> dict:
@@ -380,25 +343,17 @@ def cmd_bounds(args):
         reports.append(entry)
     report = {"schema_version": SCHEMA_VERSION, "command": "bounds",
               "source": src.label, "reports": reports}
-    return report, True, {}
+    return report, True
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit status.  Every command handler
-    returns (report, passed, extra files as {path: bytes})."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    returns (report, passed)."""
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(
-                argv[:1] + config_flags(args.config, args) + argv[1:])
-        args.out = _resolve_out(args.out)
-        payload, passed, extra_files = args.handler(args)
+        args = build_parser().parse_args(argv)
+        payload, passed = args.handler(args)
         _write(emit_report(payload, getattr(args, "format", "json")),
-               args.out)
-        for path, data in extra_files.items():
-            _write(data, path)
+               _resolve_out(args.out))
         return 0 if passed else 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2

@@ -72,7 +72,9 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
 
     ``f`` must accept ndarray input.  Panels end at the points xs, at the
     ``kinks`` (where f is not smooth) and on a b/2 grid up to the truncation
-    point xs[-1] + TAIL_SPAN*b, so each panel integrand is analytic.
+    point xs[-1] + TAIL_SPAN*b, so each panel integrand is analytic; a panel
+    wider than b/2, as between two far-apart points, is split into equal
+    parts, so T(x) does not depend on the other points.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -85,6 +87,13 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
     if interior:
         pieces.append(np.asarray(interior, dtype=float))
     nodes = np.unique(np.concatenate(pieces))
+    # the b/2 grid's panels are b/2 up to rounding and stay whole
+    gap = np.diff(nodes)
+    parts = np.ceil(gap / (0.5 * b) - 1e-9).astype(int).clip(1)
+    if parts.max() > 1:
+        step = np.repeat(gap / parts, parts)
+        k = np.arange(step.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        nodes = np.append(np.repeat(nodes[:-1], parts) + k * step, nodes[-1])
 
     left, width, y, wts = _gl_panels(nodes)
     panel = np.sum(wts * np.exp(-(y - left[:, None]) / b) * f(y), axis=1)

@@ -73,33 +73,6 @@ class TestSweepCommand:
         assert rep["slope"] is None
         assert len(rep["points"]) == 1
 
-    def test_plot_data_files(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        run_cli(["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
-                 "--p", "0.3,0.1", "--n", "1000", "--seed", "2",
-                 "--out", str(out), "--plot-data"])
-        for col in ("d_K", "d_W_upper", "thm7_bound", "prop1_bound"):
-            path = tmp_path / f"sweep_{col}.dat"
-            assert path.exists()
-            lines = path.read_text().strip().splitlines()
-            assert len(lines) == 2
-            assert all(len(line.split()) == 2 for line in lines)
-
-    def test_plot_data_follows_env_var_output_dir(self, tmp_path,
-                                                  monkeypatch):
-        outdir, cwd = tmp_path / "out", tmp_path / "cwd"
-        outdir.mkdir()
-        cwd.mkdir()
-        monkeypatch.setenv(cli.ENV_OUT_DIR, str(outdir))
-        monkeypatch.chdir(cwd)
-        assert run_cli(["sweep", "--source", "rademacher", "--c", RADC,
-                        "--b", "1", "--p", "0.3,0.1", "--n", "1000",
-                        "--seed", "2", "--out", "sweep.csv",
-                        "--plot-data"]) == 0
-        assert (outdir / "sweep.csv").exists()
-        assert len(list(outdir.glob("sweep_*.dat"))) == 6
-        assert list(cwd.iterdir()) == []
-
     def test_mismatched_variance_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--source", "rademacher", "--c", "2.0",
                         "--b", "1", "--p", "0.1", "--n", "100",
@@ -169,7 +142,9 @@ class TestTinySamples:
         ["transform-check", "--n", "1"], ["transform-check", "--n", "0"],
         ["fixed-point", "--n", "1"], ["fixed-point", "--n", "4"],
         ["fixed-point", "--n", "0"],
-        ["fixed-point", "--n", "8", "--tol", "band_factor=3"]])
+        ["fixed-point", "--n", "8", "--tol", "3"],
+        ["sweep", "--n", "1", "--p", "0.1,0.01"], ["sweep", "--n", "0"],
+        ["sweep", "--n", "2", "--tol", "0.01"]])
     def test_usage_error_before_sampling(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli(argv + ["--out", str(out)]) == 2
@@ -180,7 +155,10 @@ class TestTinySamples:
 
     @pytest.mark.parametrize("argv", [
         ["transform-check", "--n", "2"], ["fixed-point", "--n", "5"],
-        ["fixed-point", "--n", "2", "--tol", "band_factor=0.5"]])
+        ["fixed-point", "--n", "2", "--tol", "0.5"],
+        ["sweep", "--n", "2", "--p", "0.1,0.01", "--format", "json"],
+        ["sweep", "--n", "3", "--p", "0.1", "--tol", "0.01",
+         "--format", "json"]])
     def test_smallest_sizes_write_valid_json(self, argv, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli(argv + ["--out", str(out)]) in (0, 1)
@@ -197,23 +175,39 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["stein-check", "--seed", "1"], ["stein-check", "--n", "10"],
         ["bounds", "--seed", "1"], ["bounds", "--n", "10"],
-        ["transform-check", "--tol", "x=1"], ["bounds", "--tol", "x=1"]])
+        ["transform-check", "--tol", "1"], ["bounds", "--tol", "1"]])
     def test_flags_a_command_does_not_read_are_rejected(self, argv):
         assert run_cli(argv) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["stein-check", "--tol", "resid=1"],
-        ["fixed-point", "--tol", "residual=1e-3"],
-        ["sweep", "--tol", "band_factor=2"],
+        ["stein-check", "--tol", "residual=1e-3"],
+        ["fixed-point", "--tol", "band_factor=3"],
+        ["sweep", "--tol", "dkw_alpha=0.05"],
         ["sweep", "--tol", "dkw_alpha"],
-        ["sweep", "--tol", "dkw_alpha=abc"]])
-    def test_foreign_or_malformed_tolerance_is_usage_error(self, argv):
+        ["sweep", "--tol", "abc"]])
+    def test_foreign_or_malformed_tolerance_is_usage_error(self, argv,
+                                                           capsys):
         assert run_cli(argv) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--c", "inf"], ["bounds", "--c", "nan"],
+        ["bounds", "--c", "0"], ["transform-check", "--c", "inf"],
+        ["transform-check", "--c", "-1"], ["sweep", "--c", "inf"],
+        ["stein-check", "--tol", "inf"], ["stein-check", "--tol", "0"],
+        ["fixed-point", "--tol", "nan"], ["fixed-point", "--tol", "-1"],
+        ["sweep", "--tol", "0"], ["sweep", "--tol", "1"],
+        ["sweep", "--tol", "1.5"], ["sweep", "--tol", "inf"],
+        ["sweep", "--b", "nan"], ["sweep", "--b", "-1"]])
+    def test_non_finite_or_out_of_range_value_is_usage_error(self, argv,
+                                                             capsys):
+        assert run_cli(argv) == 2
+        assert argv[1] in capsys.readouterr().err
 
     def test_tolerance_flag_takes_effect(self, tmp_path):
         out = tmp_path / "fp.json"
         assert run_cli(["fixed-point", "--n", "2000", "--seed", "3",
-                        "--tol", "band_factor=3", "--out", str(out)]) == 0
+                        "--tol", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["band_factor"] == 3.0
 
     def test_memory_error_is_runtime_failure(self, monkeypatch, capsys):
@@ -228,10 +222,10 @@ class TestFlags:
 class TestConfigResolution:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("# sweep settings\nsource=rademacher\n"
-                       f"c={RADC}\nb=1\np=0.4\nn=500\nseed=11\n")
+        cfg.write_text("--source=rademacher\n"
+                       f"--c={RADC}\n--b=1\n--p=0.4\n--n=500\n--seed=11\n")
         out = tmp_path / "r.json"
-        assert run_cli(["sweep", "--config", str(cfg), "--n", "700",
+        assert run_cli(["sweep", f"@{cfg}", "--n", "700",
                         "--format", "json", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["n"] == 700  # flag wins
@@ -240,42 +234,40 @@ class TestConfigResolution:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("banana=1\n")
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
+        cfg.write_text("--banana=1\n")
+        assert run_cli(["sweep", f"@{cfg}"]) == 2
+        assert "--banana" in capsys.readouterr().err
 
-    def test_config_values_are_validated(self, tmp_path):
+    def test_config_values_are_validated(self, tmp_path, capsys):
         cfg = tmp_path / "bounds.cfg"
-        cfg.write_text("index=bogus\n")
-        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+        cfg.write_text("--index=bogus\n")
+        assert run_cli(["bounds", f"@{cfg}"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["sweep", f"@{tmp_path / 'absent.cfg'}"]) == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and "absent.cfg" in err
 
     def test_config_tolerance_line_takes_effect(self, tmp_path):
         cfg = tmp_path / "stein.cfg"
-        cfg.write_text("b=1\ntol=residual=1e-3\n")
+        cfg.write_text("--b=1\n--tol=1e-3\n")
         out = tmp_path / "stein.json"
-        assert run_cli(["stein-check", "--config", str(cfg),
-                        "--out", str(out)]) == 0
+        assert run_cli(["stein-check", f"@{cfg}", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["residual_tolerance"] == 1e-3
         assert rep["b_grid"] == [1.0]
-
-    def test_config_switch(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"c={RADC}\np=0.3,0.1\nn=500\nplot_data=true\n")
-        assert run_cli(["sweep", "--config", str(cfg),
-                        "--out", str(tmp_path / "s.csv")]) == 0
-        assert (tmp_path / "s_d_K.dat").exists()
-        cfg.write_text("plot_data=maybe\n")
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("command,line", [
         ("sweep", "p_grid=0.1"), ("sweep", "fmt=json"),
         ("stein-check", "b_grid=1"), ("stein-check", "format=json"),
         ("stein-check", "seed=1")])
     def test_config_keys_are_the_command_flags(self, tmp_path, command,
-                                               line):
+                                               line, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(line + "\n")
-        assert run_cli([command, "--config", str(cfg)]) == 2
+        cfg.write_text(f"--{line}\n")
+        assert run_cli([command, f"@{cfg}"]) == 2
+        assert f"unrecognized arguments: --{line}" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein.errors import CertificationError
@@ -134,6 +135,19 @@ class TestSolutionContract:
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert sol.g(float(x)) == pytest.approx(v, abs=1e-12)
+
+    @given(member=st.integers(0, len(stein_family()) - 1),
+           b=st.floats(0.25, 2.0),
+           x=st.floats(-60.0, 60.0), y=st.floats(-60.0, 60.0))
+    def test_value_does_not_depend_on_companion_points(self, member, b, x, y):
+        # each point's tails are integrated on panels at most b/2 wide,
+        # however far apart the points of one call are; above b = 2 the
+        # 10-point rule on tanh's b/2 panels is itself only good to ~1e-13
+        sol = solve(stein_family()[member], b)
+        for of in (sol.g, sol.g1, sol.g2):
+            pair = of(np.array([x, y]))
+            assert abs(pair[0] - of(x)) <= 1e-12
+            assert abs(pair[1] - of(y)) <= 1e-12
 
     def test_finite_difference_consistency(self):
         # central differences of g and g' reproduce g' and g'' to 1e-5
