@@ -68,12 +68,21 @@ def _float_list(text):
 
 
 def _positive(text):
-    """argparse type of --c, --tol and sweep's --b: a finite positive
-    number."""
+    """argparse type of --c, --tol and the --b of fixed-point and sweep: a
+    finite positive number."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite and positive")
     return value
+
+
+def _positive_list(text):
+    """argparse type of stein-check's --b: a nonempty comma list of finite
+    positive numbers."""
+    values = tuple(_positive(v) for v in str(text).split(",") if v != "")
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stein-check", cmd_stein_check,
                 "equation residuals and derivative certificates",
                 sampled=False, tol=("residual tolerance", 1e-6))
-    p.add_argument("--b", type=_float_list, default="0.5,1,2",
+    p.add_argument("--b", type=_positive_list, default="0.5,1,2",
                    help="comma list of scales")
 
     p = command("transform-check", cmd_transform_check,
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fixed-point", cmd_fixed_point,
                 "Kolmogorov test of the Laplace fixed point",
                 tol=("factor on the 1.36/sqrt(n) band", 1.5))
-    p.add_argument("--b", type=float, default=1.0, help="target scale")
+    p.add_argument("--b", type=_positive, default=1.0, help="target scale")
 
     p = command("sweep", cmd_sweep, "geometric-sum convergence sweep",
                 tol=("DKW band level alpha", 0.05))

@@ -32,6 +32,8 @@ class EmpiricalSample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty 1-d array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sample values must be finite")
         if np.any(np.diff(arr) < 0):
             raise ValueError("sample values must be sorted ascending")
         object.__setattr__(self, "values", arr)
@@ -82,6 +84,13 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     This is a supremum over a subfamily of the bounded-Lipschitz ball, hence
     a lower bound on the distance itself.  The reported standard error is the
     largest per-member standard error of the sample means.
+
+    Members without piecewise-linear data are evaluated on the whole sample.
+    Members with data are first screened by ``_screen`` in O(log n) each;
+    only those that may attain either maximum are evaluated.  Every evaluated
+    member goes through the same np.mean / np.std(ddof=1) expressions, so
+    the result is the one the full loop over the family would give, bit for
+    bit.
     """
     family = tuple(family)
     if not family:
@@ -90,17 +99,156 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
         require_hbl(h)
     if target.a != 0.0:
         raise ValueError("target expectations are implemented for a=0")
-    best = -1.0
+    x, b = s.values, target.b
+    stats = {h: _member_stats(h, x, b) for h in family if not h.knots}
+    data = [h for h in family if h.knots]
+    if data:
+        for h in _screen(x, data, b, stats.values()):
+            stats[h] = _member_stats(h, x, b)
+    best = max(diff for diff, _ in stats.values())
+    # fl(sd / sqrt_n) is monotone in sd, so dividing the largest sd gives the
+    # largest per-member standard error
     worst_se = 0.0
-    sqrt_n = math.sqrt(s.n)
-    for h in family:
-        vals = np.asarray(h.fn(s.values), dtype=float)
-        diff = abs(float(np.mean(vals)) - _cached_wh(h, target.b))
-        best = max(best, diff)
-        if s.n > 1:
-            worst_se = max(worst_se, float(np.std(vals, ddof=1)) / sqrt_n)
+    if s.n > 1:
+        worst_se = max(sd for _, sd in stats.values()) / math.sqrt(s.n)
     return DistanceEstimate(kind="d_BL_lower", value=best,
                             std_error=worst_se, family_size=len(family))
+
+
+def _member_stats(h, x: np.ndarray, b: float) -> tuple:
+    """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample."""
+    vals = np.asarray(h.fn(x), dtype=float)
+    diff = abs(float(np.mean(vals)) - _cached_wh(h, b))
+    sd = float(np.std(vals, ddof=1)) if x.size > 1 else 0.0
+    return diff, sd
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): relative error after k roundings."""
+    ku = k * _U
+    return ku / (1.0 - ku) if ku < 0.25 else math.inf
+
+
+def _screen(x: np.ndarray, data, b: float, exact) -> list:
+    """Members of ``data`` whose diff or sd may reach the largest value.
+
+    ``exact`` holds the (diff, sd) pairs of the members already evaluated.
+    For each member with data, ``_data_interval`` gives the centre and the
+    half-width of an interval that holds the (diff, sd) that
+    ``_member_stats`` would compute.  The largest lower end L, over these
+    intervals and the exact values, is at most the largest value, so a
+    member whose upper end is below L cannot attain it; every other member
+    is returned.
+    """
+    n = x.size
+    p1 = np.empty(n + 1)
+    p1[0] = 0.0
+    np.cumsum(x, out=p1[1:])
+    p2 = np.empty(n + 1)
+    p2[0] = 0.0
+    np.multiply(x, x, out=p2[1:])
+    np.cumsum(p2[1:], out=p2[1:])
+    abs_sum = float(np.sum(np.abs(x)))
+    boxes = [_data_interval(h, x, p1, p2, abs_sum, _cached_wh(h, b))
+             for h in data]
+    exact = list(exact)
+    floor_d = max([d for d, _ in exact] + [d - pd for d, pd, _, _ in boxes])
+    floor_s = max([sd for _, sd in exact] + [sd - ps for _, _, sd, ps in boxes])
+    return [h for h, (d, pd, sd, ps) in zip(data, boxes)
+            if d + pd >= floor_d or (n > 1 and sd + ps >= floor_s)]
+
+
+def _data_interval(h, x, p1, p2, abs_sum: float, wh: float) -> tuple:
+    """(d, pad_d, sd, pad_s): diff in [d - pad_d, d + pad_d], sd likewise.
+
+    Let y be the interpolant of h's data and v = fn(x) the values the full
+    evaluation would use; u = 2**-53, gamma_k = k u / (1 - k u).
+
+    Sums.  With cut_j = #{x < k_j}, the sums S1 = sum y(x_i) and
+    S2 = sum y(x_i)**2 are, piece by piece, v_j c + s (X - k_j c) and
+    v_j**2 c + 2 v_j s (X - k_j c) + s**2 (X2 - 2 k_j X + k_j**2 c), where
+    c is the piece's count, s its slope and X, X2 its sums of x and x**2:
+    differences of the prefix sums p1, p2 (recursive summation).  Expanded
+    down to single samples, S1 and S2 are sums of terms, and every term
+    meets at most n + m + 12 roundings, m the number of knots: 1 for x**2,
+    n - 1 in the prefix sum, 1 for the difference, 3 for the knot shift,
+    7 for the coefficient s**2 (3 for s, squared, 1 for the product), 1 for
+    the product and 2 + (m - 2) in the accumulation over pieces.  So
+    |fl(S) - S| <= gamma_(n+m+12) T (Higham, Accuracy and Stability of
+    Numerical Algorithms, sections 3-4), T the sum of the terms' absolute
+    values, which t1, t2 below bound using A1 = sum |x| and A2 = sum x**2
+    over the whole sample (each prefix difference carries the terms of
+    both prefixes).  t1, t2 and A1 are themselves computed, from
+    nonnegative terms, so they are low by at most a factor
+    (1 - gamma_(n+m+12))**2; taking gamma of twice the count covers that:
+    E = gamma_(2(n+m+12)) t.
+
+    Mean.  np.mean(v) sums pairwise, within gamma_(n-1) sum |v_i|, then
+    divides: it is within mu = gamma_n (sup + e) of the exact mean of v,
+    where e = h.interp_error bounds |v_i - y(x_i)|.  So
+    |np.mean(v) - fl(S1)/n| <= E1/n + e + mu + u |fl(S1)/n|, and the diff
+    (one more rounding on each side, all values at most 2 in size) lies
+    within that plus 2u (|mean| + |Wh|) of d.
+
+    Std.  np.std(v, ddof=1) is sqrt(sum (v_i - mean)**2 / (n-1)) with
+    relative error gamma_(n+4) (3 roundings per square, n - 1 in the sum,
+    1 division, the square root), and the computed mean adds at most
+    sqrt(2) mu to it; v is within sqrt(2) e (as a sample std) of y, and the
+    std of y is at most sqrt(2) sup.  So it is within
+    2 (mu + e + gamma_(n+4) sup) of std(y).  From the sums,
+    var = (fl(S2) - fl(S1)**2/n) / (n-1) is within
+    ev = (E2 + (2 |S1| + E1) E1 / n + 4u (|S2| + S1**2/n)) / (n-1) of the
+    variance of y, and |sqrt(a) - sqrt(b)| <= min(sqrt|a-b|, |a-b|/sqrt(a)).
+
+    Both pads are doubled, which covers the rounding of the pad arithmetic
+    (a few operations, relative error below 1e-14), and carry a 4u (1 + d)
+    term for the rounding of d, sd and of the interval ends.
+    """
+    n = x.size
+    k, v = h.knots, h.values
+    cut = np.searchsorted(x, k).tolist()
+    below, above = cut[0], n - cut[-1]
+    s1 = v[0] * below + v[-1] * above
+    s2 = v[0] * v[0] * below + v[-1] * v[-1] * above
+    t1 = abs(v[0]) * below + abs(v[-1]) * above
+    t2 = s2
+    a2 = float(p2[n])
+    for j in range(len(k) - 1):
+        lo, hi = cut[j], cut[j + 1]
+        c = hi - lo
+        slope = (v[j + 1] - v[j]) / (k[j + 1] - k[j])
+        sx = float(p1[hi] - p1[lo])
+        sxx = float(p2[hi] - p2[lo])
+        d1 = sx - k[j] * c
+        d2 = (sxx - 2.0 * k[j] * sx) + k[j] * k[j] * c
+        s1 += v[j] * c + slope * d1
+        s2 += (v[j] * v[j] * c + 2.0 * v[j] * slope * d1) + slope * slope * d2
+        w1 = 2.0 * abs_sum + abs(k[j]) * c
+        w2 = 2.0 * a2 + 4.0 * abs(k[j]) * abs_sum + k[j] * k[j] * c
+        t1 += abs(v[j]) * c + abs(slope) * w1
+        t2 += (v[j] * v[j] * c + 2.0 * abs(v[j] * slope) * w1) \
+            + slope * slope * w2
+    g = _gamma(2 * (n + len(k) + 12))
+    e1, e2 = g * t1, g * t2
+    e, sup = h.interp_error, h.sup_bound
+    mu = _gamma(n) * (sup + e)
+    mean = s1 / n
+    d = abs(mean - wh)
+    pad_d = 2.0 * (e1 / n + e + mu + _U * abs(mean)
+                   + 2.0 * _U * (abs(mean) + abs(wh))) + 4.0 * _U * (1.0 + d)
+    if n < 2:
+        return d, pad_d, 0.0, 0.0
+    var = (s2 - s1 * s1 / n) / (n - 1)
+    ev = (e2 + (2.0 * abs(s1) + e1) * e1 / n
+          + 4.0 * _U * (abs(s2) + s1 * s1 / n)) / (n - 1)
+    sd = math.sqrt(max(var, 0.0))
+    spread = min(math.sqrt(ev), ev / sd) if sd > 0.0 else math.sqrt(ev)
+    pad_s = 2.0 * (spread + 2.0 * (mu + e + _gamma(n + 4) * sup)) \
+        + 4.0 * _U * (1.0 + sd)
+    return d, pad_d, sd, pad_s
 
 
 def _quantile_antiderivative(u, params: LaplaceParams):

@@ -46,7 +46,9 @@ class TestFunction:
 
     ``fn`` (and ``deriv``, where given) must accept ndarray input.  ``kinks``
     lists the points where fn or its derivative jumps; quadrature rules split
-    there.
+    there.  A piecewise-linear member also carries its shape as data: it is
+    the interpolant of ``values`` at the sorted ``knots``, constant beyond
+    the ends (see :meth:`piecewise_linear`); smooth members leave both empty.
     """
 
     fn: Callable
@@ -55,6 +57,48 @@ class TestFunction:
     label: str
     deriv: Optional[Callable] = None
     kinks: tuple = ()
+    knots: tuple = ()
+    values: tuple = ()
+
+    @classmethod
+    def piecewise_linear(cls, knots, values, fn, deriv,
+                         label: str) -> "TestFunction":
+        """The interpolant of (knots, values), constant beyond the ends.
+
+        ``fn`` and ``deriv`` evaluate it in closed form; the kinks (knots
+        where the slope changes), the Lipschitz constant (largest absolute
+        slope) and the sup norm (largest absolute value) come from the data.
+        """
+        knots = tuple(float(k) for k in knots)
+        values = tuple(float(v) for v in values)
+        if len(knots) != len(values) or not knots or any(
+                k1 <= k0 for k0, k1 in zip(knots, knots[1:])):
+            raise ValueError("knots must be increasing and match the values")
+        slopes = [0.0] + [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(
+            knots, knots[1:], values, values[1:])] + [0.0]
+        kinks = tuple(k for k, left, right in zip(knots, slopes, slopes[1:])
+                      if left != right)
+        return cls(fn=fn, deriv=deriv, lip_const=max(abs(s) for s in slopes),
+                   sup_bound=max(abs(v) for v in values), label=label,
+                   kinks=kinks, knots=knots, values=values)
+
+    @property
+    def interp_error(self) -> float:
+        """For a member with data, a bound on |fn(x) - interpolant(x)|.
+
+        ``fn`` rounds.  The members built here evaluate a piece as
+        scale * ((k_hi - x) / eps) clipped to [0, 1], where k_hi is the
+        rounded x0 + eps, so the slope 1/eps is off from the data's
+        1/(k_hi - x0) by at most u |k_hi| / (k_hi - x0) relative, and three
+        roundings (difference, quotient, product) act on a ratio of at most
+        about 1 on the ramp: the error is at most
+        u * sup * (3 + |k_hi| / width) * (1 + 1e-3), u = 2**-53.  The clamp
+        and the constants are exact.  The bound returned,
+        4 u * sup * (1 + max |knot| / narrowest width), covers all three.
+        """
+        widths = [k1 - k0 for k0, k1 in zip(self.knots, self.knots[1:])]
+        reach = max(abs(k) for k in self.knots) / min(widths) if widths else 0.0
+        return 4.0 * 2.0 ** -53 * self.sup_bound * (1.0 + reach)
 
     @property
     def in_hbl(self) -> bool:
@@ -70,9 +114,10 @@ def require_hbl(h: TestFunction) -> None:
 
 
 def constant_fn(c: float) -> TestFunction:
-    return TestFunction(fn=lambda x, c=c: np.full_like(np.asarray(x, float), c),
-                        deriv=lambda x: np.zeros_like(np.asarray(x, float)),
-                        lip_const=0.0, sup_bound=abs(c), label=f"const({c:g})")
+    return TestFunction.piecewise_linear(
+        (0.0,), (c,), fn=lambda x, c=c: np.full_like(np.asarray(x, float), c),
+        deriv=lambda x: np.zeros_like(np.asarray(x, float)),
+        label=f"const({c:g})")
 
 
 def sin_fn() -> TestFunction:
@@ -91,10 +136,9 @@ def tanh_fn() -> TestFunction:
 
 
 def clamp_fn() -> TestFunction:
-    return TestFunction(fn=lambda x: np.clip(x, -1.0, 1.0),
-                        deriv=lambda x: np.where(np.abs(x) < 1.0, 1.0, 0.0),
-                        lip_const=1.0, sup_bound=1.0, kinks=(-1.0, 1.0),
-                        label="clamp")
+    return TestFunction.piecewise_linear(
+        (-1.0, 1.0), (-1.0, 1.0), fn=lambda x: np.clip(x, -1.0, 1.0),
+        deriv=lambda x: np.where(np.abs(x) < 1.0, 1.0, 0.0), label="clamp")
 
 
 def smoothed_indicator(x0: float, eps: float) -> TestFunction:
@@ -112,9 +156,9 @@ def smoothed_indicator(x0: float, eps: float) -> TestFunction:
         z = np.asarray(z, float)
         return np.where((z > x0) & (z < x0 + eps), -scale / eps, 0.0)
 
-    return TestFunction(fn=fn, deriv=deriv, lip_const=scale / eps,
-                        sup_bound=scale, kinks=(x0, x0 + eps),
-                        label=f"ind({x0:g},{eps:g})")
+    return TestFunction.piecewise_linear(
+        (x0, x0 + eps), (scale, 0.0), fn=fn, deriv=deriv,
+        label=f"ind({x0:g},{eps:g})")
 
 
 @lru_cache(maxsize=None)

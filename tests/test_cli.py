@@ -198,7 +198,11 @@ class TestFlags:
         ["fixed-point", "--tol", "nan"], ["fixed-point", "--tol", "-1"],
         ["sweep", "--tol", "0"], ["sweep", "--tol", "1"],
         ["sweep", "--tol", "1.5"], ["sweep", "--tol", "inf"],
-        ["sweep", "--b", "nan"], ["sweep", "--b", "-1"]])
+        ["sweep", "--b", "nan"], ["sweep", "--b", "-1"],
+        ["stein-check", "--b", "inf"], ["stein-check", "--b", "0.5,nan"],
+        ["stein-check", "--b", "1,-2"], ["stein-check", "--b", ","],
+        ["fixed-point", "--b", "inf"], ["fixed-point", "--b", "nan"],
+        ["fixed-point", "--b", "0"]])
     def test_non_finite_or_out_of_range_value_is_usage_error(self, argv,
                                                              capsys):
         assert run_cli(argv) == 2

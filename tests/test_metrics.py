@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from laplace_stein import transforms
 from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
 from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
                                    dkw_band, kolmogorov_empirical,
                                    kolmogorov_from_bl, wasserstein_empirical,
                                    within_four_se)
-from laplace_stein.stein import dense_bl_family, smoothed_indicator, stein_family
+from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
+                                       Summands, random_sum_sample)
+from laplace_stein.stein import (_cached_wh, dense_bl_family,
+                                 smoothed_indicator, stein_family)
 
 UNIT = LaplaceParams(0.0, 1.0)
 
@@ -29,6 +34,15 @@ class TestEmpiricalSample:
     def test_rejects_unsorted_direct_construction(self):
         with pytest.raises(ValueError):
             EmpiricalSample(values=np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN member mean used to drop out of the max, so [0, 1, nan] got
+        # a perfect d_BL of 0; inf gave 0.667
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalSample.from_values([0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalSample(values=np.array([0.0, 1.0, bad]))
 
 
 class TestKolmogorov:
@@ -129,6 +143,90 @@ class TestBlLowerBound:
             vals = np.asarray(h.fn(s.values), float)
             per_h.append(np.std(vals, ddof=1) / math.sqrt(s.n))
         assert est.std_error == pytest.approx(max(per_h), rel=1e-12)
+
+
+def full_loop_bl(s, target, family):
+    """The reference: every member evaluated on the whole sample."""
+    best, worst_se = -1.0, 0.0
+    for h in family:
+        vals = np.asarray(h.fn(s.values), dtype=float)
+        best = max(best, abs(float(np.mean(vals)) - _cached_wh(h, target.b)))
+        if s.n > 1:
+            worst_se = max(worst_se,
+                           float(np.std(vals, ddof=1)) / math.sqrt(s.n))
+    return best, worst_se
+
+
+DENSE = dense_bl_family()
+KNOTS = sorted({k for h in DENSE for k in h.knots})
+
+
+@st.composite
+def screened_cases(draw):
+    """(sample values, family, b) spanning the cases the screening meets."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["laplace", "point", "knots", "heavy",
+                                 "lattice"]))
+    if kind == "laplace":
+        x = rng.laplace(scale=draw(st.sampled_from([0.3, 1.0, 3.0])), size=n)
+    elif kind == "point":
+        x = np.full(n, draw(st.sampled_from(KNOTS) | st.floats(-6.0, 6.0)))
+    elif kind == "knots":
+        pool = draw(st.lists(st.sampled_from(KNOTS), min_size=1, max_size=4))
+        x = rng.choice(pool, size=n)
+    elif kind == "heavy":
+        x = np.clip(rng.standard_cauchy(n), -1e3, 1e3)
+    else:
+        x = np.round(rng.laplace(size=n) * 4.0) / 4.0
+    members = draw(st.lists(st.sampled_from(DENSE), min_size=1, max_size=40,
+                            unique_by=id))
+    ramps = draw(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                    st.sampled_from([0.05, 0.3, 1.0, 3.0])),
+                          max_size=3))
+    family = members + [smoothed_indicator(round(x0, 3), eps)
+                        for x0, eps in ramps]
+    return x, family, draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+class TestScreenedBlLowerBound:
+    """The screening must not change a bit of the full loop's result."""
+
+    @given(screened_cases())
+    def test_equals_full_loop_bit_for_bit(self, case):
+        x, family, b = case
+        s = EmpiricalSample.from_values(x)
+        target = LaplaceParams(0.0, b)
+        est = bl_lower_bound(s, target, family)
+        assert (est.value, est.std_error) == full_loop_bl(s, target, family)
+        assert est.family_size == len(family)
+
+    def test_full_dense_family_on_heavy_tails_and_ties(self):
+        rng = np.random.default_rng(11)
+        for x in (np.clip(rng.standard_cauchy(10_000), -1e3, 1e3),
+                  rng.choice(KNOTS, size=10_000), np.zeros(3), [0.5]):
+            s = EmpiricalSample.from_values(x)
+            est = bl_lower_bound(s, UNIT, DENSE)
+            assert (est.value, est.std_error) == full_loop_bl(s, UNIT, DENSE)
+
+    def test_full_sample_evaluations_stay_few(self):
+        spec = RandomSumSpec(GeometricIndex(0.01),
+                             Summands(transforms.rademacher(math.sqrt(2.0))))
+        s = random_sum_sample(spec, 10 ** 5, seed=7)
+        calls = []
+
+        def counted(h):
+            def fn(x):
+                if np.size(x) == s.n:
+                    calls.append(h.label)
+                return h.fn(x)
+            return dataclasses.replace(h, fn=fn)
+
+        family = [counted(h) for h in DENSE]
+        est = bl_lower_bound(s, UNIT, family)
+        smooth = sum(1 for h in DENSE if not h.knots)
+        assert len(calls) == len(set(calls)) <= smooth + 8
+        assert (est.value, est.std_error) == full_loop_bl(s, UNIT, DENSE)
 
 
 class TestWasserstein:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein.errors import CertificationError
-from laplace_stein.stein import TestFunction as HBLFunction
+from laplace_stein.stein import _HBL_SLACK, TestFunction as HBLFunction
 from laplace_stein.stein import (certify_bounds, clamp_fn,
                                  constant_fn, cos_fn, dense_bl_family,
                                  residual, sin_fn, smoothed_indicator, solve,
@@ -44,6 +45,83 @@ class TestFamilies:
             solve(raw, 1.0)
         with pytest.raises(CertificationError):
             target_expectation(raw, 1.0)
+
+
+def hand_typed_constants():
+    """label -> (kinks, lip_const, sup_bound) as the constructors typed them
+    before the piecewise-linear data existed."""
+    table = {"const(1)": ((), 0.0, 1.0), "const(-0.5)": ((), 0.0, 0.5),
+             "clamp": ((-1.0, 1.0), 1.0, 1.0)}
+    ramps = [(x0, eps) for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0)
+             for eps in (0.1, 0.5, 1.0)]
+    ramps += [(round(float(x0), 9), eps) for x0 in np.linspace(-4.0, 4.0, 21)
+              for eps in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    for x0, eps in ramps:
+        scale = min(1.0, eps)
+        table[f"ind({x0:g},{eps:g})"] = ((x0, x0 + eps), scale / eps, scale)
+    return table
+
+
+def exact_interpolant(h, x: float) -> Fraction:
+    k = [Fraction(v) for v in h.knots]
+    v = [Fraction(y) for y in h.values]
+    x = Fraction(x)
+    if x <= k[0]:
+        return v[0]
+    for k0, k1, v0, v1 in zip(k, k[1:], v, v[1:]):
+        if x <= k1:
+            return v0 + (v1 - v0) * (x - k0) / (k1 - k0)
+    return v[-1]
+
+
+def near_knots(h) -> np.ndarray:
+    lo, hi = h.knots[0] - 2.0, h.knots[-1] + 2.0
+    points = [np.linspace(lo, hi, 97)]
+    for k in h.knots:
+        points.append([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf),
+                       k - 1e-9, k + 1e-9])
+    return np.sort(np.concatenate(points))
+
+
+DATA_MEMBERS = [h for h in dense_bl_family() if h.knots]
+
+
+class TestPiecewiseLinearData:
+    def test_every_non_smooth_member_carries_data(self):
+        assert {h.label for h in dense_bl_family() if not h.knots} == {
+            "sin", "cos", "tanh"}
+        assert len(DATA_MEMBERS) == 117
+
+    def test_derived_constants_match_the_hand_typed_ones(self):
+        table = hand_typed_constants()
+        for h in DATA_MEMBERS:
+            kinks, lip, sup = table[h.label]
+            assert h.kinks == kinks, h.label
+            assert abs(h.lip_const - lip) <= _HBL_SLACK, h.label
+            assert abs(h.sup_bound - sup) <= _HBL_SLACK, h.label
+
+    def test_fn_is_the_interpolant_within_interp_error(self):
+        # the screening in metrics.bl_lower_bound relies on this bound
+        for h in DATA_MEMBERS:
+            xs = near_knots(h)
+            for x, y in zip(xs, np.asarray(h.fn(xs), dtype=float)):
+                assert abs(Fraction(y) - exact_interpolant(h, x)) <= Fraction(
+                    h.interp_error), (h.label, x)
+
+    def test_fn_matches_numpy_interp(self):
+        for h in DATA_MEMBERS:
+            xs = near_knots(h)
+            width = min(np.diff(h.knots), default=1.0)
+            ulps = 8.0 * np.spacing(1.0) * (1.0 + np.abs(xs)) / width
+            assert np.all(np.abs(h.fn(xs) - np.interp(xs, h.knots, h.values))
+                          <= ulps), h.label
+
+    def test_bad_data_is_rejected(self):
+        for knots, values in [((), ()), ((0.0, 0.0), (1.0, 0.0)),
+                              ((1.0, 0.0), (1.0, 0.0)), ((0.0,), (1.0, 0.0))]:
+            with pytest.raises(ValueError):
+                HBLFunction.piecewise_linear(knots, values, fn=np.sin,
+                                             deriv=None, label="bad")
 
 
 class TestTargetExpectation:
