@@ -85,6 +85,18 @@ def _positive_list(text):
     return values
 
 
+def _probability_list(text):
+    """argparse type of --p on sweep and bounds: a nonempty comma list of
+    probabilities in (0, 1)."""
+    values = _float_list(text)
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+    for value in values:
+        if not 0.0 < value < 1.0:
+            raise argparse.ArgumentTypeError(f"{value!r} is not in (0, 1)")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laplace-stein",
@@ -135,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     source(p, "summand family")
     p.add_argument("--b", type=_positive, default=1.0,
                    help="target scale; must match the source variance")
-    p.add_argument("--p", type=_float_list, default="0.1,0.01,0.001",
+    p.add_argument("--p", type=_probability_list, default="0.1,0.01,0.001",
                    help="comma list of success probabilities")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format")
@@ -145,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     source(p, "summand family")
     p.add_argument("--index", choices=("geometric", "fixed"),
                    default="geometric", help="index law")
-    p.add_argument("--p", type=_float_list, default="0.1,0.01,0.001",
+    p.add_argument("--p", type=_probability_list, default="0.1,0.01,0.001",
                    help="geometric success probabilities")
     p.add_argument("--k", type=int, default=5, help="fixed index value")
     p.add_argument("--scales", type=_float_list, default="1",
@@ -316,7 +328,8 @@ def cmd_sweep(args):
     if args.format == "csv":
         report = {"columns": list(SWEEP_COLUMNS), "rows": rows}
     else:
-        # no slope is fitted to fewer than two points; JSON has no NaN
+        # no slope is fitted to fewer than two distinct p values; JSON has
+        # no NaN
         slope = result.slope if math.isfinite(result.slope) else None
         report = {"schema_version": SCHEMA_VERSION, "command": "sweep",
                   "source": src.label, "b": args.b, "n": args.n,

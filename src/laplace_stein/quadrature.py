@@ -30,12 +30,15 @@ Two tools live here:
     call on that point alone and one beside -2.95, which lays other nodes;
     that was the worst of 600 random (b, points) draws with b in [0.25, 4].
     It is far below the 1e-6 residual tolerance, but not below 1e-15.
+
+SciPy is imported inside ``laplace_expectation``, the one function that calls
+it, so that importing the package, and commands that never integrate, load
+numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
 
@@ -51,6 +54,8 @@ def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
     ``kinks`` lists points where f or f' jumps; the rule is split there.
     Raises QuadratureError when the error estimate exceeds ``tol``.
     """
+    from scipy import integrate
+
     hi = 80.0 * b
 
     def folded(u):

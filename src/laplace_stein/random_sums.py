@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import TruncationError
 from .laplace import LaplaceParams
@@ -258,9 +257,38 @@ def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.abs(nq - mq)) * widths))
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: the real-FFT length that
+    ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two >= n / p35
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _independent_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
-    """E|N - M|^(1/2) under the product coupling (exact double sum via FFT)."""
-    corr = np.clip(fftconvolve(pn, pm[::-1]), 0.0, None)
+    """E|N - M|^(1/2) under the product coupling (exact double sum via FFT).
+
+    The law of N - M is the correlation of the two pmfs, computed the way
+    SciPy's ``signal.fftconvolve(pn, pm[::-1])`` computes it, so the gap
+    keeps its bits: real FFTs zero-padded to the next 5-smooth length, or a
+    plain product when an input has length 1.
+    """
+    rev = pm[::-1]
+    if pn.shape[0] == 1 or rev.shape[0] == 1:
+        full = pn * rev
+    else:
+        size = pn.shape[0] + rev.shape[0] - 1
+        fft_len = _next_fast_len(size)
+        spectrum = np.fft.rfft(pn, fft_len) * np.fft.rfft(rev, fft_len)
+        full = np.fft.irfft(spectrum, fft_len)[:size]
+    corr = np.clip(full, 0.0, None)
     d = np.arange(-(pm.shape[0] - 1), pn.shape[0])
     return float(np.sum(np.sqrt(np.abs(d)) * corr))
 
@@ -462,7 +490,8 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     """Per-p certification reports plus the fitted decay rate of the
-    Wasserstein proxy (log-log slope of d_W against p)."""
+    Wasserstein proxy (log-log slope of d_W against p; NaN unless at least
+    two distinct p values were swept)."""
 
     points: tuple
     slope: float
@@ -504,7 +533,7 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
             verdict=verdict)
         points.append(SweepPoint(p=float(p), report=report))
     slope = float("nan")
-    if len(points) >= 2:
+    if len({pt.p for pt in points}) >= 2:
         xs = np.log([pt.p for pt in points])
         ys = np.log([pt.report.empirical["d_W_upper"].value for pt in points])
         slope = float(np.polyfit(xs, ys, 1)[0])

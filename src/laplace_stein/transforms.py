@@ -26,6 +26,10 @@ sources whose zero-bias law is known exactly: Rademacher(+-c) gives
 Uniform(-c, c), the symmetric uniform gives the Epanechnikov law (median of
 three uniforms), and Laplace(0, b) gives the equal mixture of +-Exp(b) and
 +-Gamma(2, b) magnitudes.
+
+SciPy is imported inside the functions that call it (the quadratures of
+``equilibrium_density`` and ``equilibrium_density_2d``, the interpolant of
+``from_density``), so the built-in sources need numpy alone.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import QuadratureError, UnsupportedSourceError
 from . import laplace
@@ -211,6 +213,8 @@ def from_density(label: str, density, *, half_width: float = math.inf,
     def _inverse(cdf_vals, grid=grid):
         # running max guards against ~1e-14 wiggles where the tabulated tail
         # saturates; flats are then deduplicated for the monotone interpolant
+        from scipy.interpolate import PchipInterpolator
+
         vals = np.maximum.accumulate(cdf_vals)
         keep = np.concatenate([[True], np.diff(vals) > 0])
         return PchipInterpolator(vals[keep], grid[keep], extrapolate=False)
@@ -342,6 +346,8 @@ def equilibrium_density(s, src: SourceDistribution) -> float:
     :func:`equilibrium_density_2d` keeps the raw tensor quadrature as an
     independent cross-check.
     """
+    from scipy import integrate
+
     if src.density is None:
         raise UnsupportedSourceError(f"{src.label}: no density available")
     s = float(s)
@@ -377,6 +383,8 @@ def equilibrium_density_2d(s, src: SourceDistribution) -> float:
     the exponential tail); for bounded support the live region is exactly the
     triangle a + r <= log(hw/|s|).
     """
+    from scipy import integrate
+
     if src.density is None:
         raise UnsupportedSourceError(f"{src.label}: no density available")
     s = float(s)

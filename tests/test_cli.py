@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,12 +45,14 @@ class TestSweepCommand:
         reformatted = [f"{v:.17g}" for v in numeric]
         assert reformatted == rows[1][:-1]
 
-    def test_empty_grid_header_only(self, tmp_path):
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        # a sweep over no p value checks nothing, so it may not pass
         out = tmp_path / "empty.csv"
         assert run_cli(["sweep", "--source", "rademacher", "--c", RADC,
                         "--b", "1", "--p", "", "--n", "100", "--seed", "1",
-                        "--out", str(out)]) == 0
-        assert out.read_text() == ",".join(cli.SWEEP_COLUMNS) + "\n"
+                        "--out", str(out)]) == 2
+        assert "--p" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_format_includes_slope_and_components(self, tmp_path):
         out = tmp_path / "s.json"
@@ -72,6 +78,19 @@ class TestSweepCommand:
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert rep["slope"] is None
         assert len(rep["points"]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["0.1,0.1", "0.1,0.1,0.1"])
+    def test_json_slope_is_null_on_one_repeated_p(self, grid, tmp_path):
+        # a line through points at one p is no fit (numpy warns RankWarning)
+        out = tmp_path / "s.json"
+        assert run_cli(["sweep", "--source", "rademacher", "--c", RADC,
+                        "--b", "1", "--p", grid, "--n", "1000",
+                        "--seed", "3", "--format", "json",
+                        "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["slope"] is None
+        assert len(rep["points"]) == grid.count(",") + 1
 
     def test_mismatched_variance_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--source", "rademacher", "--c", "2.0",
@@ -202,7 +221,13 @@ class TestFlags:
         ["stein-check", "--b", "inf"], ["stein-check", "--b", "0.5,nan"],
         ["stein-check", "--b", "1,-2"], ["stein-check", "--b", ","],
         ["fixed-point", "--b", "inf"], ["fixed-point", "--b", "nan"],
-        ["fixed-point", "--b", "0"]])
+        ["fixed-point", "--b", "0"],
+        ["sweep", "--p", ","], ["sweep", "--p", "0"], ["sweep", "--p", "1"],
+        ["sweep", "--p", "nan"], ["sweep", "--p", "-0.1"],
+        ["sweep", "--p", "0.1,1"], ["bounds", "--p", ","],
+        ["bounds", "--p", "0"], ["bounds", "--p", "1"],
+        ["bounds", "--p", "nan"], ["bounds", "--p", "-0.1"],
+        ["bounds", "--p", "0.5,inf"]])
     def test_non_finite_or_out_of_range_value_is_usage_error(self, argv,
                                                              capsys):
         assert run_cli(argv) == 2
@@ -300,3 +325,36 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(cli.UsageError):
             cli.emit_report({}, "xml")
+
+
+BOUNDS_WITHOUT_SCIPY = [
+    ["bounds", "--p", "1e-2", "--coupling", "comonotone"],
+    ["bounds", "--scales", "1,2", "--coupling", "independent", "--p", "1e-2"],
+    ["bounds", "--index", "fixed", "--k", "1", "--coupling", "independent"],
+]
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from laplace_stein import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+class TestStartup:
+    def test_bounds_loads_no_scipy(self):
+        # SciPy is imported where something integrates, so the package and
+        # the bounds command run on numpy alone; one module-level SciPy
+        # import would add about a second to every invocation
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE,
+             json.dumps(BOUNDS_WITHOUT_SCIPY)],
+            env=env, capture_output=True, text=True, check=True)
+        probe = json.loads(run.stdout)
+        assert probe["codes"] == [0] * len(BOUNDS_WITHOUT_SCIPY)
+        assert probe["scipy"] == []

@@ -43,6 +43,11 @@ GOLDEN = {
         ["bounds", "--source", "laplace", "--c", "1", "--p", "0.2,0.05",
          "--coupling", "independent"],
         "a621c2b280221cd9abee731db6b07ca6f12a553f9527da26e2f66391c47124ff"),
+    # k = 1: the index-gap correlation is a plain product, not an FFT
+    "bounds-fixed-k1": (
+        ["bounds", "--index", "fixed", "--k", "1", "--coupling",
+         "independent"],
+        "76e7e00a58b96cd62f8adf50ec6b274112648f86f73bc0ea9bed10d23f41592f"),
 }
 
 

@@ -9,7 +9,8 @@ from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import dkw_band, kolmogorov_empirical, kolmogorov_from_bl
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
-                                       convergence_sweep,
+                                       _gap_truncation, _independent_sqrt_gap,
+                                       _next_fast_len, convergence_sweep,
                                        expected_sqrt_index_gap, fixed_index,
                                        general_sum_bound, geometric_sum_bound,
                                        iid_sum_bound, m_distribution,
@@ -158,6 +159,55 @@ class TestIndexGap:
         md = m_distribution(spec, 50)
         with pytest.raises(ValueError):
             expected_sqrt_index_gap(spec, md, "antithetic")
+
+
+def fftconvolve_gap(pn, pm):
+    """The independent-coupling gap as SciPy's fftconvolve gives it: the
+    reference the numpy FFT must reproduce bit for bit."""
+    from scipy.signal import fftconvolve
+
+    corr = np.clip(fftconvolve(pn, pm[::-1]), 0.0, None)
+    d = np.arange(-(pm.shape[0] - 1), pn.shape[0])
+    return np.sum(np.sqrt(np.abs(d)) * corr)
+
+
+class TestIndependentGapBits:
+    """The numpy-FFT correlation keeps the bits of scipy.signal.fftconvolve,
+    so the independent-coupling reports do not move.  On a numpy whose FFT
+    rounds differently these tests fail, rather than the reports changing
+    silently."""
+
+    @given(k=st.integers(min_value=1, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           zeros=st.sampled_from([0.0, 0.5, 0.95]),
+           atom=st.sampled_from([None, "pn", "pm"]))
+    def test_equals_fftconvolve_bit_for_bit(self, k, seed, zeros, atom):
+        # equal lengths, as the bounds pass them, or one input of length 1,
+        # where fftconvolve multiplies instead of transforming (an FFT there
+        # moves the gap by an ulp in about 2 of 5 draws)
+        rng = np.random.default_rng(seed)
+        pn = rng.random(1 if atom == "pn" else k)
+        pm = rng.random(1 if atom == "pm" else k)
+        pn[rng.random(pn.shape[0]) < zeros] = 0.0
+        pm[rng.random(pm.shape[0]) < zeros] = 0.0
+        assert _independent_sqrt_gap(pn, pm) == fftconvolve_gap(pn, pm)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-4])
+    def test_bounds_deep_specs_equal_fftconvolve(self, p):
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, (1.0, 2.0)))
+        md = m_distribution(spec, _gap_truncation(spec))
+        pn = spec.index.pmf(np.arange(1, md.pmf.shape[0] + 1))
+        gap, _ = expected_sqrt_index_gap(spec, md, "independent")
+        assert gap == fftconvolve_gap(pn, md.pmf)
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        ours = [_next_fast_len(n) for n in range(1, 200_001)]
+        assert ours == [next_fast_len(n, real=True)
+                        for n in range(1, 200_001)]
+        for n in (10 ** 9 + 1, 2 ** 31 - 1, 3 ** 19 + 1, 10 ** 12 + 7):
+            assert _next_fast_len(n) == next_fast_len(n, real=True)
 
 
 class TestGeometricSumBound:
