@@ -15,7 +15,8 @@ bounds           bound reports (with itemized components) for one random-sum
 
 Reports are byte-identical for identical (config, seed).  Exit status: 0 when
 every certified inequality passes, 1 on any FAIL verdict, 2 on usage errors,
-3 on numeric or resource failures (quadrature, truncation, I/O, memory).
+3 on numeric or resource failures (quadrature, truncation, overflow or
+division by zero, I/O, memory).
 Every option, its type and its default is declared once, in the argparse
 parser, and shown by --help.  An argument @FILE stands for the lines of FILE,
 one flag such as --n=500 per line; flags after it on the command line win.
@@ -63,38 +64,31 @@ class UsageError(Exception):
     pass
 
 
-def _float_list(text):
-    return tuple(float(v) for v in str(text).split(",") if v != "")
-
-
 def _positive(text):
-    """argparse type of --c, --tol and the --b of fixed-point and sweep: a
-    finite positive number."""
+    """argparse type of --c, --tol and --b (each value of stein-check's
+    list): a finite positive number."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite and positive")
     return value
 
 
-def _positive_list(text):
-    """argparse type of stein-check's --b: a nonempty comma list of finite
-    positive numbers."""
-    values = tuple(_positive(v) for v in str(text).split(",") if v != "")
-    if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
-    return values
+def _probability(text):
+    """argparse type of each --p value: a probability in (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{value!r} is not in (0, 1)")
+    return value
 
 
-def _probability_list(text):
-    """argparse type of --p on sweep and bounds: a nonempty comma list of
-    probabilities in (0, 1)."""
-    values = _float_list(text)
-    if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
-    for value in values:
-        if not 0.0 < value < 1.0:
-            raise argparse.ArgumentTypeError(f"{value!r} is not in (0, 1)")
-    return values
+def _comma_list(item):
+    """argparse type of a nonempty comma list, each value read by ``item``."""
+    def comma_list(text):
+        values = tuple(item(v) for v in str(text).split(",") if v != "")
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+        return values
+    return comma_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stein-check", cmd_stein_check,
                 "equation residuals and derivative certificates",
                 sampled=False, tol=("residual tolerance", 1e-6))
-    p.add_argument("--b", type=_positive_list, default="0.5,1,2",
+    p.add_argument("--b", type=_comma_list(_positive), default="0.5,1,2",
                    help="comma list of scales")
 
     p = command("transform-check", cmd_transform_check,
@@ -147,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     source(p, "summand family")
     p.add_argument("--b", type=_positive, default=1.0,
                    help="target scale; must match the source variance")
-    p.add_argument("--p", type=_probability_list, default="0.1,0.01,0.001",
+    p.add_argument("--p", type=_comma_list(_probability),
+                   default="0.1,0.01,0.001",
                    help="comma list of success probabilities")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format")
@@ -157,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     source(p, "summand family")
     p.add_argument("--index", choices=("geometric", "fixed"),
                    default="geometric", help="index law")
-    p.add_argument("--p", type=_probability_list, default="0.1,0.01,0.001",
+    p.add_argument("--p", type=_comma_list(_probability),
+                   default="0.1,0.01,0.001",
                    help="geometric success probabilities")
     p.add_argument("--k", type=int, default=5, help="fixed index value")
-    p.add_argument("--scales", type=_float_list, default="1",
+    p.add_argument("--scales", type=_comma_list(float), default="1",
                    help="cyclic per-index scale factors")
     p.add_argument("--coupling", choices=("comonotone", "independent"),
                    default="comonotone",
@@ -211,18 +207,18 @@ def cmd_stein_check(args):
             sol = solve(h, b)
             res_max = float(np.max(np.abs(residual(sol, grid))))
             cert = certify_bounds(sol, grid)
+            at_zero = sol.g(0.0)
             ok = bool(res_max <= args.tol and cert.passed
-                      and abs(sol.g(0.0)) <= 1e-10)
+                      and abs(at_zero) <= 1e-10)
             checks.append({
                 "label": h.label, "b": b, "target_mean": sol.target_mean,
-                "residual_max": res_max, "solution_at_zero": sol.g(0.0),
+                "residual_max": res_max, "solution_at_zero": at_zero,
                 "certificate": {"values": cert.values, "limits": cert.limits,
                                 "passed": cert.passed},
                 "pass": ok,
             })
     all_pass = all(c["pass"] for c in checks)
-    report = {"schema_version": SCHEMA_VERSION, "command": "stein-check",
-              "b_grid": list(args.b), "residual_tolerance": args.tol,
+    report = {"b_grid": list(args.b), "residual_tolerance": args.tol,
               "family_size": len(stein_family()), "checks": checks,
               "all_pass": all_pass}
     return report, all_pass
@@ -277,8 +273,7 @@ def cmd_transform_check(args):
                                           est.value, 0.0, est.std_error))
 
     all_pass = all(r["pass"] for r in results)
-    report = {"schema_version": SCHEMA_VERSION, "command": "transform-check",
-              "source": src.label, "n": n, "seed": seed, "checks": results,
+    report = {"source": src.label, "n": n, "seed": seed, "checks": results,
               "all_pass": all_pass}
     return report, all_pass
 
@@ -293,8 +288,7 @@ def cmd_fixed_point(args):
     d_k = kolmogorov_empirical(EmpiricalSample.from_values(sample.values),
                                LaplaceParams(0.0, args.b))
     ok = d_k.value <= band
-    report = {"schema_version": SCHEMA_VERSION, "command": "fixed-point",
-              "b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,
+    report = {"b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,
               "band": band, "band_factor": args.tol,
               "verdict": "PASS" if ok else "FAIL"}
     return report, ok
@@ -331,8 +325,7 @@ def cmd_sweep(args):
         # no slope is fitted to fewer than two distinct p values; JSON has
         # no NaN
         slope = result.slope if math.isfinite(result.slope) else None
-        report = {"schema_version": SCHEMA_VERSION, "command": "sweep",
-                  "source": src.label, "b": args.b, "n": args.n,
+        report = {"source": src.label, "b": args.b, "n": args.n,
                   "seed": args.seed, "slope": slope,
                   "family_size": result.family_size,
                   "points": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
@@ -363,26 +356,29 @@ def cmd_bounds(args):
         entry["general_sum"] = _bound_entry(
             general_sum_bound(spec, coupling=args.coupling))
         reports.append(entry)
-    report = {"schema_version": SCHEMA_VERSION, "command": "bounds",
-              "source": src.label, "reports": reports}
-    return report, True
+    return {"source": src.label, "reports": reports}, True
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit status.  Every command handler
-    returns (report, passed)."""
+    returns (report, passed); a JSON report also gets the schema version and
+    the command name."""
     try:
         args = build_parser().parse_args(argv)
         payload, passed = args.handler(args)
-        _write(emit_report(payload, getattr(args, "format", "json")),
-               _resolve_out(args.out))
+        fmt = getattr(args, "format", "json")
+        if fmt == "json":
+            payload = {"schema_version": SCHEMA_VERSION,
+                       "command": args.command, **payload}
+        _write(emit_report(payload, fmt), _resolve_out(args.out))
         return 0 if passed else 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, TruncationError, OSError, MemoryError) as exc:
+    except (QuadratureError, TruncationError, OSError, MemoryError,
+            ArithmeticError) as exc:
         print(f"numeric/runtime failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

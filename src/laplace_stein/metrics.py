@@ -49,7 +49,6 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    kind: str  # "d_K" | "d_BL_lower" | "d_W_upper"
     value: float
     std_error: float = 0.0
     family_size: int = 0
@@ -74,7 +73,7 @@ def kolmogorov_empirical(s: EmpiricalSample,
     f = np.asarray(cdf(s.values, target))
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
-    return DistanceEstimate(kind="d_K", value=float(max(upper, lower)))
+    return DistanceEstimate(value=float(max(upper, lower)))
 
 
 def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
@@ -111,8 +110,8 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     worst_se = 0.0
     if s.n > 1:
         worst_se = max(sd for _, sd in stats.values()) / math.sqrt(s.n)
-    return DistanceEstimate(kind="d_BL_lower", value=best,
-                            std_error=worst_se, family_size=len(family))
+    return DistanceEstimate(value=best, std_error=worst_se,
+                            family_size=len(family))
 
 
 def _member_stats(h, x: np.ndarray, b: float) -> tuple:
@@ -283,7 +282,7 @@ def wasserstein_empirical(s: EmpiricalSample,
     p_cr = _quantile_antiderivative(cross, target)
     strip = (x * (cross - levels[:-1]) - (p_cr - p_lo)) \
         + ((p_hi - p_cr) - x * (levels[1:] - cross))
-    return DistanceEstimate(kind="d_W_upper", value=float(np.sum(strip)))
+    return DistanceEstimate(value=float(np.sum(strip)))
 
 
 def kolmogorov_from_bl(d_bl: float, density_sup: float) -> float:

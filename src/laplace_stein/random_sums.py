@@ -438,26 +438,26 @@ _CHUNK = 1 << 22
 
 
 def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
-    """Row sums of per-index scaled draws, memory-bounded."""
+    """Row sums of per-index scaled draws, memory-bounded: a chunk is the
+    longest run of rows, at least one, that takes at most _CHUNK draws."""
     base, scales = summands.base, np.asarray(summands.scales)
     out = np.empty(counts.shape[0])
-    start = 0
+    ends = np.cumsum(counts)
+    start = first = 0  # first: the draws taken before row start
     while start < counts.shape[0]:
-        stop = start + 1
-        total = int(counts[start])
-        while stop < counts.shape[0] and total + counts[stop] <= _CHUNK:
-            total += int(counts[stop])
-            stop += 1
+        stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK,
+                                                  side="right")))
         chunk = counts[start:stop]
+        total = int(ends[stop - 1]) - first
         draws = np.asarray(base.sampler(rng, total), dtype=float)
-        offsets = np.concatenate([[0], np.cumsum(chunk[:-1])]).astype(int)
+        offsets = np.concatenate([[0], ends[start:stop - 1] - first])
         if scales.shape[0] > 1:
             pos = np.arange(total) - np.repeat(offsets, chunk)
             draws = draws * scales[pos % scales.shape[0]]
         elif scales[0] != 1.0:
             draws = draws * scales[0]
         out[start:stop] = np.add.reduceat(draws, offsets)
-        start = stop
+        start, first = stop, first + total
     return out
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,30 +44,28 @@ _HBL_SLACK = 1e-12
 class TestFunction:
     """A test function with certified sup-norm and Lipschitz constants.
 
-    ``fn`` (and ``deriv``, where given) must accept ndarray input.  ``kinks``
-    lists the points where fn or its derivative jumps; quadrature rules split
-    there.  A piecewise-linear member also carries its shape as data: it is
-    the interpolant of ``values`` at the sorted ``knots``, constant beyond
-    the ends (see :meth:`piecewise_linear`); smooth members leave both empty.
+    ``fn`` must accept ndarray input.  ``kinks`` lists the points where fn or
+    its derivative jumps; quadrature rules split there.  A piecewise-linear
+    member also carries its shape as data: it is the interpolant of
+    ``values`` at the sorted ``knots``, constant beyond the ends (see
+    :meth:`piecewise_linear`); smooth members leave both empty.
     """
 
     fn: Callable
     lip_const: float
     sup_bound: float
     label: str
-    deriv: Optional[Callable] = None
     kinks: tuple = ()
     knots: tuple = ()
     values: tuple = ()
 
     @classmethod
-    def piecewise_linear(cls, knots, values, fn, deriv,
-                         label: str) -> "TestFunction":
+    def piecewise_linear(cls, knots, values, fn, label: str) -> "TestFunction":
         """The interpolant of (knots, values), constant beyond the ends.
 
-        ``fn`` and ``deriv`` evaluate it in closed form; the kinks (knots
-        where the slope changes), the Lipschitz constant (largest absolute
-        slope) and the sup norm (largest absolute value) come from the data.
+        ``fn`` evaluates it in closed form; the kinks (knots where the slope
+        changes), the Lipschitz constant (largest absolute slope) and the sup
+        norm (largest absolute value) come from the data.
         """
         knots = tuple(float(k) for k in knots)
         values = tuple(float(v) for v in values)
@@ -78,7 +76,7 @@ class TestFunction:
             knots, knots[1:], values, values[1:])] + [0.0]
         kinks = tuple(k for k, left, right in zip(knots, slopes, slopes[1:])
                       if left != right)
-        return cls(fn=fn, deriv=deriv, lip_const=max(abs(s) for s in slopes),
+        return cls(fn=fn, lip_const=max(abs(s) for s in slopes),
                    sup_bound=max(abs(v) for v in values), label=label,
                    kinks=kinks, knots=knots, values=values)
 
@@ -116,29 +114,25 @@ def require_hbl(h: TestFunction) -> None:
 def constant_fn(c: float) -> TestFunction:
     return TestFunction.piecewise_linear(
         (0.0,), (c,), fn=lambda x, c=c: np.full_like(np.asarray(x, float), c),
-        deriv=lambda x: np.zeros_like(np.asarray(x, float)),
         label=f"const({c:g})")
 
 
 def sin_fn() -> TestFunction:
-    return TestFunction(fn=np.sin, deriv=np.cos, lip_const=1.0, sup_bound=1.0,
-                        label="sin")
+    return TestFunction(fn=np.sin, lip_const=1.0, sup_bound=1.0, label="sin")
 
 
 def cos_fn() -> TestFunction:
-    return TestFunction(fn=np.cos, deriv=lambda x: -np.sin(x), lip_const=1.0,
-                        sup_bound=1.0, label="cos")
+    return TestFunction(fn=np.cos, lip_const=1.0, sup_bound=1.0, label="cos")
 
 
 def tanh_fn() -> TestFunction:
-    return TestFunction(fn=np.tanh, deriv=lambda x: 1.0 - np.tanh(x) ** 2,
-                        lip_const=1.0, sup_bound=1.0, label="tanh")
+    return TestFunction(fn=np.tanh, lip_const=1.0, sup_bound=1.0, label="tanh")
 
 
 def clamp_fn() -> TestFunction:
     return TestFunction.piecewise_linear(
         (-1.0, 1.0), (-1.0, 1.0), fn=lambda x: np.clip(x, -1.0, 1.0),
-        deriv=lambda x: np.where(np.abs(x) < 1.0, 1.0, 0.0), label="clamp")
+        label="clamp")
 
 
 def smoothed_indicator(x0: float, eps: float) -> TestFunction:
@@ -152,13 +146,8 @@ def smoothed_indicator(x0: float, eps: float) -> TestFunction:
     def fn(z, x0=x0, eps=eps, scale=scale):
         return scale * np.clip((x0 + eps - np.asarray(z, float)) / eps, 0.0, 1.0)
 
-    def deriv(z, x0=x0, eps=eps, scale=scale):
-        z = np.asarray(z, float)
-        return np.where((z > x0) & (z < x0 + eps), -scale / eps, 0.0)
-
     return TestFunction.piecewise_linear(
-        (x0, x0 + eps), (scale, 0.0), fn=fn, deriv=deriv,
-        label=f"ind({x0:g},{eps:g})")
+        (x0, x0 + eps), (scale, 0.0), fn=fn, label=f"ind({x0:g},{eps:g})")
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +198,6 @@ class SolutionProfile:
     g: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    g3: Optional[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +235,7 @@ class SteinSolution:
         g = a_vals + b_vals
         g1 = (a_vals - b_vals) / b
         g2 = (g - ht) / b ** 2
-        g3 = None
-        if self.h.deriv is not None:
-            g3 = (a_vals - b_vals) / b ** 3 - self.h.deriv(xs) / b ** 2
-        return SolutionProfile(x=xs, g=g, g1=g1, g2=g2, g3=g3)
+        return SolutionProfile(x=xs, g=g, g1=g1, g2=g2)
 
     def _eval(self, x, of: Callable):
         """of(profile) at x in any order: profile sorted x, then unsort."""

@@ -227,7 +227,7 @@ class TestFlags:
         ["sweep", "--p", "0.1,1"], ["bounds", "--p", ","],
         ["bounds", "--p", "0"], ["bounds", "--p", "1"],
         ["bounds", "--p", "nan"], ["bounds", "--p", "-0.1"],
-        ["bounds", "--p", "0.5,inf"]])
+        ["bounds", "--p", "0.5,inf"], ["bounds", "--scales", ","]])
     def test_non_finite_or_out_of_range_value_is_usage_error(self, argv,
                                                              capsys):
         assert run_cli(argv) == 2
@@ -246,6 +246,22 @@ class TestFlags:
         monkeypatch.setattr(cli, "general_sum_bound", exhausted)
         assert run_cli(["bounds", "--p", "0.1"]) == 3
         assert "MemoryError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--c", "1e160", "--p", "0.5"],
+        ["bounds", "--scales", "1e308,1e308", "--p", "0.5"],
+        ["transform-check", "--c", "1e160", "--n", "10"],
+        ["transform-check", "--c", "1e-300", "--n", "10"],
+        ["sweep", "--c", "1e160", "--n", "10", "--p", "0.5"],
+        ["stein-check", "--b", "1e300"],
+        ["fixed-point", "--b", "1e300", "--n", "100"]])
+    def test_overflow_or_division_by_zero_is_runtime_failure(self, argv,
+                                                             capsys):
+        # finite flag values whose squares or reciprocals overflow
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric/runtime failure:" in err
+        assert "Traceback" not in err
 
 
 class TestConfigResolution:

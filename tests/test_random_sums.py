@@ -1,21 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import dkw_band, kolmogorov_empirical, kolmogorov_from_bl
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
-                                       _gap_truncation, _independent_sqrt_gap,
+                                       _chunked_sums, _gap_truncation,
+                                       _independent_sqrt_gap,
                                        _next_fast_len, convergence_sweep,
                                        expected_sqrt_index_gap, fixed_index,
                                        general_sum_bound, geometric_sum_bound,
                                        iid_sum_bound, m_distribution,
                                        random_sum_sample, recompute_bound)
-from laplace_stein import transforms as tr
+from laplace_stein import random_sums, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
 RAD = tr.rademacher(SQRT2)
@@ -371,6 +373,70 @@ class TestRandomSumSample:
         spec = RandomSumSpec(GeometricIndex(0.5), Summands(RAD))
         with pytest.raises(ValueError):
             random_sum_sample(spec, 0, 1)
+
+
+def per_row_chunked_sums(rng, summands, counts, limit):
+    """The reference partition: each chunk grown one row at a time while its
+    draws stay within ``limit``."""
+    base, scales = summands.base, np.asarray(summands.scales)
+    out = np.empty(counts.shape[0])
+    start = 0
+    while start < counts.shape[0]:
+        stop = start + 1
+        total = int(counts[start])
+        while stop < counts.shape[0] and total + counts[stop] <= limit:
+            total += int(counts[stop])
+            stop += 1
+        chunk = counts[start:stop]
+        draws = np.asarray(base.sampler(rng, total), dtype=float)
+        offsets = np.concatenate([[0], np.cumsum(chunk[:-1])]).astype(int)
+        if scales.shape[0] > 1:
+            pos = np.arange(total) - np.repeat(offsets, chunk)
+            draws = draws * scales[pos % scales.shape[0]]
+        elif scales[0] != 1.0:
+            draws = draws * scales[0]
+        out[start:stop] = np.add.reduceat(draws, offsets)
+        start = stop
+    return out
+
+
+def recording(source, sizes):
+    """``source`` with a sampler that appends the size of each call to
+    ``sizes``."""
+    def sampler(rng, n):
+        sizes.append(n)
+        return source.sampler(rng, n)
+    return dataclasses.replace(source, sampler=sampler)
+
+
+class TestChunkedSumsBits:
+    """Chunks cut from one cumulative sum are the chunks the per-row loop
+    grows, so the chunked sampler draws the same bits."""
+
+    LIMIT = 64
+
+    # rows of 16 and 32 fill a chunk exactly; rows above 64 overflow one
+    @given(counts=st.lists(st.sampled_from([1, 16, 32, 63, 64, 65, 200])
+                           | st.integers(min_value=1, max_value=150),
+                           min_size=1, max_size=80),
+           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(counts=[32, 32, 1, 63, 65, 64, 200, 1], scales=(1.0, 2.0, 0.5),
+             seed=3)
+    def test_equals_per_row_loop(self, counts, scales, seed):
+        src = tr.uniform_symmetric(math.sqrt(6))
+        counts = np.asarray(counts)
+        got_sizes, want_sizes = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random_sums, "_CHUNK", self.LIMIT)
+            got = _chunked_sums(np.random.default_rng(seed),
+                                Summands(recording(src, got_sizes), scales),
+                                counts)
+        want = per_row_chunked_sums(
+            np.random.default_rng(seed),
+            Summands(recording(src, want_sizes), scales), counts, self.LIMIT)
+        assert got_sizes == want_sizes  # the same chunks
+        assert np.array_equal(got, want)
 
 
 class TestConvergenceSweep:

@@ -121,7 +121,7 @@ class TestPiecewiseLinearData:
                               ((1.0, 0.0), (1.0, 0.0)), ((0.0,), (1.0, 0.0))]:
             with pytest.raises(ValueError):
                 HBLFunction.piecewise_linear(knots, values, fn=np.sin,
-                                             deriv=None, label="bad")
+                                             label="bad")
 
 
 class TestTargetExpectation:
@@ -171,7 +171,6 @@ class TestClosedForms:
         prof = sol.profile(xs)
         assert np.max(np.abs(prof.g1 - np.cos(xs) / 2)) <= 1e-12
         assert np.max(np.abs(prof.g2 + np.sin(xs) / 2)) <= 1e-12
-        assert np.max(np.abs(prof.g3 + np.cos(xs) / 2)) <= 1e-12
 
 
 class TestSolutionContract:

@@ -1,31 +1,72 @@
 """The benchmark tracer patches package functions by name; keep them there.
 
 ``perfbench/tracing.py`` replaces each ``(module, attribute)`` in its
-``PATCHES`` table with a timing wrapper.  A renamed or removed function would
-otherwise show up only in the slow benchmark smoke test.
+``PATCHES`` table with a timing wrapper, and its counters read attributes of
+the results (``family_size``, ``n``, ``pmf``).  A renamed or removed function
+or field would otherwise show up only in the slow benchmark smoke test.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from laplace_stein import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RADC = "1.4142135623730951"
+UNIC = "2.449489742783178"
+
+# tiny versions of every benchmark workload's commands
+TINY_OPS = {
+    "sweep-exact": [["sweep", "--source", "rademacher", "--c", RADC,
+                     "--b", "1", "--p", "0.1,0.01", "--n", "200"]],
+    "sweep-chunked": [["sweep", "--source", "uniform", "--c", UNIC,
+                       "--b", "1", "--p", "0.1,0.01", "--n", "200"]],
+    "bounds-deep": [["bounds", "--source", "rademacher", "--c", RADC,
+                     "--coupling", "comonotone", "--p", "1e-2"],
+                    ["bounds", "--source", "rademacher", "--c", RADC,
+                     "--scales", "1,2", "--coupling", "independent",
+                     "--p", "1e-2"]],
+    "battery": [["stein-check", "--b", "1"]]
+    + [["transform-check", "--source", source, "--c", c, "--n", "2000"]
+       for source, c in (("rademacher", RADC), ("uniform", UNIC),
+                         ("laplace", "1"))]
+    + [["fixed-point", "--b", "1", "--n", "2000"]],
+}
 
 
-def _patches():
-    """PATCHES of the tracer, loaded by path without importing perfbench."""
+def _tracing():
+    """The tracer module, loaded by path without importing perfbench."""
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
-                                                  TRACING)
+                                                  PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
+
+
+def _reference_counts():
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    return {name: entry["counts"] for name, entry in reference.items()}
 
 
 @pytest.mark.parametrize("module_name,attr",
-                         [(m, a) for m, a, *_ in _patches()])
+                         [(m, a) for m, a, *_ in _tracing().PATCHES])
 def test_traced_name_is_module_level_callable(module_name, attr):
     module = importlib.import_module(f"laplace_stein.{module_name}")
     assert callable(vars(module).get(attr)), \
         f"laplace_stein.{module_name}.{attr} is not a module-level callable"
+
+
+@pytest.mark.parametrize("workload", sorted(_reference_counts()))
+def test_counters_read_fields_that_exist(workload, capsys):
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        for argv in TINY_OPS[workload]:
+            assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    for counter, value in _reference_counts()[workload].items():
+        if value:
+            assert tracer.counts[counter] > 0, counter
