@@ -170,6 +170,18 @@ class Summands:
     def abs_third_at(self, m):
         return self.scale_at(m) ** 3 * self.base.abs_third
 
+    def residue_moments(self) -> tuple:
+        """(sigma_r^2, E|X_r|, E|X_r|^3) for the residues r = 1..L.
+
+        numpy array arithmetic on the L scales: read at (m-1) mod L, these
+        tables hold the bits that the ``*_at`` methods give on an index
+        array (a Python or numpy scalar ``** 3`` can round differently).
+        """
+        s = np.asarray(self.scales)
+        base = self.base
+        return (s ** 2 * base.sigma2, s * base.abs_mean,
+                s ** 3 * base.abs_third)
+
     @property
     def sup_sigma(self) -> float:
         return max(self.scales) * math.sqrt(self.base.sigma2)
@@ -204,18 +216,27 @@ class RandomSumSpec:
 
 @dataclass(frozen=True)
 class MDistribution:
-    """Truncated pmf of the auxiliary index M, with certified tail mass."""
+    """Truncated pmf of the auxiliary index M, with certified tail mass, and
+    the index N's pmf on the same support (the coupling term needs both)."""
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(1, self.pmf.shape[0] + 1)
+    index_pmf: np.ndarray  # index_pmf[i] = P{N = i+1}
 
     @property
     def mean(self) -> float:
-        return float(np.dot(self.support, self.pmf))
+        # a float support: np.dot would cast an integer one to a float copy
+        support = np.arange(1.0, self.pmf.shape[0] + 1.0)
+        return float(np.dot(support, self.pmf))
+
+
+def _over_atoms(k: int, *tables) -> tuple:
+    """Per-residue tables read at the atoms m = 1..k: as they are when
+    L = 1 (they broadcast), else gathered by one (m-1) mod L index array."""
+    if tables[0].shape[0] == 1:
+        return tables
+    residue = np.arange(k) % tables[0].shape[0]
+    return tuple(table[residue] for table in tables)
 
 
 def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
@@ -229,24 +250,40 @@ def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
     sigma2 = spec.sigma2_total()
     if sigma2 <= 0:
         raise ValueError("total variance must be positive")
-    m = np.arange(1, truncation + 1)
-    pmf = spec.summands.sigma2_at(m) / sigma2 * spec.index.survival(m)
-    if isinstance(spec.index, ExplicitIndex):
-        tail = 0.0 if truncation >= len(spec.index.probs) \
+    index = spec.index
+    if isinstance(index, ExplicitIndex):
+        m = np.arange(1, truncation + 1)
+        survival, index_pmf = index.survival(m), index.pmf(m)
+    else:
+        # (1-p)^(m-1) over a float exponent: the bits of index.survival(m)
+        # without its integer temporaries
+        survival = (1.0 - index.p) ** np.arange(truncation, dtype=float)
+        index_pmf = index.p * survival
+    weight = spec.summands.residue_moments()[0] / sigma2
+    pmf = _over_atoms(truncation, weight)[0] * survival
+    if isinstance(index, ExplicitIndex):
+        tail = 0.0 if truncation >= len(index.probs) \
             else max(0.0, 1.0 - float(pmf.sum()))
     else:
-        p = spec.index.p
+        p = index.p
         sup_sig2 = spec.summands.sup_sigma ** 2
         tail = sup_sig2 / sigma2 * (1.0 - p) ** truncation / p
     if tail > _TAIL_TOL:
         raise TruncationError(
             f"tail mass {tail:.3e} above {_TAIL_TOL:g} at truncation "
             f"{truncation}; increase the truncation")
-    return MDistribution(pmf=pmf, tail_bound=float(tail))
+    return MDistribution(pmf=pmf, tail_bound=float(tail), index_pmf=index_pmf)
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
-    """E|N - M|^(1/2) when both are driven by one uniform via their quantiles."""
+    """E|N - M|^(1/2) when both are driven by one uniform via their quantiles.
+
+    Bitwise-equal pmfs have equal quantiles everywhere: the coupling is the
+    diagonal N = M and the gap is exactly 0.0, the value the merge of the
+    quantile breaks below would return, so it is returned without the sort.
+    """
+    if np.array_equal(pn, pm):
+        return 0.0
     cn, cm = np.cumsum(pn), np.cumsum(pm)
     top = min(cn[-1], cm[-1])
     breaks = np.union1d(cn, cm)
@@ -302,10 +339,12 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
     (E[sqrt|N-M|; tail] <= (sqrt(E N) + sqrt(E M)) sqrt(P{tail}), with the
     tail masses computed analytically), and cumulative-sum rounding, which
     perturbs each quantile break by at most k*eps, contributes at most
-    k*eps*sqrt(2k).
+    k*eps*sqrt(2k).  That rounding slack is added even when the gap is
+    exact (bitwise-equal pmfs under the comonotone coupling give 0.0), so a
+    report does not depend on which way the gap was found.
     """
     k = m_dist.pmf.shape[0]
-    pn = np.asarray(spec.index.pmf(np.arange(1, k + 1)), dtype=float)
+    pn = m_dist.index_pmf
     if coupling == "comonotone":
         gap = _comonotone_sqrt_gap(pn, m_dist.pmf)
     elif coupling == "independent":
@@ -403,6 +442,23 @@ def iid_sum_bound(spec: RandomSumSpec,
     })
 
 
+def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
+    """(E|X_M|, (1/3) E[|X_M|^3 / sigma_M^2]) over the truncated M-pmf.
+
+    Atoms without M-mass (zero variance or zero survival) are left out of
+    the ratio term, which is masked only when such atoms exist.
+    """
+    sigma2, abs_mean, abs_third = _over_atoms(pmf.shape[0],
+                                              *summands.residue_moments())
+    abs_mean_m = float(np.sum(pmf * abs_mean))
+    ratio = pmf * abs_third
+    with np.errstate(invalid="ignore"):  # 0/0 on zero-variance atoms
+        ratio /= sigma2
+    live = pmf > 0
+    third_m = float(np.sum(ratio if live.all() else ratio[live])) / 3.0
+    return abs_mean_m, third_m
+
+
 def general_sum_bound(spec: RandomSumSpec,
                       coupling: str = "comonotone") -> BoundReport:
     """The three-term bound with per-index variances (see module docstring).
@@ -414,13 +470,7 @@ def general_sum_bound(spec: RandomSumSpec,
     mu = spec.index.mean
     sigma = math.sqrt(spec.sigma2_total())
     m_dist = m_distribution(spec, _gap_truncation(spec))
-    m = m_dist.support
-    pmf = m_dist.pmf
-    live = pmf > 0
-    sigma2_m = sm.sigma2_at(m)
-    abs_mean_m = float(np.sum(pmf * sm.abs_mean_at(m)))
-    third_m = float(np.sum(pmf[live] * sm.abs_third_at(m[live])
-                           / sigma2_m[live])) / 3.0
+    abs_mean_m, third_m = _moments_under_m(sm, m_dist.pmf)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("general_sum", {
         "mu_inv_sqrt": 1.0 / math.sqrt(mu),

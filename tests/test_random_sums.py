@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import dkw_band, kolmogorov_empirical, kolmogorov_from_bl
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
-                                       _chunked_sums, _gap_truncation,
+                                       _chunked_sums,
+                                       _comonotone_sqrt_gap, _gap_truncation,
                                        _independent_sqrt_gap,
                                        _next_fast_len, convergence_sweep,
                                        expected_sqrt_index_gap, fixed_index,
@@ -330,6 +332,131 @@ class TestGeneralSumBound:
                              Summands(tr.rademacher(1.0), scales=(1.0, 0.0)))
         rep = general_sum_bound(spec)
         assert math.isfinite(rep.value)
+
+
+def quantile_merge_gap(pn, pm):
+    """The comonotone gap by merging the two quantile break sets, for every
+    pair of pmfs: the reference for ``_comonotone_sqrt_gap``."""
+    cn, cm = np.cumsum(pn), np.cumsum(pm)
+    top = min(cn[-1], cm[-1])
+    breaks = np.union1d(cn, cm)
+    breaks = breaks[breaks <= top]
+    nq = np.searchsorted(cn, breaks, side="left")
+    mq = np.searchsorted(cm, breaks, side="left")
+    widths = np.diff(np.concatenate([[0.0], breaks]))
+    return float(np.sum(np.sqrt(np.abs(nq - mq)) * widths))
+
+
+def per_atom_bounds(spec, coupling):
+    """(M-pmf, gap, i.i.d. components or None, general components), each
+    atom's moments and survival evaluated on the full index array m = 1..k:
+    the reference for the per-residue tables and the shared index pmf."""
+    sm, index = spec.summands, spec.index
+    k = _gap_truncation(spec)
+    m = np.arange(1, k + 1)
+    sigma2 = spec.sigma2_total()
+    pmf = sm.sigma2_at(m) / sigma2 * index.survival(m)
+    if isinstance(index, ExplicitIndex):
+        tail = 0.0 if k >= len(index.probs) \
+            else max(0.0, 1.0 - float(pmf.sum()))
+    else:
+        tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
+    pn = np.asarray(index.pmf(m), dtype=float)
+    gap = (quantile_merge_gap(pn, pmf) if coupling == "comonotone"
+           else _independent_sqrt_gap(pn, pmf))
+    slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)
+    tail_mass = index.tail(k) + tail
+    if tail_mass > 0.0:
+        slack += (math.sqrt(index.mean)
+                  + math.sqrt(float(np.dot(m, pmf)) + 1.0)) \
+            * math.sqrt(tail_mass)
+    mu = index.mean
+    common = {"e_sqrt_gap": gap, "gap_tail_slack": slack, "mu": mu,
+              "cap": 2.0}
+    live = pmf > 0
+    sigma2_m = sm.sigma2_at(m)
+    general = dict(common, **{
+        "mu_inv_sqrt": 1.0 / math.sqrt(mu),
+        "sqrt8_over_sigma": math.sqrt(8.0) / math.sqrt(sigma2),
+        "abs_mean_m": float(np.sum(pmf * sm.abs_mean_at(m))),
+        "third_moment_m": float(np.sum(pmf[live] * sm.abs_third_at(m[live])
+                                       / sigma2_m[live])) / 3.0,
+        "index_gap_term": sm.sup_sigma * (gap + slack)})
+    iid = None
+    if sm.is_iid:
+        b = math.sqrt(sm.sigma2_at(1) / 2.0)
+        iid = dict(common, **{
+            "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
+            "abs_mean": float(sm.abs_mean_at(1)),
+            "third_moment_term": float(sm.abs_third_at(1)) / (6.0 * b ** 2),
+            "index_gap_term": b * math.sqrt(2.0) * (gap + slack)})
+    return pmf, gap, iid, general
+
+
+# 1.45, 1.65, 2.9 and 3.3 cube differently as Python floats than in a numpy
+# array on some CPUs; 0.0 makes atoms without M-mass
+SCALES = st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.45, 1.65, 2.9, 3.3]) \
+    | st.floats(min_value=0.1, max_value=4.0)
+INDEXES = st.floats(min_value=1e-3, max_value=0.9).map(GeometricIndex) \
+    | st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+               max_size=8).filter(any).map(
+        lambda w: ExplicitIndex(tuple(x / sum(w) for x in w)))
+
+
+class TestBoundBits:
+    """The M-law, the comonotone gap and every bound component equal the
+    per-atom reference bit for bit, so no report moves."""
+
+    @given(index=INDEXES,
+           scales=st.lists(SCALES, min_size=1, max_size=4).map(tuple),
+           source=st.sampled_from(tr.builtin_sources(1.0)),
+           coupling=st.sampled_from(("comonotone", "independent")))
+    @example(index=GeometricIndex(0.03), scales=(1.0,),
+             source=tr.uniform_symmetric(math.sqrt(6.0)),
+             coupling="comonotone")
+    @example(index=GeometricIndex(0.05), scales=(1.0, 1.0),
+             source=RAD, coupling="comonotone")
+    @example(index=GeometricIndex(0.2), scales=(1.45, 0.0, 2.9),
+             source=RAD, coupling="comonotone")
+    @example(index=ExplicitIndex((0.5, 0.0, 0.5, 0.0)), scales=(1.65,),
+             source=RAD, coupling="independent")
+    def test_equals_per_atom_reference(self, index, scales, source,
+                                       coupling):
+        spec = RandomSumSpec(index, Summands(source, scales))
+        assume(spec.sigma2_total() > 0)
+        pmf, gap, iid, general = per_atom_bounds(spec, coupling)
+        k = _gap_truncation(spec)
+        md = m_distribution(spec, k)
+        assert np.array_equal(md.pmf, pmf)
+        assert np.array_equal(md.index_pmf, index.pmf(np.arange(1, k + 1)))
+        assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
+        if iid is not None:
+            assert iid_sum_bound(spec, coupling).components == iid
+        assert general_sum_bound(spec, coupling).components == general
+
+    @given(pn=st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                       max_size=12).filter(any),
+           swap=st.booleans())
+    def test_gap_equals_quantile_merge(self, pn, swap):
+        pn = np.asarray(pn, dtype=float) / sum(pn)
+        pm = pn[::-1].copy() if swap else pn.copy()
+        assert _comonotone_sqrt_gap(pn, pm) == quantile_merge_gap(pn, pm)
+
+
+class TestBoundMemory:
+    """Each bound holds a few k-float arrays at once, not one per step."""
+
+    @pytest.mark.parametrize("bound", [iid_sum_bound, general_sum_bound])
+    def test_peak_allocation(self, bound):
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
+        k = _gap_truncation(spec)
+        tracemalloc.start()
+        try:
+            bound(spec, coupling="comonotone")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * k
 
 
 class TestRandomSumSample:
