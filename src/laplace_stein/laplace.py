@@ -48,11 +48,15 @@ def pdf(w, params: LaplaceParams):
 
 
 def cdf(w, params: LaplaceParams):
-    """Distribution function; the two exponential branches meet at cdf(a) = 1/2."""
+    """Distribution function; the two exponential branches meet at cdf(a) = 1/2.
+
+    Both branches are read off one exp(-|z|): it is exp(z) for z <= 0 and
+    exp(-z) for z > 0.
+    """
     arr = _as_finite_array(w)
     z = (arr - params.a) / params.b
-    out = np.where(z <= 0, 0.5 * np.exp(np.minimum(z, 0.0)),
-                   1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
+    half = 0.5 * np.exp(-np.abs(z))
+    out = np.where(z <= 0, half, 1.0 - half)
     return _maybe_scalar(out, w)
 
 

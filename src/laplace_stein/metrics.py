@@ -21,6 +21,10 @@ import numpy as np
 from .laplace import LaplaceParams, cdf
 from .stein import _cached_wh, require_hbl
 
+# values per block of the n-length kernels: their temporaries are arrays of
+# 512 KiB, a few at a time, however large the sample is
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EmpiricalSample:
@@ -34,7 +38,7 @@ class EmpiricalSample:
             raise ValueError("sample must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample values must be finite")
-        if np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise ValueError("sample values must be sorted ascending")
         object.__setattr__(self, "values", arr)
 
@@ -68,11 +72,20 @@ def within_four_se(observed: float, limit: float, std_error: float) -> bool:
 
 def kolmogorov_empirical(s: EmpiricalSample,
                          target: LaplaceParams) -> DistanceEstimate:
-    """Exact sup-distance between the empirical CDF and the target CDF."""
+    """Exact sup-distance between the empirical CDF and the target CDF.
+
+    The sample is read in blocks of ``_BLOCK`` values.  Every term is an
+    elementwise function of one value and its rank, and the maximum is
+    exact, so the running maximum over the blocks is the maximum over the
+    whole sample, bit for bit, and no full-length temporary is built.
+    """
     n = s.n
-    f = np.asarray(cdf(s.values, target))
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
+    upper = lower = -math.inf
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        f = cdf(s.values[i:j], target)
+        upper = max(upper, np.max(np.arange(i + 1, j + 1) / n - f))
+        lower = max(lower, np.max(f - np.arange(i, j) / n))
     return DistanceEstimate(value=float(max(upper, lower)))
 
 
@@ -272,16 +285,28 @@ def wasserstein_empirical(s: EmpiricalSample,
     On each quantile strip [(i-1)/n, i/n] the integrand changes sign at most
     once (at u = F(x_i)); both pieces use the closed-form antiderivative of
     the target quantile, so no inner quadrature error enters.
+
+    The strips are computed in blocks of ``_BLOCK`` values.  Each strip is
+    an elementwise function of x_i and its two levels, so a block writes
+    the bits a full-length pass would.  The strips themselves are kept in
+    one full-length array and summed once: numpy sums pairwise, and the
+    shape of that tree depends on the length, so a sum of block sums would
+    round differently.
     """
     n = s.n
     x = s.values
-    levels = np.arange(0, n + 1) / n
-    cross = np.clip(np.asarray(cdf(x, target)), levels[:-1], levels[1:])
-    p_lo = _quantile_antiderivative(levels[:-1], target)
-    p_hi = _quantile_antiderivative(levels[1:], target)
-    p_cr = _quantile_antiderivative(cross, target)
-    strip = (x * (cross - levels[:-1]) - (p_cr - p_lo)) \
-        + ((p_hi - p_cr) - x * (levels[1:] - cross))
+    strip = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        xb = x[i:j]
+        levels = np.arange(i, j + 1) / n
+        lo, hi = levels[:-1], levels[1:]
+        cross = np.clip(cdf(xb, target), lo, hi)
+        p_level = _quantile_antiderivative(levels, target)
+        p_lo, p_hi = p_level[:-1], p_level[1:]
+        p_cr = _quantile_antiderivative(cross, target)
+        strip[i:j] = (xb * (cross - lo) - (p_cr - p_lo)) \
+            + ((p_hi - p_cr) - xb * (hi - cross))
     return DistanceEstimate(value=float(np.sum(strip)))
 
 

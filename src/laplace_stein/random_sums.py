@@ -323,11 +323,17 @@ def _independent_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
     else:
         size = pn.shape[0] + rev.shape[0] - 1
         fft_len = _next_fast_len(size)
-        spectrum = np.fft.rfft(pn, fft_len) * np.fft.rfft(rev, fft_len)
+        spectrum = np.fft.rfft(pn, fft_len)
+        spectrum *= np.fft.rfft(rev, fft_len)
         full = np.fft.irfft(spectrum, fft_len)[:size]
-    corr = np.clip(full, 0.0, None)
-    d = np.arange(-(pm.shape[0] - 1), pn.shape[0])
-    return float(np.sum(np.sqrt(np.abs(d)) * corr))
+        del spectrum
+    np.clip(full, 0.0, None, out=full)
+    # sqrt|d| * P(N - M = d), built in one float array
+    weight = np.arange(-(pm.shape[0] - 1), pn.shape[0], dtype=float)
+    np.abs(weight, out=weight)
+    np.sqrt(weight, out=weight)
+    weight *= full
+    return float(np.sum(weight))
 
 
 def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
@@ -504,9 +510,13 @@ def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
         if scales.shape[0] > 1:
             pos = np.arange(total) - np.repeat(offsets, chunk)
             draws = draws * scales[pos % scales.shape[0]]
+            del pos
         elif scales[0] != 1.0:
             draws = draws * scales[0]
         out[start:stop] = np.add.reduceat(draws, offsets)
+        # one chunk alive at a time, and nothing allocated after it outlives
+        # it, so the next chunk reuses its memory instead of growing the heap
+        del draws, offsets
         start, first = stop, first + total
     return out
 
@@ -528,7 +538,12 @@ def random_sum_sample(spec: RandomSumSpec, n: int, seed: int) -> EmpiricalSample
                                          dtype=float)
     else:
         sums = _chunked_sums(rng, sm, counts)
-    return EmpiricalSample.from_values(sums / math.sqrt(spec.index.mean))
+    del counts
+    # divided and sorted in place: the values from_values(sums / sqrt(mu))
+    # gives, without its two copies
+    sums /= math.sqrt(spec.index.mean)
+    sums.sort()
+    return EmpiricalSample(sums)
 
 
 @dataclass(frozen=True)

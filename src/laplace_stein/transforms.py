@@ -121,8 +121,12 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         raise ValueError("half width must be positive")
 
     def zero_bias(rng, n, c=c):
-        # Epanechnikov on (-c, c) = c * median of three Uniform(-1, 1).
-        return c * np.median(rng.uniform(-1.0, 1.0, (n, 3)), axis=1)
+        # Epanechnikov on (-c, c) = c * median of three Uniform(-1, 1); the
+        # median of a, b, d is max(min(a, b), min(max(a, b), d)), the value
+        # np.median(..., axis=1) returns, without its partition copy
+        a, b, d = rng.uniform(-1.0, 1.0, (n, 3)).T
+        return c * np.maximum(np.minimum(a, b),
+                              np.minimum(np.maximum(a, b), d))
 
     def moment(k, c=c):
         return c ** k / (k + 1.0) if k % 2 == 0 else 0.0
@@ -418,11 +422,14 @@ def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,
     Both sides are estimated on independent substreams; the returned estimate
     should be zero within a few combined standard errors.
     """
+    # each draw has its own substream, so the left side is estimated and
+    # its sample dropped before the right side is drawn
     left = sym_equilibrium_sample(src, n, seed)
+    lhs = mc_estimate(0.5 * f_dd(left.values))
+    del left
     xz = zero_bias_sample(src, n, derive_seed(seed, "zero-bias-relation"))
     rng = substream(seed, "zero-bias-relation", src.label)
     u = rng.random(n)
-    lhs = mc_estimate(0.5 * f_dd(left.values))
     rhs = mc_estimate(u * f_dd(u * xz.values))
     return MonteCarloEstimate(
         value=lhs.value - rhs.value,

@@ -58,6 +58,15 @@ GOLDEN = {
         ["bounds", "--source", "rademacher", "--c", RADC, "--scales", "1,2",
          "--p", "0.2,0.05"],
         "c0c38ee9645bcedca630a48dc3b6bae9a9e64d88c453a582ae9d67e0eb1c7a56"),
+    # n = 150000 spans three blocks of the n-length kernels (2**16 each),
+    # the last one partial: d_K, d_W and the sorted sample across blocks
+    "sweep-blocks": (
+        ["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
+         "--p", "0.1", "--n", "150000", "--seed", "11"],
+        "b621880200e52def8e3672a92e58e68795e966c0df32e7c709d2b6eeda3fd645"),
+    "fixed-point-blocks": (
+        ["fixed-point", "--b", "1", "--n", "150000", "--seed", "5"],
+        "52ce8127812b20bbecf31e88de8d0fbbdbb48ee17ab6111a606624d1e525998f"),
 }
 
 

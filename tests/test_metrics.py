@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from laplace_stein import transforms
+from laplace_stein import metrics, transforms
 from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
-from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
-                                   dkw_band, kolmogorov_empirical,
+from laplace_stein.metrics import (EmpiricalSample, _quantile_antiderivative,
+                                   bl_lower_bound, dkw_band,
+                                   kolmogorov_empirical,
                                    kolmogorov_from_bl, wasserstein_empirical,
                                    within_four_se)
 from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
@@ -308,3 +309,103 @@ class TestKolmogorovFromBl:
             kolmogorov_from_bl(hi_d, lo_c) + 1e-12
         assert kolmogorov_from_bl(lo_d, lo_c) <= \
             kolmogorov_from_bl(lo_d, hi_c) + 1e-12
+
+
+def reference_cdf(w, params):
+    """The Laplace CDF with one exp per branch: the bits ``laplace.cdf``
+    must keep."""
+    z = (np.asarray(w, dtype=float) - params.a) / params.b
+    return np.where(z <= 0, 0.5 * np.exp(np.minimum(z, 0.0)),
+                    1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
+
+
+def reference_kolmogorov(x, target):
+    """d_K in one full-length pass."""
+    n = x.shape[0]
+    f = reference_cdf(x, target)
+    upper = np.max(np.arange(1, n + 1) / n - f)
+    lower = np.max(f - np.arange(0, n) / n)
+    return float(max(upper, lower))
+
+
+def reference_wasserstein(x, target):
+    """d_W in one full-length pass, each antiderivative taken over a whole
+    level array."""
+    n = x.shape[0]
+    levels = np.arange(0, n + 1) / n
+    cross = np.clip(reference_cdf(x, target), levels[:-1], levels[1:])
+    p_lo = _quantile_antiderivative(levels[:-1], target)
+    p_hi = _quantile_antiderivative(levels[1:], target)
+    p_cr = _quantile_antiderivative(cross, target)
+    strip = (x * (cross - levels[:-1]) - (p_cr - p_lo)) \
+        + ((p_hi - p_cr) - x * (levels[1:] - cross))
+    return float(np.sum(strip))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def kernel_samples(draw):
+    """Sorted samples of 1 to 3000 values: Laplace draws, heavy-tailed
+    draws, and draws rounded to a coarse grid (ties) with +-0.0 mixed in."""
+    n = draw(st.integers(min_value=1, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["laplace", "heavy", "ties"]))
+    if kind == "laplace":
+        x = rng.laplace(0.0, 1.0, n)
+    elif kind == "heavy":
+        x = rng.standard_cauchy(n) * 10.0 ** rng.integers(0, 8, n)
+    else:
+        x = np.round(rng.laplace(0.0, 1.0, n) * 2.0) / 2.0
+        x[rng.random(n) < 0.2] = -0.0
+    return np.sort(x)
+
+
+TARGETS = st.sampled_from([UNIT, LaplaceParams(0.0, 0.4),
+                           LaplaceParams(0.7, 2.5)])
+
+
+class TestBlockedKernelsBits:
+    """d_K and d_W taken block by block equal the full-length pass bit for
+    bit, at any block size, on ties, +-0.0 and heavy tails."""
+
+    @given(x=kernel_samples(), target=TARGETS,
+           block=st.sampled_from([1, 7, 64]))
+    @example(x=np.sort(np.random.default_rng(1).laplace(0.0, 1.0, 3000)),
+             target=UNIT, block=1)
+    @example(x=np.sort(np.random.default_rng(2).standard_cauchy(2999)),
+             target=UNIT, block=64)
+    def test_equal_full_length_pass(self, x, target, block):
+        s = EmpiricalSample(x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            d_k = kolmogorov_empirical(s, target).value
+            d_w = wasserstein_empirical(s, target).value
+        assert d_k == reference_kolmogorov(x, target)
+        assert d_w == reference_wasserstein(x, target)
+
+    @given(x=kernel_samples(), target=TARGETS)
+    def test_cdf_keeps_its_bits(self, x, target):
+        assert same_bits(cdf(x, target), reference_cdf(x, target))
+        assert same_bits(cdf(-x, target), reference_cdf(-x, target))
+
+    @given(values=st.lists(
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1e308, -1e308])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=40), presort=st.booleans())
+    def test_sorted_check_equals_diff_check(self, values, presort):
+        arr = np.asarray(values, dtype=float)
+        if presort:
+            arr = np.sort(arr)
+        with np.errstate(over="ignore"):  # the difference of +-1e308
+            unsorted = bool(np.any(np.diff(arr) < 0))
+        if unsorted:
+            with pytest.raises(ValueError, match="sorted"):
+                EmpiricalSample(arr)
+        else:
+            assert same_bits(EmpiricalSample(arr).values, arr)

@@ -8,7 +8,9 @@ from hypothesis import assume, example, given, strategies as st
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
-from laplace_stein.metrics import dkw_band, kolmogorov_empirical, kolmogorov_from_bl
+from laplace_stein.metrics import (EmpiricalSample, dkw_band,
+                                   kolmogorov_empirical, kolmogorov_from_bl,
+                                   wasserstein_empirical)
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
                                        _chunked_sums,
@@ -19,6 +21,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        general_sum_bound, geometric_sum_bound,
                                        iid_sum_bound, m_distribution,
                                        random_sum_sample, recompute_bound)
+from laplace_stein.seeding import substream
 from laplace_stein import random_sums, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
@@ -443,6 +446,16 @@ class TestBoundBits:
         assert _comonotone_sqrt_gap(pn, pm) == quantile_merge_gap(pn, pm)
 
 
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBoundMemory:
     """Each bound holds a few k-float arrays at once, not one per step."""
 
@@ -450,13 +463,43 @@ class TestBoundMemory:
     def test_peak_allocation(self, bound):
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
         k = _gap_truncation(spec)
-        tracemalloc.start()
-        try:
-            bound(spec, coupling="comonotone")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(bound, spec, "comonotone")
         assert peak <= 5 * 8 * k
+
+    def test_independent_gap_in_place(self):
+        # the spectra are multiplied and the weights built in place: about
+        # 4 k-float arrays at the peak instead of 12, with the gap's bits
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
+        md = m_distribution(spec, _gap_truncation(spec))
+        k = md.pmf.shape[0]
+        gap, peak = traced_peak(_independent_sqrt_gap, md.index_pmf, md.pmf)
+        assert gap == 88.62045605121263
+        assert peak <= 5 * 8 * k
+
+
+class TestKernelMemory:
+    """The n-length passes of a sweep point hold few full-length arrays at
+    once: the sampler about three n-float arrays at its peak, d_W one (its
+    strips) plus a block's temporaries, d_K a block's temporaries alone.
+    With blocks of 2**16 values, n = 2**20 keeps a block's temporaries
+    small next to the bounds."""
+
+    N = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def traced_sample(self):
+        spec = RandomSumSpec(GeometricIndex(0.01), Summands(RAD))
+        return traced_peak(random_sum_sample, spec, self.N, 7)
+
+    def test_random_sum_sample(self, traced_sample):
+        assert traced_sample[1] <= 3.5 * 8 * self.N
+
+    @pytest.mark.parametrize("kernel, floats", [
+        (wasserstein_empirical, 2.0), (kolmogorov_empirical, 0.5)])
+    def test_metric_kernel(self, traced_sample, kernel, floats):
+        _, peak = traced_peak(kernel, traced_sample[0],
+                              LaplaceParams(0.0, 1.0))
+        assert peak <= floats * 8 * self.N
 
 
 class TestRandomSumSample:
@@ -534,6 +577,37 @@ def recording(source, sizes):
         sizes.append(n)
         return source.sampler(rng, n)
     return dataclasses.replace(source, sampler=sampler)
+
+
+def reference_random_sum_sample(spec, n, seed):
+    """random_sum_sample with a scaled copy sorted by from_values: the
+    values the in-place division and sort must keep."""
+    rng = substream(seed, "random-sum")
+    counts = np.asarray(spec.index.sample(rng, n))
+    sm = spec.summands
+    if len(sm.scales) == 1 and sm.base.sum_sampler is not None:
+        sums = sm.scales[0] * np.asarray(sm.base.sum_sampler(rng, counts),
+                                         dtype=float)
+    else:
+        sums = _chunked_sums(rng, sm, counts)
+    return EmpiricalSample.from_values(sums / math.sqrt(spec.index.mean))
+
+
+class TestSampleInPlaceBits:
+    """Dividing and sorting the sums in place gives the sample that a
+    divided, sorted copy gives, bit for bit, on the exact-aggregate and the
+    chunked paths."""
+
+    @given(p=st.floats(min_value=0.01, max_value=1.0),
+           source=st.sampled_from(tr.builtin_sources(1.0)),
+           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
+           n=st.integers(min_value=1, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_equals_sorted_copy(self, p, source, scales, n, seed):
+        spec = RandomSumSpec(GeometricIndex(p), Summands(source, scales))
+        got = random_sum_sample(spec, n, seed).values
+        want = reference_random_sum_sample(spec, n, seed).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChunkedSumsBits:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein.errors import UnsupportedSourceError
@@ -292,6 +293,22 @@ class TestZeroBias:
             half_width=1.0)
         with pytest.raises(UnsupportedSourceError):
             tr.zero_bias_sample(numeric, 10, 1)
+
+
+class TestUniformZeroBiasBits:
+    """The median of three by min and max is the element np.median picks,
+    so the uniform zero-bias draws keep their bits."""
+
+    @given(n=st.integers(min_value=0, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           c=st.sampled_from([0.3, 1.0, SQRT6]))
+    def test_equals_np_median(self, n, seed, c):
+        got = tr.uniform_symmetric(c).zero_bias_sampler(
+            np.random.default_rng(seed), n)
+        want = c * np.median(
+            np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3)), axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestZeroBiasRelation:
