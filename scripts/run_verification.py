@@ -47,6 +47,10 @@ def main():
         "sweep": ["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
                   "--p", "0.1,0.03,0.01,0.003,0.001", "--n", args.n,
                   "--seed", args.seed, "--out", str(outdir / "sweep.csv")],
+        "sweep (uniform)": [
+            "sweep", "--source", "uniform", "--c", UNIC, "--b", "1",
+            "--p", "0.1,0.03,0.01,0.003,0.001", "--n", args.n,
+            "--seed", args.seed, "--out", str(outdir / "sweep_uniform.csv")],
         "bounds": ["bounds", "--source", "rademacher", "--c", RADC,
                    "--coupling", "comonotone", "--p", "1e-3,1e-4",
                    "--out", str(outdir / "bounds.json")],

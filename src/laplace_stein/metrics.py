@@ -163,7 +163,10 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
     p2[0] = 0.0
     np.multiply(x, x, out=p2[1:])
     np.cumsum(p2[1:], out=p2[1:])
-    abs_sum = float(np.sum(np.abs(x)))
+    # it feeds only the pads; summed per block, without an n-length |x|
+    abs_sum = 0.0
+    for i in range(0, n, _BLOCK):
+        abs_sum += float(np.sum(np.abs(x[i:i + _BLOCK])))
     boxes = [_data_interval(h, x, p1, p2, abs_sum, _cached_wh(h, b))
              for h in data]
     exact = list(exact)
@@ -196,7 +199,10 @@ def _data_interval(h, x, p1, p2, abs_sum: float, wh: float) -> tuple:
     both prefixes).  t1, t2 and A1 are themselves computed, from
     nonnegative terms, so they are low by at most a factor
     (1 - gamma_(n+m+12))**2; taking gamma of twice the count covers that:
-    E = gamma_(2(n+m+12)) t.
+    E = gamma_(2(n+m+12)) t.  A1 is summed pairwise within blocks of
+    ``_BLOCK`` values and the block sums added in turn: a term meets at
+    most _BLOCK - 1 roundings in its block and ceil(n / _BLOCK) - 1 in the
+    running sum, at most n - 1 in all, within the count above.
 
     Mean.  np.mean(v) sums pairwise, within gamma_(n-1) sum |v_i|, then
     divides: it is within mu = gamma_n (sup + e) of the exact mean of v,

@@ -54,7 +54,10 @@ class SourceDistribution:
     ``sigma2``, ``abs_mean`` and ``abs_third`` are E[X^2], E|X| and E|X|^3.
     Sampler callables take (rng, n) and return an ndarray; the optional
     ``sum_sampler`` takes (rng, counts) and returns one row sum per count,
-    used as an exact fast path for random sums.
+    used as an exact fast path for random sums.  ``one_word_draws`` declares
+    that ``sampler(rng, n)`` takes exactly one 64-bit word of the bit stream
+    per value (value i from word i), so any range of its draws can be made
+    from a generator advanced to the range's first word.
     """
 
     label: str
@@ -70,6 +73,7 @@ class SourceDistribution:
     moment: Optional[Callable] = None
     sum_sampler: Optional[Callable] = None
     half_width: float = math.inf  # essential sup of |X|
+    one_word_draws: bool = False
 
     @property
     def b_equiv(self) -> float:
@@ -131,10 +135,19 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
     def moment(k, c=c):
         return c ** k / (k + 1.0) if k % 2 == 0 else 0.0
 
+    def draw(rng, n, c=c):
+        # rng.uniform(-c, c, n) forms -c + (c - -c) * u from u = rng.random()
+        # value by value; the same two roundings over the whole array give
+        # its bits without its per-value call
+        u = rng.random(n)
+        u *= c - -c
+        u += -c
+        return u
+
     return SourceDistribution(
         label=f"uniform({c:g})",
         sigma2=c ** 2 / 3.0, abs_mean=c / 2.0, abs_third=c ** 3 / 4.0,
-        sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
+        sampler=draw,
         y_sampler=lambda rng, n, c=c: _signed(rng, c * np.sqrt(rng.random(n))),
         z_sampler=lambda rng, n, c=c: _signed(
             rng, c * _smoothstep_inverse(rng.random(n))),
@@ -144,6 +157,7 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         cf=lambda t, c=c: np.sinc(c * np.asarray(t, float) / np.pi),
         moment=moment,
         half_width=c,
+        one_word_draws=True,  # draw: one rng.random per value
     )
 
 
@@ -177,6 +191,7 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
         cf=lambda t, params=params: laplace.char_fn(t, params),
         moment=lambda k, params=params: laplace.moment(k, params),
         sum_sampler=sum_sampler,
+        one_word_draws=True,  # laplace.draw: one rng.random per value
     )
 
 

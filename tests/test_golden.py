@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from laplace_stein import cli
+from laplace_stein import cli, random_sums
 
 RADC = "1.4142135623730951"   # sqrt(2)
 UNIC = "2.449489742783178"    # sqrt(6)
@@ -70,10 +70,31 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_digest(name):
-    argv, digest = GOLDEN[name]
+def report_digest(argv):
+    """SHA-256 of the report ``laplace-stein argv`` prints (exit 0)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest(name):
+    argv, digest = GOLDEN[name]
+    assert report_digest(argv) == digest
+
+
+# Uniform summands at p = 0.01 and 0.001 take about 3e5 and 3e6 draws, the
+# second more than eleven sampler blocks: the chunked sampler splits it into
+# parts on threads, and the report must not depend on how many
+CHUNKED_SWEEP = (
+    ["sweep", "--source", "uniform", "--c", UNIC, "--b", "1",
+     "--p", "0.01,0.001", "--n", "3000", "--seed", "9"],
+    "3605e3b50a7359d1e086379ff15946cbdd41fc28a24e6b0301540212b2e4ff05")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunked_sweep_digest_across_parts(workers, monkeypatch):
+    monkeypatch.setattr(random_sums, "_workers", lambda: workers)
+    argv, digest = CHUNKED_SWEEP
+    assert report_digest(argv) == digest

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,9 @@ from hypothesis import assume, example, given, strategies as st
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
-from laplace_stein.metrics import (EmpiricalSample, dkw_band,
-                                   kolmogorov_empirical, kolmogorov_from_bl,
-                                   wasserstein_empirical)
+from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
+                                   dkw_band, kolmogorov_empirical,
+                                   kolmogorov_from_bl, wasserstein_empirical)
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
                                        _chunked_sums,
@@ -22,6 +24,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        iid_sum_bound, m_distribution,
                                        random_sum_sample, recompute_bound)
 from laplace_stein.seeding import substream
+from laplace_stein.stein import dense_bl_family
 from laplace_stein import random_sums, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
@@ -480,9 +483,10 @@ class TestBoundMemory:
 class TestKernelMemory:
     """The n-length passes of a sweep point hold few full-length arrays at
     once: the sampler about three n-float arrays at its peak, d_W one (its
-    strips) plus a block's temporaries, d_K a block's temporaries alone.
-    With blocks of 2**16 values, n = 2**20 keeps a block's temporaries
-    small next to the bounds."""
+    strips) plus a block's temporaries, d_K a block's temporaries alone,
+    the d_BL screen its two prefix sums plus a block's |x|.  With blocks of
+    2**16 values, n = 2**20 keeps a block's temporaries small next to the
+    bounds."""
 
     N = 1 << 20
 
@@ -500,6 +504,54 @@ class TestKernelMemory:
         _, peak = traced_peak(kernel, traced_sample[0],
                               LaplaceParams(0.0, 1.0))
         assert peak <= floats * 8 * self.N
+
+    def test_bl_lower_bound(self, traced_sample):
+        target, family = LaplaceParams(0.0, 1.0), dense_bl_family()
+        # Wh of every member cached first, as a sweep point finds it
+        bl_lower_bound(EmpiricalSample.from_values([0.0]), target, family)
+        _, peak = traced_peak(bl_lower_bound, traced_sample[0], target,
+                              family)
+        assert peak <= 2.3 * 8 * self.N
+
+
+def send_sample(conn, spec, n, seed):
+    conn.send_bytes(random_sum_sample(spec, n, seed).values.tobytes())
+    conn.close()
+
+
+class TestChunkedSamplerParts:
+    """About 8e6 Uniform draws in parts on two threads: each part holds a
+    few blocks of draws, not a _CHUNK array, and a forked child, which
+    inherits no pool thread, draws the same bits."""
+
+    N = 1 << 13
+    SPEC = RandomSumSpec(GeometricIndex(1e-3),
+                         Summands(tr.uniform_symmetric(math.sqrt(6))))
+
+    def test_peak_allocation(self, monkeypatch):
+        monkeypatch.setattr(random_sums, "_workers", lambda: 2)
+        _, peak = traced_peak(random_sum_sample, self.SPEC, self.N, 7)
+        assert peak <= 2 * 8 * self.N + 6 * 8 * (1 << 18)
+
+    def test_same_bits_in_forked_child(self, monkeypatch):
+        monkeypatch.setattr(random_sums, "_workers", lambda: 2)
+        n = 1 << 10  # about 1e6 draws: two parts
+        before = random_sum_sample(self.SPEC, n, 5).values.tobytes()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_sample, args=(send, self.SPEC, n, 5))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "the forked child sent no sample"
+            got = recv.recv_bytes()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
+        assert got == before
 
 
 class TestRandomSumSample:
@@ -626,18 +678,133 @@ class TestChunkedSumsBits:
              seed=3)
     def test_equals_per_row_loop(self, counts, scales, seed):
         src = tr.uniform_symmetric(math.sqrt(6))
+        # Uniform declares one-word draws and is walked in _DRAW_BLOCK runs;
+        # the same law without the declaration takes the _CHUNK walk
+        undeclared = dataclasses.replace(src, one_word_draws=False)
         counts = np.asarray(counts)
         got_sizes, want_sizes = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(random_sums, "_CHUNK", self.LIMIT)
             got = _chunked_sums(np.random.default_rng(seed),
-                                Summands(recording(src, got_sizes), scales),
-                                counts)
+                                Summands(src, scales), counts)
+            walked = _chunked_sums(
+                np.random.default_rng(seed),
+                Summands(recording(undeclared, got_sizes), scales), counts)
         want = per_row_chunked_sums(
             np.random.default_rng(seed),
-            Summands(recording(src, want_sizes), scales), counts, self.LIMIT)
+            Summands(recording(undeclared, want_sizes), scales), counts,
+            self.LIMIT)
         assert got_sizes == want_sizes  # the same chunks
+        assert np.array_equal(walked, want)
         assert np.array_equal(got, want)
+
+
+def sequential_row_sums(rng, summands, counts):
+    """One ``sampler(rng, total)`` call for every draw, scaled per index and
+    summed row by row: the sums the chunked sampler must reproduce."""
+    scales = np.asarray(summands.scales)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    draws = np.asarray(summands.base.sampler(rng, int(counts.sum())),
+                       dtype=float)
+    pos = np.arange(draws.shape[0]) - np.repeat(offsets, counts)
+    return np.add.reduceat(draws * scales[pos % scales.shape[0]], offsets)
+
+
+ONE_WORD_SOURCES = [src for src in tr.builtin_sources(1.0)
+                    if src.one_word_draws]
+
+
+def half_word_rng(seed, buffered):
+    """PCG64 generator at ``seed``, holding a buffered 32-bit half-word
+    when ``buffered``: draws of doubles must leave it in place."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+    return rng
+
+
+class TestPartedChunkedSumsBits:
+    """Parts drawn on threads from generators advanced to their first word
+    give the sums, and leave the generator state, of one sequential draw,
+    for any number of parts and any block size."""
+
+    @given(counts=st.lists(st.sampled_from([1, 7, 8, 63, 64, 65, 200])
+                           | st.integers(min_value=1, max_value=150),
+                           min_size=1, max_size=80),
+           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
+           source=st.sampled_from(ONE_WORD_SOURCES),
+           workers=st.integers(min_value=1, max_value=5),
+           block=st.sampled_from([1, 7, 64]),
+           buffered=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(counts=[200, 1, 1, 1, 64, 7], scales=(1.0, 2.0, 0.5),
+             source=ONE_WORD_SOURCES[0], workers=5, block=1, buffered=True,
+             seed=3)
+    def test_equals_sequential_draw(self, counts, scales, source, workers,
+                                    block, buffered, seed):
+        counts = np.asarray(counts)
+        summands = Summands(source, scales)
+        rng = half_word_rng(seed, buffered)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random_sums, "_workers", lambda: workers)
+            mp.setattr(random_sums, "_DRAW_BLOCK", block)
+            got = _chunked_sums(rng, summands, counts)
+        ref = half_word_rng(seed, buffered)
+        want = sequential_row_sums(ref, summands, counts)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_more_threads_than_cores(self):
+        # a fresh pool of 8 threads, and thread switches every microsecond:
+        # a part written into the wrong rows or from the wrong word shows
+        counts = substream(5, "stress").geometric(0.05, 3000)
+        summands = Summands(tr.uniform_symmetric(1.0), (1.0, 2.0, 0.5))
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random_sums, "_POOL", None)
+            mp.setattr(random_sums, "_workers", lambda: 8)
+            mp.setattr(random_sums, "_DRAW_BLOCK", 64)
+            sys.setswitchinterval(1e-6)
+            try:
+                got = [_chunked_sums(np.random.default_rng(k), summands,
+                                     counts) for k in range(20)]
+            finally:
+                sys.setswitchinterval(interval)
+                random_sums._pool().shutdown()
+        for k, sums in enumerate(got):
+            want = sequential_row_sums(np.random.default_rng(k), summands,
+                                       counts)
+            assert sums.tobytes() == want.tobytes()
+
+
+def takes_m_words(source, m):
+    """Whether ``sampler(rng, m)`` leaves PCG64 where ``advance(m)`` does."""
+    rng = np.random.default_rng(11)
+    clone = np.random.PCG64(0)
+    clone.state = rng.bit_generator.state
+    source.sampler(rng, m)
+    clone.advance(m)
+    return rng.bit_generator.state == clone.state
+
+
+class TestOneWordDraws:
+    """The declaration is a fact about the sampler: ``sampler(rng, m)``
+    moves PCG64 exactly m words on."""
+
+    @pytest.mark.parametrize("m", [1, 7, 1000])
+    @pytest.mark.parametrize("source", ONE_WORD_SOURCES,
+                             ids=lambda src: src.label)
+    def test_declared_sources_take_one_word_per_value(self, source, m):
+        assert takes_m_words(source, m)
+
+    def test_declared_sources(self):
+        assert [src.label for src in ONE_WORD_SOURCES] == [
+            "uniform(2.44949)", "laplace(1)"]
+
+    def test_rademacher_does_not(self):
+        src = tr.rademacher(1.0)
+        assert not src.one_word_draws
+        assert not takes_m_words(src, 1000)
 
 
 class TestConvergenceSweep:

@@ -311,6 +311,19 @@ class TestUniformZeroBiasBits:
         assert got.tobytes() == want.tobytes()
 
 
+class TestUniformSamplerBits:
+    """The uniform sampler's array arithmetic is Generator.uniform's, bit
+    for bit."""
+
+    @given(n=st.integers(min_value=0, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           c=st.sampled_from([0.3, 1.0, SQRT6, 1e-300, 1e100]))
+    def test_equals_generator_uniform(self, n, seed, c):
+        got = tr.uniform_symmetric(c).sampler(np.random.default_rng(seed), n)
+        want = np.random.default_rng(seed).uniform(-c, c, n)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestZeroBiasRelation:
     @pytest.mark.parametrize("f_dd", [lambda x: np.ones_like(x), np.square,
                                       np.cos])

@@ -9,10 +9,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 REPORTS = {"stein_check.json", "transform_rademacher.json",
            "transform_uniform.json", "transform_laplace.json",
-           "fixed_point.json", "sweep.csv", "bounds.json"}
+           "fixed_point.json", "sweep.csv", "sweep_uniform.csv",
+           "bounds.json"}
 
 
-def test_battery_writes_exactly_the_seven_reports(tmp_path):
+def test_battery_writes_exactly_the_eight_reports(tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
