@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -43,7 +44,7 @@ from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
-from .seeding import derive_seed, substream
+from .seeding import derive_seed, run_all, substream
 from .stein import certify_bounds, residual, solve, standard_grid, stein_family
 from . import transforms
 from .transforms import (mc_estimate, sgn_bias_sample, sym_equilibrium_sample,
@@ -58,6 +59,10 @@ SWEEP_COLUMNS = ("p", "d_K", "d_K_band", "d_BL_lower", "d_W_upper",
 SOURCES = {"rademacher": transforms.rademacher,
            "uniform": transforms.uniform_symmetric,
            "laplace": transforms.laplace_source}
+
+# transform-check's zero-bias relations: (name, f''), in report order
+ZERO_BIAS_F_DD = (("one", np.ones_like), ("square", np.square),
+                  ("cos", np.cos))
 
 
 class UsageError(Exception):
@@ -231,47 +236,66 @@ def _four_se_check(name, observed, expected, se) -> dict:
             "pass": within_four_se(abs(observed - expected), 0.0, se)}
 
 
+def _equilibrium_checks(src, n, seed) -> tuple:
+    """The moment and CF checks of one X_L sample, and the coupling-gap
+    check of the same sample against a draw of the source."""
+    stream = derive_seed(seed, "tc-equilibrium")
+    xl = sym_equilibrium_sample(src, n, stream).values
+    checks = []
+    for k in (2, 4):
+        est = mc_estimate(xl ** k)
+        checks.append(_four_se_check(
+            f"equilibrium_moment_k{k}", est.value,
+            transforms.equilibrium_moment(k, src), est.std_error))
+    for t in (0.5, 1.0, 2.0):
+        arg = t * xl
+        est = mc_estimate(np.cos(arg, out=arg))
+        del arg  # before the next t * xl
+        checks.append(_four_se_check(
+            f"equilibrium_cf_t{t:g}", est.value,
+            transforms.equilibrium_cf(t, src), est.std_error))
+    rng = substream(seed, "tc-coupling")
+    x = np.asarray(src.sampler(rng, n), dtype=float)
+    x -= xl
+    del xl
+    gap = mc_estimate(np.abs(x, out=x))
+    bound = src.abs_mean + src.abs_third / (6.0 * src.b_equiv ** 2)
+    return checks, {"check": "equilibrium_gap_bound", "observed": gap.value,
+                    "bound": bound, "std_error": gap.std_error,
+                    "pass": within_four_se(gap.value, bound, gap.std_error)}
+
+
+def _sgn_bias_check(src, n, seed) -> dict:
+    xp = sgn_bias_sample(src, n, derive_seed(seed, "tc-sgn-bias")).values
+    est = mc_estimate(np.sign(xp, out=xp))
+    return _four_se_check("sgn_bias_symmetry", est.value, 0.0, est.std_error)
+
+
+def _zero_bias_check(src, n, seed, name, f_dd) -> dict:
+    est = verify_zero_bias_relation(src, f_dd, n,
+                                    derive_seed(seed, "tc-zb", name))
+    return _four_se_check(f"zero_bias_relation_{name}", est.value, 0.0,
+                          est.std_error)
+
+
 def cmd_transform_check(args):
+    """Each check group draws from its own substreams, so the groups run
+    concurrently (seeding.run_all), longest first; the report lists their
+    checks in a fixed order."""
     if args.n < 2:
         raise UsageError("--n must be at least 2: the 4-standard-error checks "
                          "need a standard error, which one draw does not have")
     src = SOURCES[args.source](args.c)
     n, seed = args.n, args.seed
-    results = []
-
-    xl = sym_equilibrium_sample(src, n, derive_seed(seed, "tc-equilibrium"))
-    for k in (2, 4):
-        est = mc_estimate(xl.values ** k)
-        results.append(_four_se_check(
-            f"equilibrium_moment_k{k}", est.value,
-            transforms.equilibrium_moment(k, src), est.std_error))
-    for t in (0.5, 1.0, 2.0):
-        est = mc_estimate(np.cos(t * xl.values))
-        results.append(_four_se_check(
-            f"equilibrium_cf_t{t:g}", est.value,
-            transforms.equilibrium_cf(t, src), est.std_error))
-
-    xp = sgn_bias_sample(src, n, derive_seed(seed, "tc-sgn-bias"))
-    est = mc_estimate(np.sign(xp.values))
-    results.append(_four_se_check("sgn_bias_symmetry", est.value, 0.0,
-                                  est.std_error))
-
-    rng = substream(seed, "tc-coupling")
-    x = np.asarray(src.sampler(rng, n), dtype=float)
-    gap = mc_estimate(np.abs(x - xl.values))
-    bound = src.abs_mean + src.abs_third / (6.0 * src.b_equiv ** 2)
-    results.append({"check": "equilibrium_gap_bound", "observed": gap.value,
-                    "bound": bound, "std_error": gap.std_error,
-                    "pass": within_four_se(gap.value, bound, gap.std_error)})
-
-    if src.zero_bias_sampler is not None:
-        for name, f_dd in (("one", lambda x: np.ones_like(x)),
-                           ("square", np.square), ("cos", np.cos)):
-            est = verify_zero_bias_relation(src, f_dd, n,
-                                            derive_seed(seed, "tc-zb", name))
-            results.append(_four_se_check(f"zero_bias_relation_{name}",
-                                          est.value, 0.0, est.std_error))
-
+    relations = ZERO_BIAS_F_DD if src.zero_bias_sampler is not None else ()
+    # the longest first: the equilibrium group, then the relations from
+    # the costliest f'' down
+    groups = ([functools.partial(_equilibrium_checks, src, n, seed)]
+              + [functools.partial(_zero_bias_check, src, n, seed, name, f_dd)
+                 for name, f_dd in reversed(relations)]
+              + [functools.partial(_sgn_bias_check, src, n, seed)])
+    (equilibrium, gap), *zero_bias, sgn_bias = run_all(groups)
+    results = equilibrium + [sgn_bias, gap] + zero_bias[::-1]
     all_pass = all(r["pass"] for r in results)
     report = {"source": src.label, "n": n, "seed": seed, "checks": results,
               "all_pass": all_pass}

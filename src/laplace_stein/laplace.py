@@ -60,27 +60,37 @@ def cdf(w, params: LaplaceParams):
     return _maybe_scalar(out, w)
 
 
+def _quantile_in_place(levels, params: LaplaceParams):
+    """``levels``, a float array in (0, 1), overwritten by their quantiles:
+    a + b log(2q) below 1/2, a - b log(2(1 - q)) from 1/2 on."""
+    upper = levels >= 0.5
+    np.subtract(1.0, levels, out=levels, where=upper)
+    levels *= 2.0
+    np.log(levels, out=levels)
+    levels *= params.b
+    np.negative(levels, out=levels, where=upper)
+    levels += params.a
+    return levels
+
+
 def quantile(q, params: LaplaceParams):
     """Inverse CDF via the closed-form log branches (no iteration)."""
-    arr = np.asarray(q, dtype=float)
+    arr = np.array(q, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile level must lie in (0, 1)")
-    out = np.empty_like(arr)
-    lower = arr < 0.5
-    out[lower] = params.a + params.b * np.log(2.0 * arr[lower])
-    out[~lower] = params.a - params.b * np.log(2.0 * (1.0 - arr[~lower]))
-    return _maybe_scalar(out, q)
+    return _maybe_scalar(_quantile_in_place(arr, params), q)
 
 
 def draw(rng, n: int, params: LaplaceParams) -> np.ndarray:
-    """n draws from rng by inverse transform.
+    """n draws from rng by inverse transform, formed in the uniforms' storage.
 
     The uniforms are drawn independently of (a, b), so with a = 0 the same
     stream at scale c*b yields exactly c times the values (the quantile is
     linear in b).
     """
-    u = np.maximum(rng.random(n), 2.0 ** -53)  # quantile(0) = -inf
-    return quantile(u, params)
+    u = rng.random(n)
+    np.maximum(u, 2.0 ** -53, out=u)  # quantile(0) = -inf
+    return _quantile_in_place(u, params)
 
 
 def sample(n: int, params: LaplaceParams, seed: int):

@@ -35,8 +35,6 @@ bounded by 1), flagging regimes where the formula is vacuous.  Every report's
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -47,6 +45,7 @@ from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, bl_lower_bound, dkw_band,
                       kolmogorov_empirical, kolmogorov_from_bl,
                       wasserstein_empirical, within_four_se)
+from . import seeding
 from .seeding import derive_seed, substream
 from .stein import dense_bl_family
 from .transforms import SourceDistribution
@@ -495,37 +494,6 @@ def general_sum_bound(spec: RandomSumSpec,
 _CHUNK = 1 << 22
 _DRAW_BLOCK = 1 << 18  # 2 MiB of float64 draws
 
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _workers() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _pool():
-    """The module's thread pool for sampler parts, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(max_workers=_workers())
-        return _POOL
-
-
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _sum_rows(rng, summands: Summands, counts: np.ndarray, ends: np.ndarray,
               out: np.ndarray, start: int, stop: int, limit: int) -> None:
@@ -566,7 +534,7 @@ def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
     A source that declares ``one_word_draws`` takes word i of the PCG64
     stream for draw i.  Its rows are cut into parts of about equal draws,
     one per CPU and each at least ``_DRAW_BLOCK`` draws; each part runs on
-    the module's thread pool from a copy of the generator advanced, in
+    the package's thread pool from a copy of the generator advanced, in
     O(log k) steps, to the part's first draw.  Within a part, runs take at
     most ``_DRAW_BLOCK`` draws (2 MiB, a core's L2 cache).  A smaller run
     pays more per-call overhead, and its frees raise glibc's dynamic mmap
@@ -587,7 +555,7 @@ def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
         _sum_rows(rng, summands, counts, ends, out, 0, rows, _CHUNK)
         return out
     total = int(ends[-1]) if rows else 0
-    parts = min(_workers(), total // _DRAW_BLOCK)
+    parts = min(seeding._workers(), total // _DRAW_BLOCK)
     if parts < 2:
         _sum_rows(rng, summands, counts, ends, out, 0, rows, _DRAW_BLOCK)
         return out
@@ -603,7 +571,7 @@ def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
         clone = np.random.PCG64(0)  # its seed is replaced by the state
         clone.state = state
         clone.advance(int(ends[start - 1]) if start else 0)
-        futures.append(_pool().submit(
+        futures.append(seeding._pool().submit(
             _sum_rows, np.random.Generator(clone), summands, counts, ends,
             out, start, stop, _DRAW_BLOCK))
     for future in futures:

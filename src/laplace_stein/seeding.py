@@ -1,13 +1,19 @@
-"""Reproducible random substreams.
+"""Reproducible random substreams, and the thread pool that draws them.
 
 Every sampler in the package is a pure function of (seed, tags): the master
 seed plus a tag path is folded into a numpy SeedSequence, so results are
 reproducible across runs and across parallelism levels.  String tags are
 crc32-hashed (builtin hash() is salted per process and would not be stable).
+
+Work on independent substreams may run on the package's one thread pool,
+one thread per CPU this process may use; its results are put together in a
+fixed order, so they never depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -28,3 +34,61 @@ def substream(seed, *tags) -> np.random.Generator:
 def derive_seed(seed, *tags) -> int:
     """Stable integer sub-seed for handing down to a child task."""
     return int(np.random.SeedSequence(_words(seed, tags)).generate_state(1)[0])
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The package's thread pool, created on first use.  A task on it must
+    not wait for another task on it."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(max_workers=_workers())
+        return _POOL
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_all(calls) -> list:
+    """The results of ``calls``, argument-free callables, in their order.
+
+    With more than one CPU the calls run on the pool, no more at once than
+    it has threads, started in the order given (so list the longest first);
+    with one, they run in turn on the calling thread.  Every call has ended
+    before this returns or raises.  A call's exception is re-raised (the
+    first in their order), and the calls not yet started when it was raised
+    are not started.
+    """
+    calls = list(calls)
+    if len(calls) < 2 or _workers() < 2:
+        return [call() for call in calls]
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
+    futures = [_pool().submit(call) for call in calls]
+    _, pending = wait(futures, return_when=FIRST_EXCEPTION)
+    if pending:  # a call raised; the pool starts calls in order, so every
+        # one started, the raiser too, comes before every one cancelled
+        for future in pending:
+            future.cancel()
+        wait(pending)
+    return [future.result() for future in futures]

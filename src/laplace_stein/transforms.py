@@ -86,8 +86,30 @@ class SourceDistribution:
         return self.sigma2 / (2.0 * self.abs_mean)
 
 
+# values per block of the in-place loops: 512 KiB of float64, so a block's
+# temporaries stay in a core's L2 cache and no loop holds an n-length one
+_BLOCK = 1 << 16
+
+
 def _signed(rng, magnitudes):
-    return (2.0 * rng.integers(0, 2, magnitudes.shape[0]) - 1.0) * magnitudes
+    """``magnitudes``, negated in place where ``rng.integers(0, 2)`` draws 0.
+
+    The integers are drawn a block at a time; each is one 32-bit half-word
+    of the bit stream, so the blocks take the words one call would.
+    """
+    for start in range(0, magnitudes.shape[0], _BLOCK):
+        block = magnitudes[start:start + _BLOCK]
+        np.negative(block, out=block,
+                    where=rng.integers(0, 2, block.shape[0]) == 0)
+    return magnitudes
+
+
+def _scaled_sqrt_uniform(rng, n, c):
+    """c * sqrt(U) for n uniforms U, formed in the uniforms' storage."""
+    r = rng.random(n)
+    np.sqrt(r, out=r)
+    r *= c
+    return r
 
 
 def rademacher(c: float = 1.0) -> SourceDistribution:
@@ -104,7 +126,8 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
         sigma2=c ** 2, abs_mean=c, abs_third=c ** 3,
         sampler=atoms,
         y_sampler=atoms,
-        z_sampler=lambda rng, n, c=c: _signed(rng, c * np.sqrt(rng.random(n))),
+        z_sampler=lambda rng, n, c=c: _signed(
+            rng, _scaled_sqrt_uniform(rng, n, c)),
         zero_bias_sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
         moment=lambda k, c=c: c ** k if k % 2 == 0 else 0.0,
@@ -114,9 +137,15 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
     )
 
 
-def _smoothstep_inverse(u):
-    """Solve 3r^2 - 2r^3 = u on [0, 1]."""
-    return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * np.asarray(u, float)) / 3.0)
+def _smoothstep_inverse(u, out=None):
+    """Solve 3r^2 - 2r^3 = u on [0, 1], into ``out`` if given (u itself may
+    be ``out``): r = 1/2 - sin(arcsin(1 - 2u)/3)."""
+    r = np.multiply(np.asarray(u, float), 2.0, out=out)
+    np.subtract(1.0, r, out=r)
+    np.arcsin(r, out=r)
+    np.divide(r, 3.0, out=r)
+    np.sin(r, out=r)
+    return np.subtract(0.5, r, out=r)
 
 
 def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
@@ -127,10 +156,23 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
     def zero_bias(rng, n, c=c):
         # Epanechnikov on (-c, c) = c * median of three Uniform(-1, 1); the
         # median of a, b, d is max(min(a, b), min(max(a, b), d)), the value
-        # np.median(..., axis=1) returns, without its partition copy
-        a, b, d = rng.uniform(-1.0, 1.0, (n, 3)).T
-        return c * np.maximum(np.minimum(a, b),
-                              np.minimum(np.maximum(a, b), d))
+        # np.median(..., axis=1) returns, without its partition copy.  Rows
+        # are drawn a block at a time; a (m, 3) draw takes 3m values in row
+        # order, so the blocks hold the rows of one (n, 3) draw
+        out = np.empty(n)
+        for start in range(0, n, _BLOCK):
+            block = out[start:start + _BLOCK]
+            a, b, d = rng.uniform(-1.0, 1.0, (block.shape[0], 3)).T
+            np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), d),
+                       out=block)
+        out *= c
+        return out
+
+    def z_magnitude(rng, n, c=c):
+        r = rng.random(n)
+        _smoothstep_inverse(r, out=r)
+        r *= c
+        return r
 
     def moment(k, c=c):
         return c ** k / (k + 1.0) if k % 2 == 0 else 0.0
@@ -148,9 +190,9 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         label=f"uniform({c:g})",
         sigma2=c ** 2 / 3.0, abs_mean=c / 2.0, abs_third=c ** 3 / 4.0,
         sampler=draw,
-        y_sampler=lambda rng, n, c=c: _signed(rng, c * np.sqrt(rng.random(n))),
-        z_sampler=lambda rng, n, c=c: _signed(
-            rng, c * _smoothstep_inverse(rng.random(n))),
+        y_sampler=lambda rng, n, c=c: _signed(
+            rng, _scaled_sqrt_uniform(rng, n, c)),
+        z_sampler=lambda rng, n: _signed(rng, z_magnitude(rng, n)),
         zero_bias_sampler=zero_bias,
         density=lambda x, c=c: np.where(np.abs(np.asarray(x, float)) <= c,
                                         1.0 / (2.0 * c), 0.0),
@@ -167,13 +209,21 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
 
     def gamma2(rng, n, b=b):
         # |Y| and |Z| are both Gamma(2, b): X_P is Laplace(0, b) again
-        return _signed(rng, b * rng.standard_gamma(np.full(n, 2.0)))
+        g = rng.standard_gamma(2.0, n)
+        g *= b
+        return _signed(rng, g)
 
     def zero_bias(rng, n, b=b):
         # density (|x|+b) exp(-|x|/b)/(4 b^2): equal mixture of Gamma(1, b)
-        # and Gamma(2, b) magnitudes with random sign.
-        shape = 1.0 + (rng.random(n) < 0.5)
-        return _signed(rng, b * rng.standard_gamma(shape))
+        # and Gamma(2, b) magnitudes with random sign.  The shapes
+        # 1 + (U < 1/2) are formed in the uniforms' storage, and the gammas
+        # drawn over them: each value reads its shape before it is written
+        g = rng.random(n)
+        np.less(g, 0.5, out=g)
+        g += 1.0
+        rng.standard_gamma(g, out=g)
+        g *= b
+        return _signed(rng, g)
 
     def sum_sampler(rng, counts, b=b):
         # Laplace = difference of two Exp(b); a sum of n of them is the
@@ -276,13 +326,24 @@ class MonteCarloEstimate:
 
 
 def mc_estimate(values) -> MonteCarloEstimate:
-    """Mean of a sample with its standard error."""
+    """Mean of a sample with its standard error, with the bits of np.mean
+    and of np.std(ddof=1) / sqrt(n): the same pairwise sums and divisions.
+
+    The squared deviations are formed in the sample's storage, without
+    np.std's n-float temporary: a float64 ``values`` array is overwritten.
+    """
     arr = np.asarray(values, float)
     n = arr.size
     if n == 0:
         raise ValueError("cannot estimate from an empty sample")
-    se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return MonteCarloEstimate(value=float(np.mean(arr)), std_error=se)
+    mean = np.add.reduce(arr, axis=None) / n
+    if n == 1:
+        return MonteCarloEstimate(value=float(mean), std_error=math.inf)
+    arr -= mean
+    np.multiply(arr, arr, out=arr)
+    std = np.sqrt(np.add.reduce(arr, axis=None) / (n - 1))
+    return MonteCarloEstimate(value=float(mean),
+                              std_error=float(std / math.sqrt(n)))
 
 
 def _transform_stream(src, n, seed, recipe, transform):
@@ -299,8 +360,8 @@ def _transform_stream(src, n, seed, recipe, transform):
 def _product_sample(src, n, seed, magnitude_sampler, transform):
     rng = _transform_stream(src, n, seed, magnitude_sampler, transform)
     u = rng.random(n)
-    factor = magnitude_sampler(rng, n)
-    return TransformSample(values=u * factor)
+    u *= magnitude_sampler(rng, n)  # U * magnitude, in the uniforms' storage
+    return TransformSample(values=u)
 
 
 def sgn_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:
@@ -430,6 +491,15 @@ def equilibrium_density_2d(s, src: SourceDistribution) -> float:
     return s ** 2 * val / b2
 
 
+def _map_blocks(f, x):
+    """x, overwritten in order a block at a time by f(block) for an
+    elementwise f."""
+    for start in range(0, x.shape[0], _BLOCK):
+        block = x[start:start + _BLOCK]
+        block[...] = f(block)
+    return x
+
+
 def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,
                               seed: int) -> MonteCarloEstimate:
     """Monte Carlo check of (1/2) E[f''(X_L)] = E[U f''(U X_z)].
@@ -438,14 +508,21 @@ def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,
     should be zero within a few combined standard errors.
     """
     # each draw has its own substream, so the left side is estimated and
-    # its sample dropped before the right side is drawn
-    left = sym_equilibrium_sample(src, n, seed)
-    lhs = mc_estimate(0.5 * f_dd(left.values))
+    # its sample dropped before the right side is drawn.  Each side is
+    # formed a block at a time in its sample's storage; the uniforms U take
+    # one word each, so drawn a block at a time they keep their bits
+    left = sym_equilibrium_sample(src, n, seed).values
+    lhs = mc_estimate(_map_blocks(lambda x: 0.5 * f_dd(x), left))
     del left
-    xz = zero_bias_sample(src, n, derive_seed(seed, "zero-bias-relation"))
     rng = substream(seed, "zero-bias-relation", src.label)
-    u = rng.random(n)
-    rhs = mc_estimate(u * f_dd(u * xz.values))
+
+    def right(x):
+        u = rng.random(x.shape[0])
+        x *= u
+        return u * f_dd(x)
+
+    xz = zero_bias_sample(src, n, derive_seed(seed, "zero-bias-relation"))
+    rhs = mc_estimate(_map_blocks(right, xz.values))
     return MonteCarloEstimate(
         value=lhs.value - rhs.value,
         std_error=math.hypot(lhs.std_error, rhs.std_error))

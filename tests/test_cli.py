@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from laplace_stein import cli
 from laplace_stein.random_sums import recompute_bound
 
 RADC = "1.4142135623730951"
+UNIC = "2.449489742783178"
 
 
 def run_cli(args):
@@ -148,6 +152,67 @@ class TestOtherCommands:
                         "--p", "0.1", "--out", str(out)]) == 0
         entry = json.loads(out.read_text())["reports"][0]
         assert {"geometric_sum", "iid_sum", "general_sum"} <= set(entry)
+
+
+class TestTransformCheckMemory:
+    """transform-check's check groups run on the thread pool, each with a
+    few n-float arrays."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("source,c", [("rademacher", RADC),
+                                          ("uniform", UNIC), ("laplace", "1")])
+    def test_peak_allocation(self, source, c, workers, capsys):
+        # each group drops its sample after its last estimate and forms its
+        # values in place, about 2 n-float arrays, two groups at a time;
+        # holding X_L, X_P and the coupling draw across the zero-bias groups
+        # reads 7 to 9
+        workers(2)
+        tracemalloc.start()
+        try:
+            assert run_cli(["transform-check", "--source", source, "--c", c,
+                            "--n", str(self.N)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * self.N
+
+
+class TestTransformCheckErrors:
+    """An exception in a check group leaves main as on one thread: exit 3
+    and no traceback, with no group still running."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError])
+    def test_group_error_exits_3_after_every_group_ends(
+            self, count, error, workers, monkeypatch, capsys):
+        # the equilibrium group raises while a zero-bias group still runs
+        workers(count)
+        relation = cli.verify_zero_bias_relation
+        started, ended, running = [], [], threading.Event()
+
+        def slow_relation(*args):
+            started.append(args)
+            running.set()
+            time.sleep(0.2)
+            try:
+                return relation(*args)
+            finally:
+                ended.append(args)
+
+        def exhausted(*args):
+            if count > 1:
+                assert running.wait(30)
+            raise error("sampler failed")
+
+        monkeypatch.setattr(cli, "verify_zero_bias_relation", slow_relation)
+        monkeypatch.setattr(cli, "sym_equilibrium_sample", exhausted)
+        assert run_cli(["transform-check", "--n", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert f"numeric/runtime failure: {error.__name__}" in err
+        assert "Traceback" not in err
+        assert len(started) >= count - 1
+        assert len(ended) == len(started)
 
 
 def _reject_constant(name):

@@ -8,10 +8,14 @@ CHANGES.md and record the new digest.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from laplace_stein import cli, random_sums
+from laplace_stein import cli, seeding
 
 RADC = "1.4142135623730951"   # sqrt(2)
 UNIC = "2.449489742783178"    # sqrt(6)
@@ -24,6 +28,16 @@ GOLDEN = {
         ["transform-check", "--source", "uniform", "--c", UNIC,
          "--n", "20000", "--seed", "5"],
         "be85c407d66c6aa22f42358220a7f37f2cd67e672772adb2f5103486cea1cebf"),
+    "transform-check-rademacher": (
+        ["transform-check", "--source", "rademacher", "--c", RADC,
+         "--n", "20000", "--seed", "5"],
+        "6adc2f61c2f045fb02bca71a62e224efa3e41014fd96d52747d660a889960e41"),
+    # n = 150000 spans three blocks of the transforms' in-place loops
+    # (2**16 values each), the last one partial
+    "transform-check-laplace-blocks": (
+        ["transform-check", "--source", "laplace", "--c", "1",
+         "--n", "150000", "--seed", "5"],
+        "503ccf52651e208b5ec57b45a739f1183bcdb35f24ee9f40726b0549cfb9b941"),
     "fixed-point": (
         ["fixed-point", "--b", "1", "--n", "20000", "--seed", "3"],
         "697e01689fed2a98be92e7c5b927526e36614483837991f5584eedeaa69984dd"),
@@ -95,6 +109,60 @@ CHUNKED_SWEEP = (
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chunked_sweep_digest_across_parts(workers, monkeypatch):
-    monkeypatch.setattr(random_sums, "_workers", lambda: workers)
+    monkeypatch.setattr(seeding, "_workers", lambda: workers)
     argv, digest = CHUNKED_SWEEP
     assert report_digest(argv) == digest
+
+
+# transform-check runs its check groups on the pool, at most one per thread;
+# at n = 150000 each group's in-place loops span three blocks
+TRANSFORM_CHECK = (
+    ["transform-check", "--source", "uniform", "--c", UNIC,
+     "--n", "150000", "--seed", "9"],
+    "ad4e753723643c21da8e096077212660a9e320ed47a5f5f36dc19942287f24be")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_transform_check_digest_across_workers(count, workers):
+    workers(count)
+    argv, digest = TRANSFORM_CHECK
+    assert report_digest(argv) == digest
+
+
+def test_transform_check_digest_with_thread_switches(workers):
+    # more threads than groups, switching every microsecond: a check put
+    # in the wrong place or drawn from the wrong stream shows
+    workers(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        argv, digest = TRANSFORM_CHECK
+        assert report_digest(argv) == digest
+    finally:
+        sys.setswitchinterval(interval)
+
+
+PINNED_CHILD = """
+import os, sys
+from laplace_stein import cli, seeding
+os.sched_setaffinity(0, {int(sys.argv[1])})
+assert seeding._workers() == 1
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_transform_check_same_bytes_on_one_cpu(tmp_path):
+    # a child pinned to one CPU runs every group in turn on its one thread
+    argv, digest = TRANSFORM_CHECK
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "report.json"
+    cpu = min(os.sched_getaffinity(0))
+    done = subprocess.run(
+        [sys.executable, "-c", PINNED_CHILD, str(cpu), *argv,
+         "--out", str(out)], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -25,7 +25,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        random_sum_sample, recompute_bound)
 from laplace_stein.seeding import substream
 from laplace_stein.stein import dense_bl_family
-from laplace_stein import random_sums, transforms as tr
+from laplace_stein import random_sums, seeding, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
 RAD = tr.rademacher(SQRT2)
@@ -529,12 +529,12 @@ class TestChunkedSamplerParts:
                          Summands(tr.uniform_symmetric(math.sqrt(6))))
 
     def test_peak_allocation(self, monkeypatch):
-        monkeypatch.setattr(random_sums, "_workers", lambda: 2)
+        monkeypatch.setattr(seeding, "_workers", lambda: 2)
         _, peak = traced_peak(random_sum_sample, self.SPEC, self.N, 7)
         assert peak <= 2 * 8 * self.N + 6 * 8 * (1 << 18)
 
     def test_same_bits_in_forked_child(self, monkeypatch):
-        monkeypatch.setattr(random_sums, "_workers", lambda: 2)
+        monkeypatch.setattr(seeding, "_workers", lambda: 2)
         n = 1 << 10  # about 1e6 draws: two parts
         before = random_sum_sample(self.SPEC, n, 5).values.tobytes()
         ctx = multiprocessing.get_context("fork")
@@ -746,7 +746,7 @@ class TestPartedChunkedSumsBits:
         summands = Summands(source, scales)
         rng = half_word_rng(seed, buffered)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(random_sums, "_workers", lambda: workers)
+            mp.setattr(seeding, "_workers", lambda: workers)
             mp.setattr(random_sums, "_DRAW_BLOCK", block)
             got = _chunked_sums(rng, summands, counts)
         ref = half_word_rng(seed, buffered)
@@ -761,8 +761,8 @@ class TestPartedChunkedSumsBits:
         summands = Summands(tr.uniform_symmetric(1.0), (1.0, 2.0, 0.5))
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(random_sums, "_POOL", None)
-            mp.setattr(random_sums, "_workers", lambda: 8)
+            mp.setattr(seeding, "_POOL", None)
+            mp.setattr(seeding, "_workers", lambda: 8)
             mp.setattr(random_sums, "_DRAW_BLOCK", 64)
             sys.setswitchinterval(1e-6)
             try:
@@ -770,7 +770,7 @@ class TestPartedChunkedSumsBits:
                                      counts) for k in range(20)]
             finally:
                 sys.setswitchinterval(interval)
-                random_sums._pool().shutdown()
+                seeding._pool().shutdown()
         for k, sums in enumerate(got):
             want = sequential_row_sums(np.random.default_rng(k), summands,
                                        counts)

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein.errors import UnsupportedSourceError
-from laplace_stein.laplace import LaplaceParams, cdf, char_fn, pdf
+from laplace_stein.laplace import LaplaceParams, cdf, char_fn, pdf, quantile
 from laplace_stein.metrics import EmpiricalSample, dkw_band, kolmogorov_empirical
-from laplace_stein.seeding import substream
+from laplace_stein.seeding import derive_seed, substream
 from laplace_stein import transforms as tr
 
 SQRT2 = math.sqrt(2.0)
@@ -297,14 +297,18 @@ class TestZeroBias:
 
 class TestUniformZeroBiasBits:
     """The median of three by min and max is the element np.median picks,
-    so the uniform zero-bias draws keep their bits."""
+    and rows drawn a block at a time are the rows of one draw, so the
+    uniform zero-bias draws keep their bits."""
 
     @given(n=st.integers(min_value=0, max_value=3000),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-           c=st.sampled_from([0.3, 1.0, SQRT6]))
-    def test_equals_np_median(self, n, seed, c):
-        got = tr.uniform_symmetric(c).zero_bias_sampler(
-            np.random.default_rng(seed), n)
+           c=st.sampled_from([0.3, 1.0, SQRT6]),
+           block=st.sampled_from([1, 7, 1 << 16]))
+    def test_equals_np_median(self, n, seed, c, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_BLOCK", block)
+            got = tr.uniform_symmetric(c).zero_bias_sampler(
+                np.random.default_rng(seed), n)
         want = c * np.median(
             np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3)), axis=1)
         assert got.shape == want.shape
@@ -322,6 +326,124 @@ class TestUniformSamplerBits:
         got = tr.uniform_symmetric(c).sampler(np.random.default_rng(seed), n)
         want = np.random.default_rng(seed).uniform(-c, c, n)
         assert got.tobytes() == want.tobytes()
+
+
+def signed_reference(rng, magnitudes):
+    """The whole-array random sign: one draw of n integers, a +-1.0 factor
+    per value."""
+    return (2.0 * rng.integers(0, 2, magnitudes.shape[0]) - 1.0) * magnitudes
+
+
+def smoothstep_reference(u):
+    return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * u) / 3.0)
+
+
+def laplace_quantile_reference(u, a, b):
+    """The Laplace quantile with a new array per step, both branches by
+    mask."""
+    out = np.empty_like(u)
+    lower = u < 0.5
+    out[lower] = a + b * np.log(2.0 * u[lower])
+    out[~lower] = a - b * np.log(2.0 * (1.0 - u[~lower]))
+    return out
+
+
+# (sampler under test, its whole-array form), both called as (rng, n)
+WHOLE_ARRAY_FORMS = {
+    "rademacher-z": (
+        tr.rademacher(SQRT2).z_sampler,
+        lambda rng, n: signed_reference(rng, SQRT2 * np.sqrt(rng.random(n)))),
+    "rademacher-atoms": (
+        tr.rademacher(SQRT2).sampler,
+        lambda rng, n: signed_reference(rng, np.full(n, SQRT2))),
+    "uniform-y": (
+        tr.uniform_symmetric(SQRT6).y_sampler,
+        lambda rng, n: signed_reference(rng, SQRT6 * np.sqrt(rng.random(n)))),
+    "uniform-z": (
+        tr.uniform_symmetric(SQRT6).z_sampler,
+        lambda rng, n: signed_reference(
+            rng, SQRT6 * smoothstep_reference(rng.random(n)))),
+    # the array-shape gamma call: Gamma(2) with one shape per value
+    "laplace-y": (
+        tr.laplace_source(0.7).y_sampler,
+        lambda rng, n: signed_reference(
+            rng, 0.7 * rng.standard_gamma(np.full(n, 2.0)))),
+    "laplace-zero-bias": (
+        tr.laplace_source(0.7).zero_bias_sampler,
+        lambda rng, n: signed_reference(
+            rng, 0.7 * rng.standard_gamma(1.0 + (rng.random(n) < 0.5)))),
+    "laplace-draw": (
+        tr.laplace_source(0.7).sampler,
+        lambda rng, n: laplace_quantile_reference(
+            np.maximum(rng.random(n), 2.0 ** -53), 0.0, 0.7)),
+}
+
+
+class TestInPlaceBits:
+    """The samplers form their values in place, signs and blocks of rows a
+    block at a time, with the bits of the whole-array forms and the same
+    generator state after; small blocks make every loop take several, the
+    last one partial."""
+
+    @given(name=st.sampled_from(sorted(WHOLE_ARRAY_FORMS)),
+           n=st.integers(min_value=0, max_value=300),
+           block=st.sampled_from([1, 7, 1 << 16]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_equals_whole_array_form(self, name, n, block, seed):
+        sampler, reference = WHOLE_ARRAY_FORMS[name]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_BLOCK", block)
+            got = sampler(rng, n)
+        want = reference(ref, n)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           a=st.sampled_from([0.0, 1.5, -3.0]),
+           b=st.sampled_from([0.7, 2.0, 1e-3]))
+    def test_laplace_quantile_equals_masked_form(self, seed, a, b):
+        u = np.random.default_rng(seed).random(300)
+        u[:3] = (0.5, 2.0 ** -53, 1.0 - 2.0 ** -53)
+        got = quantile(u, LaplaceParams(a, b))
+        assert got.tobytes() == laplace_quantile_reference(u, a, b).tobytes()
+
+    def test_gamma2_scalar_shape_equals_array_shape(self):
+        # Generator.standard_gamma(2.0, n) draws what one shape per value
+        # draws, without the n-float shape array
+        got = np.random.default_rng(3).standard_gamma(2.0, 100_003)
+        want = np.random.default_rng(3).standard_gamma(np.full(100_003, 2.0))
+        assert got.tobytes() == want.tobytes()
+
+    @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                           min_size=1, max_size=300))
+    def test_mc_estimate_equals_np_mean_and_std(self, values):
+        arr = np.array(values)
+        est = tr.mc_estimate(arr.copy())
+        assert est.value == float(np.mean(arr))
+        want = (float(np.std(arr, ddof=1) / math.sqrt(arr.size))
+                if arr.size > 1 else math.inf)
+        assert est.std_error == want
+
+    @given(n=st.integers(min_value=2, max_value=200),
+           block=st.sampled_from([1, 7, 1 << 16]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           f_dd=st.sampled_from([np.ones_like, np.square, np.cos]))
+    def test_zero_bias_relation_equals_whole_array_form(self, n, block, seed,
+                                                        f_dd):
+        src = tr.uniform_symmetric(SQRT6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_BLOCK", block)
+            got = tr.verify_zero_bias_relation(src, f_dd, n, seed)
+        lhs = 0.5 * f_dd(tr.sym_equilibrium_sample(src, n, seed).values)
+        xz = tr.zero_bias_sample(src, n, derive_seed(seed,
+                                                     "zero-bias-relation"))
+        u = substream(seed, "zero-bias-relation", src.label).random(n)
+        rhs = u * f_dd(u * xz.values)
+        assert got.value == float(np.mean(lhs)) - float(np.mean(rhs))
+        assert got.std_error == math.hypot(
+            float(np.std(lhs, ddof=1) / math.sqrt(n)),
+            float(np.std(rhs, ddof=1) / math.sqrt(n)))
 
 
 class TestZeroBiasRelation:
