@@ -36,10 +36,15 @@ class EmpiricalSample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        # checked a block at a time, each block with the first value of the
+        # next for the order, so no n-length bool array is built
+        starts = range(0, arr.shape[0], _BLOCK)
+        if not all(np.all(np.isfinite(arr[i:i + _BLOCK])) for i in starts):
             raise ValueError("sample values must be finite")
-        if np.any(arr[1:] < arr[:-1]):
-            raise ValueError("sample values must be sorted ascending")
+        for i in starts:
+            block = arr[i:i + _BLOCK + 1]
+            if np.any(block[1:] < block[:-1]):
+                raise ValueError("sample values must be sorted ascending")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -56,6 +61,31 @@ class DistanceEstimate:
     value: float
     std_error: float = 0.0
     family_size: int = 0
+
+
+def _tree_sum(n: int, leaf) -> float:
+    """np.sum of the n values that ``leaf(i, j)`` gives for [i, j), built
+    from blocks, bit for bit.
+
+    numpy sums an array of more than 128 values pairwise: it splits it at
+    n2 = n//2 - (n//2) % 8 and adds the sums of the two halves; up to 128
+    values it sums without splitting.  This splits the same way down to
+    nodes of at most max(_BLOCK, 128) values and sums each with np.sum, so
+    the tree, and every rounding in it, is numpy's, while only a node's
+    values are alive at a time.
+    """
+    return float(_tree_node(0, n, leaf, max(_BLOCK, 128)))
+
+
+def _tree_node(i: int, j: int, leaf, top: int):
+    # a module-level function: a closure calling itself would be a reference
+    # cycle, keeping ``leaf`` and the sample it reads alive until gc runs
+    if j - i <= top:
+        return np.sum(leaf(i, j))
+    half = (j - i) // 2
+    half -= half % 8
+    return _tree_node(i, i + half, leaf, top) \
+        + _tree_node(i + half, j, leaf, top)
 
 
 def dkw_band(n: int, alpha: float = 0.05) -> float:
@@ -100,9 +130,9 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     Members without piecewise-linear data are evaluated on the whole sample.
     Members with data are first screened by ``_screen`` in O(log n) each;
     only those that may attain either maximum are evaluated.  Every evaluated
-    member goes through the same np.mean / np.std(ddof=1) expressions, so
-    the result is the one the full loop over the family would give, bit for
-    bit.
+    member gets the bits of np.mean / np.std(ddof=1) (see ``_member_stats``),
+    so the result is the one the full loop over the family would give, bit
+    for bit.
     """
     family = tuple(family)
     if not family:
@@ -128,11 +158,30 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
 
 
 def _member_stats(h, x: np.ndarray, b: float) -> tuple:
-    """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample."""
-    vals = np.asarray(h.fn(x), dtype=float)
-    diff = abs(float(np.mean(vals)) - _cached_wh(h, b))
-    sd = float(np.std(vals, ddof=1)) if x.size > 1 else 0.0
-    return diff, sd
+    """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample.
+
+    np.mean(v) is np.sum(v) / n, and np.std(v, ddof=1) is
+    sqrt(np.sum((v - mean)**2) / (n - 1)); both sums are taken by
+    ``_tree_sum`` with h evaluated a block at a time (twice per block, once
+    per sum), so the values are np.mean's and np.std's, bit for bit, and
+    no n-length h(x) is built.
+    """
+    n = x.size
+
+    def values(i, j):
+        return np.asarray(h.fn(x[i:j]), dtype=float)
+
+    mean = _tree_sum(n, values) / n
+    diff = abs(mean - _cached_wh(h, b))
+    if n < 2:
+        return diff, 0.0
+
+    def squares(i, j):
+        dev = values(i, j) - mean
+        dev *= dev
+        return dev
+
+    return diff, math.sqrt(_tree_sum(n, squares) / (n - 1))
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -156,19 +205,16 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
     is returned.
     """
     n = x.size
-    p1 = np.empty(n + 1)
-    p1[0] = 0.0
-    np.cumsum(x, out=p1[1:])
-    p2 = np.empty(n + 1)
-    p2[0] = 0.0
-    np.multiply(x, x, out=p2[1:])
-    np.cumsum(p2[1:], out=p2[1:])
+    cuts = [np.searchsorted(x, h.knots) for h in data]
+    at = np.unique(np.concatenate(cuts + [[n]]))
+    p1, p2 = (dict(zip(at.tolist(), p.tolist())) for p in _prefix_sums(x, at))
     # it feeds only the pads; summed per block, without an n-length |x|
     abs_sum = 0.0
     for i in range(0, n, _BLOCK):
         abs_sum += float(np.sum(np.abs(x[i:i + _BLOCK])))
-    boxes = [_data_interval(h, x, p1, p2, abs_sum, _cached_wh(h, b))
-             for h in data]
+    boxes = [_data_interval(h, cut.tolist(), n, p1, p2, abs_sum,
+                            _cached_wh(h, b))
+             for h, cut in zip(data, cuts)]
     exact = list(exact)
     floor_d = max([d for d, _ in exact] + [d - pd for d, pd, _, _ in boxes])
     floor_s = max([sd for _, sd in exact] + [sd - ps for _, _, sd, ps in boxes])
@@ -176,7 +222,36 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
             if d + pd >= floor_d or (n > 1 and sd + ps >= floor_s)]
 
 
-def _data_interval(h, x, p1, p2, abs_sum: float, wh: float) -> tuple:
+def _prefix_sums(x: np.ndarray, at: np.ndarray) -> tuple:
+    """(p1, p2): p1[k] = sum x[:m] and p2[k] = sum x[:m]**2 for m = at[k],
+    as np.cumsum(x) and np.cumsum(x * x) have them (0.0 at m = 0).
+
+    ``at`` is sorted.  np.cumsum adds in sequence, so a block whose first
+    value has the sum of the values before it added on continues the same
+    additions: the prefix sums are computed a block at a time and read
+    where ``at`` asks, bit for bit, with no n-length array.
+    """
+    n = x.shape[0]
+    p1, p2 = np.zeros(at.shape[0]), np.zeros(at.shape[0])
+    carry1 = carry2 = 0.0
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        s1 = x[i:j].copy()
+        s2 = x[i:j] * x[i:j]
+        if i:  # 0.0 + -0.0 would lose the sign np.cumsum keeps
+            s1[0] += carry1
+            s2[0] += carry2
+        np.cumsum(s1, out=s1)
+        np.cumsum(s2, out=s2)
+        lo, hi = np.searchsorted(at, (i + 1, j + 1))  # m in (i, j]
+        p1[lo:hi] = s1[at[lo:hi] - i - 1]
+        p2[lo:hi] = s2[at[lo:hi] - i - 1]
+        carry1, carry2 = s1[-1], s2[-1]
+    return p1, p2
+
+
+def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
+                   wh: float) -> tuple:
     """(d, pad_d, sd, pad_s): diff in [d - pad_d, d + pad_d], sd likewise.
 
     Let y be the interpolant of h's data and v = fn(x) the values the full
@@ -225,21 +300,19 @@ def _data_interval(h, x, p1, p2, abs_sum: float, wh: float) -> tuple:
     (a few operations, relative error below 1e-14), and carry a 4u (1 + d)
     term for the rounding of d, sd and of the interval ends.
     """
-    n = x.size
     k, v = h.knots, h.values
-    cut = np.searchsorted(x, k).tolist()
     below, above = cut[0], n - cut[-1]
     s1 = v[0] * below + v[-1] * above
     s2 = v[0] * v[0] * below + v[-1] * v[-1] * above
     t1 = abs(v[0]) * below + abs(v[-1]) * above
     t2 = s2
-    a2 = float(p2[n])
+    a2 = p2[n]
     for j in range(len(k) - 1):
         lo, hi = cut[j], cut[j + 1]
         c = hi - lo
         slope = (v[j + 1] - v[j]) / (k[j + 1] - k[j])
-        sx = float(p1[hi] - p1[lo])
-        sxx = float(p2[hi] - p2[lo])
+        sx = p1[hi] - p1[lo]
+        sxx = p2[hi] - p2[lo]
         d1 = sx - k[j] * c
         d2 = (sxx - 2.0 * k[j] * sx) + k[j] * k[j] * c
         s1 += v[j] * c + slope * d1
@@ -292,18 +365,15 @@ def wasserstein_empirical(s: EmpiricalSample,
     once (at u = F(x_i)); both pieces use the closed-form antiderivative of
     the target quantile, so no inner quadrature error enters.
 
-    The strips are computed in blocks of ``_BLOCK`` values.  Each strip is
-    an elementwise function of x_i and its two levels, so a block writes
-    the bits a full-length pass would.  The strips themselves are kept in
-    one full-length array and summed once: numpy sums pairwise, and the
-    shape of that tree depends on the length, so a sum of block sums would
-    round differently.
+    The strips are computed a block at a time and summed by ``_tree_sum``.
+    Each strip is an elementwise function of x_i and its two levels, so a
+    block holds the bits a full-length pass would, and the sum is np.sum's
+    over all n strips, bit for bit, with no n-length array.
     """
     n = s.n
     x = s.values
-    strip = np.empty(n)
-    for i in range(0, n, _BLOCK):
-        j = min(i + _BLOCK, n)
+
+    def strips(i, j):
         xb = x[i:j]
         levels = np.arange(i, j + 1) / n
         lo, hi = levels[:-1], levels[1:]
@@ -311,9 +381,10 @@ def wasserstein_empirical(s: EmpiricalSample,
         p_level = _quantile_antiderivative(levels, target)
         p_lo, p_hi = p_level[:-1], p_level[1:]
         p_cr = _quantile_antiderivative(cross, target)
-        strip[i:j] = (xb * (cross - lo) - (p_cr - p_lo)) \
+        return (xb * (cross - lo) - (p_cr - p_lo)) \
             + ((p_hi - p_cr) - xb * (hi - cross))
-    return DistanceEstimate(value=float(np.sum(strip)))
+
+    return DistanceEstimate(value=_tree_sum(n, strips))
 
 
 def kolmogorov_from_bl(d_bl: float, density_sup: float) -> float:

@@ -7,7 +7,9 @@ crc32-hashed (builtin hash() is salted per process and would not be stable).
 
 Work on independent substreams may run on the package's one thread pool,
 one thread per CPU this process may use; its results are put together in a
-fixed order, so they never depend on the number of threads.
+fixed order, so they never depend on the number of threads.  Work started
+from a pool thread runs on that thread alone (``_parallelism`` is 1 there),
+so no task on the pool ever waits for another.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ def derive_seed(seed, *tags) -> int:
 
 _POOL = None
 _POOL_LOCK = threading.Lock()
+_THREAD = threading.local()  # .on_pool: set on the pool's own threads
 
 
 def _workers() -> int:
@@ -48,14 +51,25 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _mark_pool_thread():
+    _THREAD.on_pool = True
+
+
+def _parallelism() -> int:
+    """The number of threads a call may spread its work over: 1 on a pool
+    thread, whose task must not wait for another task on the pool (with
+    every thread busy, that task would never start), else ``_workers()``."""
+    return 1 if getattr(_THREAD, "on_pool", False) else _workers()
+
+
 def _pool():
-    """The package's thread pool, created on first use.  A task on it must
-    not wait for another task on it."""
+    """The package's thread pool, created on first use."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(max_workers=_workers())
+            _POOL = ThreadPoolExecutor(max_workers=_workers(),
+                                       initializer=_mark_pool_thread)
         return _POOL
 
 
@@ -74,13 +88,14 @@ def run_all(calls) -> list:
 
     With more than one CPU the calls run on the pool, no more at once than
     it has threads, started in the order given (so list the longest first);
-    with one, they run in turn on the calling thread.  Every call has ended
+    with one, or when called from a pool thread, they run in turn on the
+    calling thread.  Every call has ended
     before this returns or raises.  A call's exception is re-raised (the
     first in their order), and the calls not yet started when it was raised
     are not started.
     """
     calls = list(calls)
-    if len(calls) < 2 or _workers() < 2:
+    if len(calls) < 2 or _parallelism() < 2:
         return [call() for call in calls]
     from concurrent.futures import FIRST_EXCEPTION, wait
 

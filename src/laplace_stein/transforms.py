@@ -54,10 +54,12 @@ class SourceDistribution:
     ``sigma2``, ``abs_mean`` and ``abs_third`` are E[X^2], E|X| and E|X|^3.
     Sampler callables take (rng, n) and return an ndarray; the optional
     ``sum_sampler`` takes (rng, counts) and returns one row sum per count,
-    used as an exact fast path for random sums.  ``one_word_draws`` declares
-    that ``sampler(rng, n)`` takes exactly one 64-bit word of the bit stream
-    per value (value i from word i), so any range of its draws can be made
-    from a generator advanced to the range's first word.
+    used as an exact fast path for random sums; it may write the sums over
+    the storage of int64 ``counts``, which the caller then gives up.
+    ``one_word_draws`` declares that ``sampler(rng, n)`` takes exactly one
+    64-bit word of the bit stream per value (value i from word i), so any
+    range of its draws can be made from a generator advanced to the range's
+    first word.
     """
 
     label: str
@@ -104,6 +106,32 @@ def _signed(rng, magnitudes):
     return magnitudes
 
 
+def _counts_as_floats(counts):
+    """int64 ``counts`` as float64, converted in their own storage a block
+    at a time."""
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    out = counts.view(np.float64)
+    for start in range(0, counts.shape[0], _BLOCK):
+        out[start:start + _BLOCK] = counts[start:start + _BLOCK]
+    return out
+
+
+def _binomial_walks(rng, counts, c):
+    """c (2K - N) for K ~ Binomial(N, 1/2) per count N, written over the
+    int64 counts' storage a block at a time.  Each binomial takes words
+    from the stream in turn, so the blocks take the words one call over all
+    the counts would, and each value is that call's c * (2.0 K - N)."""
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    out = counts.view(np.float64)
+    for start in range(0, counts.shape[0], _BLOCK):
+        block = counts[start:start + _BLOCK]
+        walk = 2.0 * rng.binomial(block, 0.5)
+        walk -= block
+        walk *= c
+        out[start:start + _BLOCK] = walk
+    return out
+
+
 def _scaled_sqrt_uniform(rng, n, c):
     """c * sqrt(U) for n uniforms U, formed in the uniforms' storage."""
     r = rng.random(n)
@@ -131,8 +159,7 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
         zero_bias_sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
         moment=lambda k, c=c: c ** k if k % 2 == 0 else 0.0,
-        sum_sampler=lambda rng, counts, c=c: c * (
-            2.0 * rng.binomial(counts, 0.5) - counts),
+        sum_sampler=lambda rng, counts, c=c: _binomial_walks(rng, counts, c),
         half_width=c,
     )
 
@@ -227,8 +254,15 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
 
     def sum_sampler(rng, counts, b=b):
         # Laplace = difference of two Exp(b); a sum of n of them is the
-        # difference of two Gamma(n, b) variables.
-        return b * (rng.standard_gamma(counts) - rng.standard_gamma(counts))
+        # difference of two Gamma(n, b) variables.  The second gamma is
+        # drawn over the float shapes (each value reads its shape before it
+        # is written): the bits of b * (g1 - g2) beside one new array
+        shape = _counts_as_floats(counts)
+        g = rng.standard_gamma(shape)
+        rng.standard_gamma(shape, out=shape)
+        g -= shape
+        g *= b
+        return g
 
     return SourceDistribution(
         label=f"laplace({b:g})",

@@ -142,6 +142,42 @@ def test_transform_check_digest_with_thread_switches(workers):
         sys.setswitchinterval(interval)
 
 
+# the points of a sweep on the exact-aggregate path (binomial or gamma
+# sums) run on the pool, at most one per thread; at n = 70000 each point's
+# blocked kernels span two blocks, the last one partial
+EXACT_SWEEPS = {
+    "rademacher": (
+        ["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
+         "--p", "0.1,0.03,0.01", "--n", "70000", "--seed", "13"],
+        "5c9b73cc24819eb57800ffb07311f3496c1160ddb2bbdcfa939bcc5c7133eb02"),
+    "laplace": (
+        ["sweep", "--source", "laplace", "--c", "1", "--b", "1",
+         "--p", "0.1,0.03,0.01", "--n", "70000", "--seed", "13"],
+        "2f1e17778c9142812342408e8251839c94606f82b95226f7a2c6d275f688727e"),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
+@pytest.mark.parametrize("source", sorted(EXACT_SWEEPS))
+def test_exact_sweep_digest_across_workers(source, count, workers):
+    workers(count)
+    argv, digest = EXACT_SWEEPS[source]
+    assert report_digest(argv) == digest
+
+
+def test_exact_sweep_digest_with_thread_switches(workers):
+    # more threads than points, switching every microsecond: a point put in
+    # the wrong place or drawn from the wrong stream shows
+    workers(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        argv, digest = EXACT_SWEEPS["rademacher"]
+        assert report_digest(argv) == digest
+    finally:
+        sys.setswitchinterval(interval)
+
+
 PINNED_CHILD = """
 import os, sys
 from laplace_stein import cli, seeding
@@ -151,11 +187,8 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="no CPU affinity on this platform")
-def test_transform_check_same_bytes_on_one_cpu(tmp_path):
-    # a child pinned to one CPU runs every group in turn on its one thread
-    argv, digest = TRANSFORM_CHECK
+def pinned_digest(argv, tmp_path):
+    """SHA-256 of the report a child pinned to one CPU writes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -165,4 +198,23 @@ def test_transform_check_same_bytes_on_one_cpu(tmp_path):
         [sys.executable, "-c", PINNED_CHILD, str(cpu), *argv,
          "--out", str(out)], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no CPU affinity on this platform")
+
+
+@needs_affinity
+def test_transform_check_same_bytes_on_one_cpu(tmp_path):
+    # a child pinned to one CPU runs every group in turn on its one thread
+    argv, digest = TRANSFORM_CHECK
+    assert pinned_digest(argv, tmp_path) == digest
+
+
+@needs_affinity
+@pytest.mark.parametrize("source", sorted(EXACT_SWEEPS))
+def test_exact_sweep_same_bytes_on_one_cpu(source, tmp_path):
+    # a child pinned to one CPU runs every point in turn on its one thread
+    argv, digest = EXACT_SWEEPS[source]
+    assert pinned_digest(argv, tmp_path) == digest

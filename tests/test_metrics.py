@@ -9,7 +9,8 @@ from scipy import integrate
 from laplace_stein import metrics, transforms
 from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
-from laplace_stein.metrics import (EmpiricalSample, _quantile_antiderivative,
+from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
+                                   _quantile_antiderivative, _tree_sum,
                                    bl_lower_bound, dkw_band,
                                    kolmogorov_empirical,
                                    kolmogorov_from_bl, wasserstein_empirical,
@@ -192,12 +193,14 @@ def screened_cases(draw):
 class TestScreenedBlLowerBound:
     """The screening must not change a bit of the full loop's result."""
 
-    @given(screened_cases())
-    def test_equals_full_loop_bit_for_bit(self, case):
+    @given(screened_cases(), st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_equals_full_loop_bit_for_bit(self, case, block):
         x, family, b = case
         s = EmpiricalSample.from_values(x)
         target = LaplaceParams(0.0, b)
-        est = bl_lower_bound(s, target, family)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            est = bl_lower_bound(s, target, family)
         assert (est.value, est.std_error) == full_loop_bl(s, target, family)
         assert est.family_size == len(family)
 
@@ -213,19 +216,22 @@ class TestScreenedBlLowerBound:
         spec = RandomSumSpec(GeometricIndex(0.01),
                              Summands(transforms.rademacher(math.sqrt(2.0))))
         s = random_sum_sample(spec, 10 ** 5, seed=7)
-        calls = []
+        seen = {}  # label: sample values evaluated, over all blocks
 
         def counted(h):
             def fn(x):
-                if np.size(x) == s.n:
-                    calls.append(h.label)
+                if np.shares_memory(x, s.values):
+                    seen[h.label] = seen.get(h.label, 0) + np.size(x)
                 return h.fn(x)
             return dataclasses.replace(h, fn=fn)
 
         family = [counted(h) for h in DENSE]
         est = bl_lower_bound(s, UNIT, family)
         smooth = sum(1 for h in DENSE if not h.knots)
-        assert len(calls) == len(set(calls)) <= smooth + 8
+        # an evaluated member sees the sample twice: once for its mean,
+        # once for its standard deviation
+        assert len(seen) <= smooth + 8
+        assert set(seen.values()) == {2 * s.n}
         assert (est.value, est.std_error) == full_loop_bl(s, UNIT, DENSE)
 
 
@@ -395,17 +401,72 @@ class TestBlockedKernelsBits:
         assert same_bits(cdf(-x, target), reference_cdf(-x, target))
 
     @given(values=st.lists(
-        st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1e308, -1e308])
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1e308, -1e308,
+                         math.inf, -math.inf, math.nan])
         | st.floats(allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=40), presort=st.booleans())
-    def test_sorted_check_equals_diff_check(self, values, presort):
+        min_size=1, max_size=40), presort=st.booleans(),
+        block=st.sampled_from([1, 2, 3, 64]))
+    def test_sorted_check_equals_diff_check(self, values, presort, block):
+        # the checks run a block at a time; the verdicts are those of the
+        # whole-array checks, the finite one first
         arr = np.asarray(values, dtype=float)
         if presort:
             arr = np.sort(arr)
-        with np.errstate(over="ignore"):  # the difference of +-1e308
+        # the difference of +-1e308 overflows, that of equal infinities is nan
+        with np.errstate(over="ignore", invalid="ignore"):
             unsorted = bool(np.any(np.diff(arr) < 0))
-        if unsorted:
-            with pytest.raises(ValueError, match="sorted"):
-                EmpiricalSample(arr)
-        else:
-            assert same_bits(EmpiricalSample(arr).values, arr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            if not np.all(np.isfinite(arr)):
+                with pytest.raises(ValueError, match="finite"):
+                    EmpiricalSample(arr)
+            elif unsorted:
+                with pytest.raises(ValueError, match="sorted"):
+                    EmpiricalSample(arr)
+            else:
+                assert same_bits(EmpiricalSample(arr).values, arr)
+
+
+LONGEST = 3 * (1 << 16) + 5
+LENGTHS = st.sampled_from([1, 7, 8, 15, 16, 17, 127, 128, 129, 255, 256, 257,
+                           1 << 16, (1 << 16) + 1, LONGEST]) \
+    | st.integers(min_value=1, max_value=LONGEST)
+BLOCKS = st.sampled_from([1, 7, 64, 128, 1 << 16])
+
+
+def rounding_values(n, seed):
+    """n values whose sums round at every step: heavy tails over eight
+    decades, with some -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_cauchy(n) * 10.0 ** rng.integers(-4, 4, n)
+    x[rng.random(n) < 0.05] = -0.0
+    return x
+
+
+class TestBlockedSumsBits:
+    """Sums built from blocks keep numpy's bits: ``_tree_sum`` np.sum's
+    pairwise tree, ``_prefix_sums`` np.cumsum's running sums, at any block
+    size (below 128 values numpy does not split, so neither may the tree)."""
+
+    @given(n=LENGTHS, block=BLOCKS, seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=LONGEST, block=1, seed=0)
+    @example(n=15, block=1, seed=0)
+    def test_tree_sum_equals_np_sum(self, n, block, seed):
+        x = rounding_values(n, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            got = _tree_sum(n, lambda i, j: x[i:j])
+        assert same_bits(np.float64(got), np.sum(x))
+
+    @given(n=LENGTHS, block=BLOCKS, seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.integers(0, LONGEST), max_size=20))
+    @example(n=LONGEST, block=7, seed=0, picks=[1, 7, 8, 1 << 16])
+    def test_prefix_sums_equal_np_cumsum(self, n, block, seed, picks):
+        x = rounding_values(n, seed)
+        at = np.unique(np.clip(np.asarray(picks + [0, 1, n], dtype=np.intp),
+                               0, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            p1, p2 = _prefix_sums(x, at)
+        assert same_bits(p1, np.concatenate([[0.0], np.cumsum(x)])[at])
+        assert same_bits(p2, np.concatenate([[0.0], np.cumsum(x * x)])[at])

@@ -1,0 +1,55 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from laplace_stein import seeding
+
+# On two threads, each of two outer calls starts pool work of its own: three
+# inner calls through run_all, or a chunked draw that makes two parts on the
+# calling thread.  Were that work waited for on the pool, both threads would
+# wait for ever; run from a pool thread, it runs on that thread, with the
+# bits it has on the calling thread.
+NESTED_CHILD = """
+import numpy as np
+from laplace_stein import random_sums, seeding, transforms as tr
+
+seeding._workers = lambda: 2
+random_sums._DRAW_BLOCK = 64
+
+
+def inner(k):
+    return seeding.run_all([lambda j=j: (k, j) for j in range(3)])
+
+
+assert seeding.run_all([lambda k=k: inner(k) for k in range(2)]) == [
+    [(k, j) for j in range(3)] for k in range(2)]
+
+summands = random_sums.Summands(tr.uniform_symmetric(1.0))
+counts = np.random.default_rng(5).geometric(0.05, 400)
+
+
+def sums(seed):
+    rng = np.random.default_rng(seed)
+    return random_sums._chunked_sums(rng, summands, counts).tobytes()
+
+
+want = [sums(seed) for seed in range(2)]
+assert seeding.run_all([lambda s=s: sums(s) for s in range(2)]) == want
+"""
+
+
+def test_parallelism_is_one_on_a_pool_thread(workers):
+    workers(2)
+    assert seeding._parallelism() == 2
+    assert seeding.run_all([seeding._parallelism] * 2) == [1, 1]
+
+
+def test_pool_work_started_on_the_pool_returns():
+    # in a child process, so that a deadlock ends in a timeout, not a hang
+    src = str(Path(seeding.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NESTED_CHILD], env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()

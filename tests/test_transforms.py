@@ -399,6 +399,31 @@ class TestInPlaceBits:
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @given(source=st.sampled_from(["rademacher", "laplace"]),
+           counts=st.lists(st.sampled_from([1, 2, 30, 1000, 10 ** 6])
+                           | st.integers(min_value=1, max_value=500),
+                           min_size=1, max_size=200),
+           scale=st.sampled_from([1.0, 0.7, math.sqrt(2.0)]),
+           block=st.sampled_from([1, 7, 1 << 16]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_sum_sampler_equals_whole_array_form(self, source, counts, scale,
+                                                 block, seed):
+        # the sums go over the int64 counts' storage, a block at a time
+        counts = np.asarray(counts, dtype=np.int64)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if source == "rademacher":
+            sampler = tr.rademacher(scale).sum_sampler
+            want = scale * (2.0 * ref.binomial(counts, 0.5) - counts)
+        else:
+            sampler = tr.laplace_source(scale).sum_sampler
+            want = scale * (ref.standard_gamma(counts)
+                            - ref.standard_gamma(counts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_BLOCK", block)
+            got = sampler(rng, counts.copy())
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            a=st.sampled_from([0.0, 1.5, -3.0]),
            b=st.sampled_from([0.7, 2.0, 1e-3]))
