@@ -15,10 +15,8 @@ from .stein import (BoundCertificate, SteinSolution, TestFunction,
                     standard_grid, stein_family, target_expectation,
                     verify_characterization, verify_first_order)
 from .transforms import (SourceDistribution, TransformSample, builtin_sources,
-                         equilibrium_cf, equilibrium_density,
-                         equilibrium_density_2d, equilibrium_moment,
-                         from_density, laplace_source, rademacher,
-                         sgn_bias_sample, sym_equilibrium_sample,
+                         equilibrium_cf, equilibrium_moment, laplace_source,
+                         rademacher, sgn_bias_sample, sym_equilibrium_sample,
                          uniform_symmetric, verify_zero_bias_relation,
                          zero_bias_sample)
 

@@ -287,12 +287,11 @@ def cmd_transform_check(args):
                          "need a standard error, which one draw does not have")
     src = SOURCES[args.source](args.c)
     n, seed = args.n, args.seed
-    relations = ZERO_BIAS_F_DD if src.zero_bias_sampler is not None else ()
     # the longest first: the equilibrium group, then the relations from
     # the costliest f'' down
     groups = ([functools.partial(_equilibrium_checks, src, n, seed)]
               + [functools.partial(_zero_bias_check, src, n, seed, name, f_dd)
-                 for name, f_dd in reversed(relations)]
+                 for name, f_dd in reversed(ZERO_BIAS_F_DD)]
               + [functools.partial(_sgn_bias_check, src, n, seed)])
     (equilibrium, gap), *zero_bias, sgn_bias = run_all(groups)
     results = equilibrium + [sgn_bias, gap] + zero_bias[::-1]

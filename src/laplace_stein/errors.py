@@ -15,9 +15,5 @@ class TruncationError(RuntimeError):
     """A series tail exceeds its certified mass at the requested cutoff."""
 
 
-class UnsupportedSourceError(ValueError):
-    """The source distribution lacks a recipe required by the operation."""
-
-
 class CertificationError(ValueError):
     """A test function failed bounded-Lipschitz certification."""

@@ -70,15 +70,6 @@ def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
     return val / (2.0 * b)
 
 
-def _gl_panels(nodes):
-    """Per-panel left ends, widths, 10-point Gauss-Legendre nodes, weights."""
-    left = nodes[:-1]
-    width = np.diff(nodes)
-    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
-    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
-    return left, width, y, wts
-
-
 def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
     """T(x) = (1/(2b)) int_0^inf exp(-u/b) f(x+u) du on sorted points xs.
 
@@ -107,7 +98,10 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
         k = np.arange(step.size) - np.repeat(np.cumsum(parts) - parts, parts)
         nodes = np.append(np.repeat(nodes[:-1], parts) + k * step, nodes[-1])
 
-    left, width, y, wts = _gl_panels(nodes)
+    left = nodes[:-1]
+    width = np.diff(nodes)
+    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
+    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
     panel = np.sum(wts * np.exp(-(y - left[:, None]) / b) * f(y), axis=1)
 
     decay = np.exp(-width / b)
@@ -118,13 +112,3 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
         suffix[j] = acc
     return suffix[np.searchsorted(nodes, xs)] / (2.0 * b)
 
-
-def cumulative_integral(f, nodes) -> np.ndarray:
-    """int_{nodes[0]}^{nodes[i]} f for every i, by panel-wise Gauss-Legendre.
-
-    ``nodes`` must be sorted and f smooth on each panel; used to tabulate
-    CDFs of reweighted densities on a fixed grid.
-    """
-    _, _, y, wts = _gl_panels(np.asarray(nodes, dtype=float))
-    panel = np.sum(wts * f(y), axis=1)
-    return np.concatenate([[0.0], np.cumsum(panel)])

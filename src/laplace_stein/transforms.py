@@ -17,19 +17,11 @@ Each built-in source carries both reweightings in closed form:
   laplace_source(b)    |Y| ~ Gamma(2, b); X_P is again Laplace(0, b) (the
                        sign-bias fixed point), hence |Z| ~ Gamma(2, b) too.
 
-``from_density`` builds the same machinery numerically for any symmetric
-density: tail reweighting reduces the sign-bias density to survival/E|X|, and
-the magnitude CDFs are tabulated on a cached grid and inverted monotonically.
-
-Zero-bias sampling (E[X f(X)] = E[X^2] E[f'(X_z)]) is available for the
-sources whose zero-bias law is known exactly: Rademacher(+-c) gives
-Uniform(-c, c), the symmetric uniform gives the Epanechnikov law (median of
-three uniforms), and Laplace(0, b) gives the equal mixture of +-Exp(b) and
-+-Gamma(2, b) magnitudes.
-
-SciPy is imported inside the functions that call it (the quadratures of
-``equilibrium_density`` and ``equilibrium_density_2d``, the interpolant of
-``from_density``), so the built-in sources need numpy alone.
+Each built-in source also samples its zero-bias law (E[X f(X)] =
+E[X^2] E[f'(X_z)]) exactly: Rademacher(+-c) gives Uniform(-c, c), the
+symmetric uniform gives the Epanechnikov law (median of three uniforms), and
+Laplace(0, b) gives the equal mixture of +-Exp(b) and +-Gamma(2, b)
+magnitudes.
 """
 
 from __future__ import annotations
@@ -41,9 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureError, UnsupportedSourceError
 from . import laplace
-from .quadrature import cumulative_integral
 from .seeding import derive_seed, substream
 
 
@@ -52,10 +42,13 @@ class SourceDistribution:
     """A mean-zero, sign-balanced summand law with its transform recipes.
 
     ``sigma2``, ``abs_mean`` and ``abs_third`` are E[X^2], E|X| and E|X|^3.
-    Sampler callables take (rng, n) and return an ndarray; the optional
-    ``sum_sampler`` takes (rng, counts) and returns one row sum per count,
-    used as an exact fast path for random sums; it may write the sums over
-    the storage of int64 ``counts``, which the caller then gives up.
+    The five transform recipes are required: ``y_sampler``, ``z_sampler``
+    and ``zero_bias_sampler`` (callables (rng, n) -> ndarray, like
+    ``sampler``), ``cf`` (t -> E[cos(tX)]) and ``moment`` (k -> E[X^k]).
+    ``sum_sampler`` is the one optional recipe: it takes (rng, counts) and
+    returns one row sum per count, used as an exact fast path for random
+    sums; it may write the sums over the storage of int64 ``counts``, which
+    the caller then gives up.
     ``one_word_draws`` declares that ``sampler(rng, n)`` takes exactly one
     64-bit word of the bit stream per value (value i from word i), so any
     range of its draws can be made from a generator advanced to the range's
@@ -67,14 +60,12 @@ class SourceDistribution:
     abs_mean: float
     abs_third: float
     sampler: Callable
-    y_sampler: Optional[Callable] = None
-    z_sampler: Optional[Callable] = None
-    zero_bias_sampler: Optional[Callable] = None
-    density: Optional[Callable] = None
-    cf: Optional[Callable] = None
-    moment: Optional[Callable] = None
+    y_sampler: Callable
+    z_sampler: Callable
+    zero_bias_sampler: Callable
+    cf: Callable
+    moment: Callable
     sum_sampler: Optional[Callable] = None
-    half_width: float = math.inf  # essential sup of |X|
     one_word_draws: bool = False
 
     @property
@@ -160,7 +151,6 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
         moment=lambda k, c=c: c ** k if k % 2 == 0 else 0.0,
         sum_sampler=lambda rng, counts, c=c: _binomial_walks(rng, counts, c),
-        half_width=c,
     )
 
 
@@ -221,11 +211,8 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
             rng, _scaled_sqrt_uniform(rng, n, c)),
         z_sampler=lambda rng, n: _signed(rng, z_magnitude(rng, n)),
         zero_bias_sampler=zero_bias,
-        density=lambda x, c=c: np.where(np.abs(np.asarray(x, float)) <= c,
-                                        1.0 / (2.0 * c), 0.0),
         cf=lambda t, c=c: np.sinc(c * np.asarray(t, float) / np.pi),
         moment=moment,
-        half_width=c,
         one_word_draws=True,  # draw: one rng.random per value
     )
 
@@ -271,74 +258,10 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
         y_sampler=gamma2,
         z_sampler=gamma2,
         zero_bias_sampler=zero_bias,
-        density=lambda x, params=params: laplace.pdf(x, params),
         cf=lambda t, params=params: laplace.char_fn(t, params),
         moment=lambda k, params=params: laplace.moment(k, params),
         sum_sampler=sum_sampler,
         one_word_draws=True,  # laplace.draw: one rng.random per value
-    )
-
-
-def from_density(label: str, density, *, half_width: float = math.inf,
-                 tail_scale: Optional[float] = None) -> SourceDistribution:
-    """Numeric transform recipes for a symmetric density.
-
-    The sign-bias magnitude |Y| ~ 2 y f(y)/E|X| and the equilibrium magnitude
-    |Z| ~ 2 z S(z)/(E|X| beta) (S = one-sided survival) get their CDFs
-    tabulated on an 8193-point grid and inverted with a monotone cubic; the
-    grid is built once and immutable, so samplers are safe for concurrent use.
-    """
-    if math.isinf(half_width):
-        if tail_scale is None:
-            raise ValueError("tail_scale is required for unbounded support")
-        top = 60.0 * tail_scale
-    else:
-        top = half_width
-
-    grid = np.linspace(0.0, top, 8193)
-    dens = lambda y: np.asarray(density(y), float)
-    mass = cumulative_integral(dens, grid)            # int_0^y f
-    first = cumulative_integral(lambda y: y * dens(y), grid)
-    second = cumulative_integral(lambda y: y ** 2 * dens(y), grid)
-    alpha = 2.0 * first[-1]
-    sigma2 = 2.0 * second[-1]
-    abs_third = 2.0 * cumulative_integral(lambda y: y ** 3 * dens(y), grid)[-1]
-    if not 0 < alpha < math.inf:
-        raise ValueError("density must have positive finite E|X|")
-
-    survival = np.maximum(mass[-1] - mass, 0.0)       # int_y^top f
-    # int_0^y z S(z) dz = y^2 S(y)/2 + int_0^y z^2 f(z)/2 dz  (by parts);
-    # everything stays on the grid, no interpolation error enters the CDF.
-    y_cdf = first / first[-1]
-    z_cdf_raw = grid ** 2 * survival / 2.0 + second / 2.0
-    z_cdf = z_cdf_raw / z_cdf_raw[-1]
-
-    def _inverse(cdf_vals, grid=grid):
-        # running max guards against ~1e-14 wiggles where the tabulated tail
-        # saturates; flats are then deduplicated for the monotone interpolant
-        from scipy.interpolate import PchipInterpolator
-
-        vals = np.maximum.accumulate(cdf_vals)
-        keep = np.concatenate([[True], np.diff(vals) > 0])
-        return PchipInterpolator(vals[keep], grid[keep], extrapolate=False)
-
-    y_inv, z_inv = _inverse(y_cdf), _inverse(z_cdf)
-
-    def make_sampler(inv):
-        def sampler(rng, n, inv=inv):
-            return _signed(rng, np.asarray(inv(rng.random(n)), float))
-        return sampler
-
-    def base_sampler(rng, n):
-        mag = np.interp(rng.random(n), mass / mass[-1], grid)
-        return _signed(rng, mag)
-
-    return SourceDistribution(
-        label=label, sigma2=sigma2, abs_mean=alpha, abs_third=abs_third,
-        sampler=base_sampler,
-        y_sampler=make_sampler(y_inv),
-        z_sampler=make_sampler(z_inv),
-        density=dens, half_width=half_width,
     )
 
 
@@ -380,19 +303,16 @@ def mc_estimate(values) -> MonteCarloEstimate:
                               std_error=float(std / math.sqrt(n)))
 
 
-def _transform_stream(src, n, seed, recipe, transform):
+def _transform_stream(src, n, seed, transform):
     """The substream for n draws of one transform of src, once the sample
-    size and the source's recipe for that transform have been checked."""
+    size has been checked."""
     if n < 0:
         raise ValueError("sample size must be nonnegative")
-    if recipe is None:
-        raise UnsupportedSourceError(
-            f"{src.label}: no {transform} recipe available")
     return substream(seed, transform, src.label)
 
 
 def _product_sample(src, n, seed, magnitude_sampler, transform):
-    rng = _transform_stream(src, n, seed, magnitude_sampler, transform)
+    rng = _transform_stream(src, n, seed, transform)
     u = rng.random(n)
     u *= magnitude_sampler(rng, n)  # U * magnitude, in the uniforms' storage
     return TransformSample(values=u)
@@ -410,15 +330,13 @@ def sym_equilibrium_sample(src: SourceDistribution, n: int,
 
 
 def zero_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:
-    """Draws from the zero-bias law of the source (exact recipes only)."""
-    rng = _transform_stream(src, n, seed, src.zero_bias_sampler, "zero-bias")
+    """Draws from the zero-bias law of the source."""
+    rng = _transform_stream(src, n, seed, "zero-bias")
     return TransformSample(values=np.asarray(src.zero_bias_sampler(rng, n)))
 
 
 def equilibrium_moment(k: int, src: SourceDistribution) -> float:
     """E[(X_L)^k] = mu_{k+2} / (b^2 (k+2)(k+1)) with b^2 = E[X^2]/2."""
-    if src.moment is None:
-        raise UnsupportedSourceError(f"{src.label}: moments unknown")
     b2 = src.sigma2 / 2.0
     return src.moment(k + 2) / (b2 * (k + 2.0) * (k + 1.0))
 
@@ -432,8 +350,6 @@ def equilibrium_cf(t, src: SourceDistribution):
     Below |t| = 1e-4 the 0/0 cancellation is replaced by the second-order
     series 1 - t^2 E[(X_L)^2] / 2.
     """
-    if src.cf is None:
-        raise UnsupportedSourceError(f"{src.label}: characteristic fn unknown")
     arr = np.atleast_1d(np.asarray(t, float))
     b2 = src.sigma2 / 2.0
     out = np.empty_like(arr)
@@ -446,83 +362,6 @@ def equilibrium_cf(t, src: SourceDistribution):
         out[big] = (1.0 - np.asarray(src.cf(arr[big]), float)) / (
             arr[big] ** 2 * b2)
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def equilibrium_density(s, src: SourceDistribution) -> float:
-    """Density of X_L at s.
-
-    The double-integral representation
-        f_{X_L}(s) = (s^2/b^2) int_0^1 int_0^1 u^-2 v^-3 f_X(s/(uv)) du dv
-    collapses, after substituting w = uv and then z = s/w, to the tail form
-        f_{X_L}(s) = (1/b^2) int_s^inf (z - s) f_X(z) dz        (s > 0)
-    and its mirror image for s < 0; s = 0 is the continuous limit
-    (1/b^2) int_0^inf z f_X(z) dz.  This is what gets evaluated here;
-    :func:`equilibrium_density_2d` keeps the raw tensor quadrature as an
-    independent cross-check.
-    """
-    from scipy import integrate
-
-    if src.density is None:
-        raise UnsupportedSourceError(f"{src.label}: no density available")
-    s = float(s)
-    b2 = src.sigma2 / 2.0
-    hw = src.half_width
-    if abs(s) >= hw:
-        return 0.0
-    if s >= 0.0:
-        top = hw if math.isfinite(hw) else np.inf
-        val, err = integrate.quad(lambda z: (z - s) * float(src.density(z)),
-                                  s, top, limit=200, epsabs=1e-12,
-                                  epsrel=1e-11)
-    else:
-        bottom = -hw if math.isfinite(hw) else -np.inf
-        val, err = integrate.quad(lambda z: (s - z) * float(src.density(z)),
-                                  bottom, s, limit=200, epsabs=1e-12,
-                                  epsrel=1e-11)
-    if err / b2 > 1e-6 * max(1.0, abs(val) / b2):
-        raise QuadratureError("equilibrium density tail integral diverged",
-                              residual=err / b2)
-    return val / b2
-
-
-def equilibrium_density_2d(s, src: SourceDistribution) -> float:
-    """Tensor-product adaptive quadrature of the raw double integral.
-
-    Substituting u = exp(-a), v = exp(-r) turns the (0,1)^2 integral with its
-    endpoint singularity into
-
-        int_0^inf int_0^inf exp(a + 2r) f(s exp(a+r)) da dr,
-
-    a smooth integrand that vanishes once |s| exp(a+r) leaves the support (or
-    the exponential tail); for bounded support the live region is exactly the
-    triangle a + r <= log(hw/|s|).
-    """
-    from scipy import integrate
-
-    if src.density is None:
-        raise UnsupportedSourceError(f"{src.label}: no density available")
-    s = float(s)
-    if s == 0.0:
-        return equilibrium_density(0.0, src)
-    b2 = src.sigma2 / 2.0
-    hw = src.half_width
-    if abs(s) >= hw:
-        return 0.0
-
-    def integrand(r, a):
-        return math.exp(a + 2.0 * r) * float(src.density(s * math.exp(a + r)))
-
-    if math.isfinite(hw):
-        top = math.log(hw / abs(s))
-        val, _ = integrate.dblquad(integrand, 0.0, top,
-                                   0.0, lambda a: top - a,
-                                   epsabs=1e-8, epsrel=1e-10)
-    else:
-        top = math.log(80.0 * math.sqrt(src.sigma2) / abs(s))
-        val, _ = integrate.dblquad(integrand, 0.0, max(top, 1.0),
-                                   0.0, max(top, 1.0),
-                                   epsabs=1e-8, epsrel=1e-10)
-    return s ** 2 * val / b2
 
 
 def _map_blocks(f, x):

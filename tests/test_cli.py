@@ -408,10 +408,14 @@ class TestEmitReport:
             cli.emit_report({}, "xml")
 
 
-BOUNDS_WITHOUT_SCIPY = [
+NUMPY_ONLY_COMMANDS = [
     ["bounds", "--p", "1e-2", "--coupling", "comonotone"],
     ["bounds", "--scales", "1,2", "--coupling", "independent", "--p", "1e-2"],
     ["bounds", "--index", "fixed", "--k", "1", "--coupling", "independent"],
+    ["transform-check", "--source", "rademacher", "--n", "2000"],
+    ["transform-check", "--source", "uniform", "--n", "2000"],
+    ["transform-check", "--source", "laplace", "--n", "2000"],
+    ["fixed-point", "--n", "2000"],
 ]
 
 SCIPY_PROBE = """
@@ -425,17 +429,18 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 
 class TestStartup:
-    def test_bounds_loads_no_scipy(self):
+    def test_numpy_only_commands_load_no_scipy(self):
         # SciPy is imported where something integrates, so the package and
-        # the bounds command run on numpy alone; one module-level SciPy
-        # import would add about a second to every invocation
+        # the bounds, transform-check and fixed-point commands run on numpy
+        # alone; one module-level SciPy import would add about a second to
+        # every invocation
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run(
             [sys.executable, "-c", SCIPY_PROBE,
-             json.dumps(BOUNDS_WITHOUT_SCIPY)],
+             json.dumps(NUMPY_ONLY_COMMANDS)],
             env=env, capture_output=True, text=True, check=True)
         probe = json.loads(run.stdout)
-        assert probe["codes"] == [0] * len(BOUNDS_WITHOUT_SCIPY)
+        assert probe["codes"] == [0] * len(NUMPY_ONLY_COMMANDS)
         assert probe["scipy"] == []

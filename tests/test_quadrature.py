@@ -6,8 +6,7 @@ from scipy import integrate
 
 from laplace_stein.errors import QuadratureError
 from laplace_stein.laplace import LaplaceParams, char_fn, moment
-from laplace_stein.quadrature import (cumulative_integral,
-                                      exp_weighted_right_tail,
+from laplace_stein.quadrature import (exp_weighted_right_tail,
                                       laplace_expectation)
 
 
@@ -81,9 +80,3 @@ class TestExpWeightedRightTail:
         with pytest.raises(ValueError):
             exp_weighted_right_tail(np.sin, 1.0, np.array([1.0, 0.0]))
 
-
-class TestCumulativeIntegral:
-    def test_exponential(self):
-        nodes = np.linspace(0.0, 5.0, 101)
-        got = cumulative_integral(np.exp, nodes)
-        assert np.max(np.abs(got - (np.exp(nodes) - 1.0))) <= 1e-12

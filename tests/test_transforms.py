@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
 
-from laplace_stein.errors import UnsupportedSourceError
-from laplace_stein.laplace import LaplaceParams, cdf, char_fn, pdf, quantile
+from laplace_stein.laplace import LaplaceParams, cdf, char_fn, quantile
 from laplace_stein.metrics import EmpiricalSample, dkw_band, kolmogorov_empirical
 from laplace_stein.seeding import derive_seed, substream
 from laplace_stein import transforms as tr
@@ -61,6 +59,13 @@ class TestSources:
         for src in tr.builtin_sources(1.0):
             assert src.sigma2 == pytest.approx(2.0)
 
+    def test_recipes_are_required(self):
+        # a source without its transform recipes fails when it is built
+        with pytest.raises(TypeError):
+            tr.SourceDistribution(label="bare", sigma2=1.0, abs_mean=0.8,
+                                  abs_third=1.0,
+                                  sampler=lambda rng, n: rng.normal(size=n))
+
 
 class TestSgnBias:
     def test_rademacher_sign_bias_is_uniform(self):
@@ -93,13 +98,6 @@ class TestSgnBias:
         c = tr.sym_equilibrium_sample(tr.rademacher(1.0), 100, 5)
         assert not np.array_equal(a.values, c.values)
 
-    def test_unsupported_source(self):
-        bare = tr.SourceDistribution(label="bare", sigma2=1.0, abs_mean=0.8,
-                                     abs_third=1.0, sampler=lambda rng, n:
-                                     rng.normal(size=n))
-        with pytest.raises(UnsupportedSourceError):
-            tr.sgn_bias_sample(bare, 10, 1)
-
 
 class TestSymEquilibrium:
     def test_rademacher_triangular_law(self):
@@ -113,6 +111,19 @@ class TestSymEquilibrium:
                             1.0 - (c - s) ** 2 / (2 * c ** 2))
 
         assert ks_against(ts.values, tent_cdf) <= dkw_band(ts.n, alpha=0.01)
+
+    def test_uniform_cubic_law(self):
+        # X_L = U*Z with |Z|/c of CDF 3r^2 - 2r^3 has the density
+        # 3 (c-|s|)^2 / (2 c^3)
+        c = SQRT6
+        ts = tr.sym_equilibrium_sample(tr.uniform_symmetric(c), 10 ** 5, 41)
+
+        def xl_cdf(s):
+            s = np.clip(np.asarray(s, float), -c, c)
+            return np.where(s < 0, (c + s) ** 3 / (2 * c ** 3),
+                            1.0 - (c - s) ** 3 / (2 * c ** 3))
+
+        assert ks_against(ts.values, xl_cdf) <= dkw_band(ts.n, alpha=0.01)
 
     def test_rademacher_second_moment(self):
         # second moment c^2/6 = b^2/3 at c = sqrt(2) b
@@ -156,13 +167,6 @@ class TestEquilibriumMoment:
         assert tr.equilibrium_moment(2, tr.uniform_symmetric(c)) == \
             pytest.approx(c ** 2 / 10.0, rel=1e-13)
 
-    def test_unknown_moments(self):
-        bare = tr.SourceDistribution(label="bare", sigma2=1.0, abs_mean=0.8,
-                                     abs_third=1.0,
-                                     sampler=lambda rng, n: rng.normal(size=n))
-        with pytest.raises(UnsupportedSourceError):
-            tr.equilibrium_moment(2, bare)
-
 
 class TestEquilibriumCf:
     def test_limit_at_zero(self):
@@ -197,57 +201,6 @@ class TestEquilibriumCf:
             phases = np.cos(t * ts.values)
             se = np.std(phases, ddof=1) / math.sqrt(ts.n)
             assert abs(np.mean(phases) - tr.equilibrium_cf(t, src)) <= 4 * se
-
-
-class TestEquilibriumDensity:
-    def test_laplace_center(self):
-        assert tr.equilibrium_density(0.0, tr.laplace_source(1.0)) == \
-            pytest.approx(0.5, abs=1e-4)
-
-    def test_laplace_fixed_point_on_grid(self):
-        src = tr.laplace_source(1.0)
-        for s in (-2.0, -0.7, 0.4, 1.3, 3.0):
-            assert tr.equilibrium_density(s, src) == pytest.approx(
-                pdf(s, LaplaceParams(0, 1)), abs=1e-10)
-
-    def test_outside_bounded_support(self):
-        src = tr.uniform_symmetric(1.5)
-        assert tr.equilibrium_density(2.0, src) == 0.0
-        assert tr.equilibrium_density(-1.6, src) == 0.0
-
-    def test_integrates_to_one(self):
-        src = tr.laplace_source(1.0)
-        val = sum(integrate.quad(
-            lambda s: tr.equilibrium_density(s, src), lo, hi, limit=200)[0]
-            for lo, hi in ((-40.0, 0.0), (0.0, 40.0)))
-        assert val == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("s", [0.25, 0.8, -1.2])
-    def test_tensor_quadrature_cross_check(self, s):
-        for src in (tr.uniform_symmetric(SQRT6), tr.laplace_source(1.0)):
-            assert tr.equilibrium_density_2d(s, src) == pytest.approx(
-                tr.equilibrium_density(s, src), abs=1e-8)
-
-    def test_matches_sampler(self):
-        # uniform source: X_L has density 3 (c-|s|)^2 / (2 c^3)
-        c = SQRT6
-        src = tr.uniform_symmetric(c)
-        want = lambda s: 3 * (c - abs(s)) ** 2 / (2 * c ** 3)
-        for s in (0.0, 0.5, 1.5):
-            assert tr.equilibrium_density(s, src) == pytest.approx(
-                want(s), rel=1e-10)
-
-        def xl_cdf(s):
-            s = np.clip(np.asarray(s, float), -c, c)
-            return np.where(s < 0, (c + s) ** 3 / (2 * c ** 3),
-                            1.0 - (c - s) ** 3 / (2 * c ** 3))
-
-        ts = tr.sym_equilibrium_sample(src, 10 ** 5, 41)
-        assert ks_against(ts.values, xl_cdf) <= dkw_band(ts.n, alpha=0.01)
-
-    def test_requires_density(self):
-        with pytest.raises(UnsupportedSourceError):
-            tr.equilibrium_density(0.5, tr.rademacher(1.0))
 
 
 class TestZeroBias:
@@ -285,14 +238,8 @@ class TestZeroBias:
         assert abs(np.mean(ts.values)) <= 4.0 * np.std(ts.values) / \
             math.sqrt(ts.n)
 
-    def test_empty_and_unsupported(self):
+    def test_empty(self):
         assert tr.zero_bias_sample(tr.rademacher(1.0), 0, 1).values.size == 0
-        numeric = tr.from_density(
-            "numeric-uniform",
-            lambda x: np.where(np.abs(np.asarray(x, float)) <= 1.0, 0.5, 0.0),
-            half_width=1.0)
-        with pytest.raises(UnsupportedSourceError):
-            tr.zero_bias_sample(numeric, 10, 1)
 
 
 class TestUniformZeroBiasBits:
@@ -523,40 +470,3 @@ class TestCouplingInequality:
         se_r = 0.5 * src.sigma2 * np.std(6.0 * xl, ddof=1) / math.sqrt(n)
         assert abs(lhs - rhs) <= 4.0 * math.hypot(se_l, se_r)
 
-
-class TestNumericRecipes:
-    def test_matches_closed_forms_for_uniform(self):
-        c = SQRT6
-        exact = tr.uniform_symmetric(c)
-        numeric = tr.from_density(
-            "uniform-numeric",
-            lambda x: np.where(np.abs(np.asarray(x, float)) <= c,
-                               1.0 / (2 * c), 0.0),
-            half_width=c)
-        assert numeric.abs_mean == pytest.approx(exact.abs_mean, rel=1e-12)
-        assert numeric.sigma2 == pytest.approx(exact.sigma2, rel=1e-12)
-        assert numeric.abs_third == pytest.approx(exact.abs_third, rel=1e-12)
-
-        # both samplers consume (uniforms, signs) in the same order, so the
-        # draws are comparable elementwise; agreement bounds the inverse-CDF
-        # tabulation error
-        n = 10 ** 4
-        for mk_num, mk_ex in ((numeric.y_sampler, exact.y_sampler),
-                              (numeric.z_sampler, exact.z_sampler)):
-            got = mk_num(substream(61, "num"), n)
-            want = mk_ex(substream(61, "num"), n)
-            assert np.max(np.abs(got - want)) <= 1e-8
-
-    def test_unbounded_support_requires_tail_scale(self):
-        with pytest.raises(ValueError):
-            tr.from_density("bad", lambda x: np.exp(-np.abs(x)) / 2.0)
-
-    def test_laplace_numeric_equilibrium_close_to_fixed_point(self):
-        b = 1.0
-        numeric = tr.from_density(
-            "laplace-numeric", lambda x: pdf(x, LaplaceParams(0.0, b)),
-            tail_scale=b)
-        ts = tr.sym_equilibrium_sample(numeric, 10 ** 5, 67)
-        d_k = kolmogorov_empirical(EmpiricalSample.from_values(ts.values),
-                                   LaplaceParams(0.0, b))
-        assert d_k.value <= dkw_band(ts.n, alpha=0.01)
