@@ -76,9 +76,6 @@ class GeometricIndex:
     def pmf(self, m):
         return self.p * self.survival(m)
 
-    def sample(self, rng, n: int):
-        return rng.geometric(self.p, n)
-
     def tail(self, k: int) -> float:
         """P{N > k}, computed analytically (no summation noise)."""
         return (1.0 - self.p) ** k
@@ -97,7 +94,8 @@ class ExplicitIndex:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0 or np.any(arr < 0):
+        # a NaN entry fails arr >= 0, and an infinite one the sum
+        if arr.ndim != 1 or arr.size == 0 or not np.all(arr >= 0):
             raise ValueError("pmf must be a nonempty nonnegative vector")
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise ValueError("pmf must sum to 1 within 1e-12")
@@ -117,9 +115,6 @@ class ExplicitIndex:
         arr = np.asarray(self.probs + (0.0,))
         idx = np.clip(np.asarray(m) - 1, 0, len(self.probs))
         return arr[idx]
-
-    def sample(self, rng, n: int):
-        return rng.choice(len(self.probs), size=n, p=self.probs) + 1
 
     def tail(self, k: int) -> float:
         return 0.0 if k >= len(self.probs) else float(sum(self.probs[k:]))
@@ -492,29 +487,22 @@ def general_sum_bound(spec: RandomSumSpec,
     })
 
 
-_CHUNK = 1 << 22
 _DRAW_BLOCK = 1 << 18  # 2 MiB of float64 draws
 
 
-def _sum_rows(rng, summands: Summands, counts: np.ndarray, ends: np.ndarray,
-              out: np.ndarray, start: int, stop: int, limit: int) -> None:
+def _sum_rows(rng, sampler, ends: np.ndarray, out: np.ndarray, start: int,
+              stop: int) -> None:
     """Row sums of rows start..stop-1 into ``out``, drawn from ``rng`` in
     runs: a run is the longest run of rows, at least one, that takes at most
-    ``limit`` draws.  ``ends`` is the cumulative sum of ``counts``."""
-    base, scales = summands.base, np.asarray(summands.scales)
+    ``_DRAW_BLOCK`` draws.  ``ends`` is the cumulative sum of the row
+    counts."""
     first = int(ends[start - 1]) if start else 0  # draws before row start
     while start < stop:
         end = min(stop, max(start + 1, int(np.searchsorted(
-            ends, first + limit, side="right"))))
+            ends, first + _DRAW_BLOCK, side="right"))))
         total = int(ends[end - 1]) - first
-        draws = np.asarray(base.sampler(rng, total), dtype=float)
+        draws = np.asarray(sampler(rng, total), dtype=float)
         offsets = np.concatenate([[0], ends[start:end - 1] - first])
-        if scales.shape[0] > 1:
-            pos = np.arange(total) - np.repeat(offsets, counts[start:end])
-            draws *= scales[pos % scales.shape[0]]
-            del pos
-        elif scales[0] != 1.0:
-            draws *= scales[0]
         np.add.reduceat(draws, offsets, out=out[start:end])
         # one run alive at a time, and nothing allocated after it outlives
         # it, so the next run reuses its memory instead of growing the heap
@@ -522,61 +510,47 @@ def _sum_rows(rng, summands: Summands, counts: np.ndarray, ends: np.ndarray,
         start, first = end, first + total
 
 
-def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
-    """Row sums of per-index scaled draws, memory-bounded, with the bits of
-    one sequential ``sampler(rng, total)`` summed row by row.
+def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
+    """Row sums of ``sampler`` draws, memory-bounded, with the bits of one
+    sequential ``sampler(rng, total)`` summed row by row.
 
-    A row's sum depends only on its own draws and the length of its
-    ``reduceat`` segment (the pairwise tree follows the length), never on
-    the rows drawn with it.  So rows may be drawn in any grouping, from any
-    thread, as long as each row gets the words of the stream that the
-    sequential draw would give it.
-
-    A source that declares ``one_word_draws`` takes word i of the PCG64
-    stream for draw i.  Its rows are cut into parts of about equal draws,
-    one per CPU and each at least ``_DRAW_BLOCK`` draws; each part runs on
-    the package's thread pool from a copy of the generator advanced, in
-    O(log k) steps, to the part's first draw.  Within a part, runs take at
-    most ``_DRAW_BLOCK`` draws (2 MiB, a core's L2 cache).  A smaller run
-    pays more per-call overhead, and its frees raise glibc's dynamic mmap
-    threshold less, so more of the metrics' n-length temporaries fault in
-    fresh pages (on a Uniform sweep at n = 1e5: about 14k minor faults per
-    5-point pass at 2^16 draws, 3.3k at 2^18, none at 2^19).  A larger run
-    overflows L2 and costs memory per thread.  Afterwards the caller's generator is advanced past every draw,
+    The sampler takes word i of the generator's PCG64 stream for draw i (its
+    source declares ``one_word_draws``).  A row's sum depends only on its
+    own draws and the length of its ``reduceat`` segment (the pairwise tree
+    follows the length), never on the rows drawn with it.  So the rows are
+    cut into parts of about equal draws, at most one per CPU and, when there
+    are several, each at least ``_DRAW_BLOCK`` draws.  Every part, a single
+    one too, runs through ``seeding.run_all`` from a copy of the generator
+    advanced, in O(log k) steps, to the part's first draw.  Within a part, runs take at most ``_DRAW_BLOCK`` draws
+    (2 MiB, a core's L2 cache).  A smaller run pays more per-call overhead,
+    and its frees raise glibc's dynamic mmap threshold less, so more of the
+    metrics' n-length temporaries fault in fresh pages (on a Uniform sweep
+    at n = 1e5: about 14k minor faults per 5-point pass at 2^16 draws, 3.3k
+    at 2^18, none at 2^19).  A larger run overflows L2 and costs memory per
+    thread.  Afterwards the caller's generator is advanced past every draw,
     its buffered 32-bit half-word kept, so its state is the sequential one.
-
-    Any other source or bit generator runs the same walk on the calling
-    thread, in runs of at most ``_CHUNK`` draws.
     """
     out = np.empty(counts.shape[0])
     ends = np.cumsum(counts)
     rows = counts.shape[0]
-    bit_gen = rng.bit_generator
-    if not (summands.base.one_word_draws and type(bit_gen) is np.random.PCG64):
-        _sum_rows(rng, summands, counts, ends, out, 0, rows, _CHUNK)
-        return out
     total = int(ends[-1]) if rows else 0
-    parts = min(seeding._parallelism(), total // _DRAW_BLOCK)
-    if parts < 2:
-        _sum_rows(rng, summands, counts, ends, out, 0, rows, _DRAW_BLOCK)
-        return out
+    parts = max(1, min(seeding._parallelism(), total // _DRAW_BLOCK))
     # part k: the rows whose draws end after k/parts of the total and by
     # (k+1)/parts of it; a row longer than a part leaves a later one empty
     cuts = [0] + [int(np.searchsorted(ends, k * total // parts, side="right"))
                   for k in range(1, parts)] + [rows]
+    bit_gen = rng.bit_generator
     state = bit_gen.state
-    futures = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        if start == stop:
-            continue
+
+    def part(start, stop):
         clone = np.random.PCG64(0)  # its seed is replaced by the state
         clone.state = state
         clone.advance(int(ends[start - 1]) if start else 0)
-        futures.append(seeding._pool().submit(
-            _sum_rows, np.random.Generator(clone), summands, counts, ends,
-            out, start, stop, _DRAW_BLOCK))
-    for future in futures:
-        future.result()
+        _sum_rows(np.random.Generator(clone), sampler, ends, out, start, stop)
+
+    seeding.run_all(partial(part, start, stop)
+                    for start, stop in zip(cuts[:-1], cuts[1:])
+                    if start < stop)
     # advance() clears the buffered 32-bit half-word that draws of doubles
     # leave alone; put it back
     bit_gen.advance(total)
@@ -587,32 +561,32 @@ def _chunked_sums(rng, summands: Summands, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_aggregate(summands: Summands) -> bool:
-    """Whether sums of these summands are drawn from the base's aggregate
-    law (``sum_sampler``) rather than summand by summand."""
-    return len(summands.scales) == 1 and summands.base.sum_sampler is not None
-
-
 def random_sum_sample(spec: RandomSumSpec, n: int, seed: int) -> EmpiricalSample:
     """n independent draws of the scaled sum (1/sqrt(mu)) sum_{i<=N} X_i.
 
-    The index is drawn first, then the summands; sources with an exact
+    Only what ``convergence_sweep`` samples is sampled: a geometric index,
+    i.i.d. copies of the base (scales ``(1.0,)``), and a base with an exact
     aggregate law (Rademacher via binomial counts, Laplace via gamma
-    differences) use it as a distributionally exact fast path.
+    differences) or one-word draws, which ``_chunked_sums`` sums.  Any other
+    spec raises ValueError.  The index is drawn first, then the summands.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
+    base = spec.summands.base
+    if not (isinstance(spec.index, GeometricIndex)
+            and spec.summands.scales == (1.0,)
+            and (base.sum_sampler is not None or base.one_word_draws)):
+        raise ValueError("only geometric sums of i.i.d. copies of a source "
+                         "with a sum_sampler or one-word draws are sampled")
     rng = substream(seed, "random-sum")
-    counts = np.asarray(spec.index.sample(rng, n))
-    sm = spec.summands
-    if _exact_aggregate(sm):
-        sums = np.asarray(sm.base.sum_sampler(rng, counts), dtype=float)
-        sums *= sm.scales[0]
+    counts = rng.geometric(spec.index.p, n)
+    if base.sum_sampler is not None:
+        sums = np.asarray(base.sum_sampler(rng, counts), dtype=float)
     else:
-        sums = _chunked_sums(rng, sm, counts)
+        sums = _chunked_sums(rng, base.sampler, counts)
     del counts
-    # scaled, divided and sorted in place: the values
-    # from_values(scale * sums / sqrt(mu)) gives, without its copies
+    # divided and sorted in place: the values
+    # from_values(sums / sqrt(mu)) gives, without its copies
     sums /= math.sqrt(spec.index.mean)
     sums.sort()
     return EmpiricalSample(sums)
@@ -692,7 +666,7 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
     family = dense_bl_family()
     p_grid = [float(p) for p in p_grid]
     seeds = [derive_seed(seed, "sweep", i) for i in range(len(p_grid))]
-    if _exact_aggregate(Summands(source)):
+    if source.sum_sampler is not None:
         points = seeding.run_all(
             partial(_sweep_point, source, p, n, point_seed, family, alpha)
             for p, point_seed in zip(p_grid, seeds))

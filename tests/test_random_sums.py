@@ -51,6 +51,11 @@ class TestIndexes:
             ExplicitIndex(probs=(0.5, 0.6))
         with pytest.raises(ValueError):
             ExplicitIndex(probs=(0.5, -0.5, 1.0))
+        # NaN is neither negative nor caught by a sum test against 1
+        for bad in [(0.5, math.nan, 0.5), (math.nan,), (math.inf,),
+                    (0.5, math.inf, 0.5)]:
+            with pytest.raises(ValueError):
+                ExplicitIndex(probs=bad)
         idx = ExplicitIndex(probs=(0.25, 0.75))
         assert idx.mean == 1.75
         assert np.allclose(idx.survival(np.array([1, 2, 3])), [1.0, 0.75, 0.0])
@@ -538,7 +543,7 @@ def send_sample(conn, spec, n, seed):
 
 class TestChunkedSamplerParts:
     """About 8e6 Uniform draws in parts on two threads: each part holds a
-    few blocks of draws, not a _CHUNK array, and a forked child, which
+    few blocks of draws, not all of its draws, and a forked child, which
     inherits no pool thread, draws the same bits."""
 
     N = 1 << 13
@@ -599,25 +604,50 @@ class TestRandomSumSample:
         assert abs(np.mean(sq) - 2.0) <= 4.0 * se
         assert abs(np.mean(s.values)) <= 4.0 * math.sqrt(2.0 / n)
 
-    def test_cyclic_scales_variance(self):
-        spec = RandomSumSpec(fixed_index(2),
-                             Summands(tr.rademacher(1.0), scales=(1.0, 2.0)))
-        n = 4 * 10 ** 4
-        s = random_sum_sample(spec, n, 13)
-        sq = s.values ** 2
-        se = np.std(sq, ddof=1) / math.sqrt(n)
-        assert abs(np.mean(sq) - 2.5) <= 4.0 * se
-
     def test_rejects_empty(self):
         spec = RandomSumSpec(GeometricIndex(0.5), Summands(RAD))
         with pytest.raises(ValueError):
             random_sum_sample(spec, 0, 1)
 
+    # only what a sweep samples: a geometric index, i.i.d. copies at scale
+    # 1, and a source with an aggregate law or one word per draw
+    @pytest.mark.parametrize("spec", [
+        RandomSumSpec(GeometricIndex(0.5), Summands(RAD, (1.0, 2.0))),
+        RandomSumSpec(GeometricIndex(0.5), Summands(RAD, (2.5,))),
+        RandomSumSpec(fixed_index(3), Summands(RAD)),
+        RandomSumSpec(GeometricIndex(0.5), Summands(dataclasses.replace(
+            tr.uniform_symmetric(1.0), one_word_draws=False))),
+    ], ids=["scales-1-2", "scale-2.5", "fixed-index", "undeclared-words"])
+    def test_rejects_what_no_sweep_samples(self, spec):
+        with pytest.raises(ValueError):
+            random_sum_sample(spec, 10, 1)
 
-def per_row_chunked_sums(rng, summands, counts, limit):
+    @given(which=st.sampled_from(range(len(tr.builtin_sources(1.0)))),
+           k=st.integers(min_value=-3, max_value=5),
+           p=st.floats(min_value=0.001, max_value=1.0),
+           n=st.integers(min_value=1, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           workers=st.integers(min_value=1, max_value=3))
+    def test_scales_by_powers_of_two_bit_for_bit(self, which, k, p, n, seed,
+                                                 workers):
+        # every sampler scales its draws by c exactly, so 2^k c gives 2^k
+        # times the bits at c, on any number of CPUs
+        def sample(b, cpus):
+            spec = RandomSumSpec(GeometricIndex(p),
+                                 Summands(tr.builtin_sources(b)[which]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(seeding, "_workers", lambda: cpus)
+                return random_sum_sample(spec, n, seed).values
+
+        base = sample(1.0, workers)
+        assert sample(1.0, 1).tobytes() == base.tobytes()
+        assert sample(2.0 ** k, workers).tobytes() == \
+            (2.0 ** k * base).tobytes()
+
+
+def per_row_chunked_sums(rng, sampler, counts, limit):
     """The reference partition: each chunk grown one row at a time while its
     draws stay within ``limit``."""
-    base, scales = summands.base, np.asarray(summands.scales)
     out = np.empty(counts.shape[0])
     start = 0
     while start < counts.shape[0]:
@@ -627,38 +657,31 @@ def per_row_chunked_sums(rng, summands, counts, limit):
             total += int(counts[stop])
             stop += 1
         chunk = counts[start:stop]
-        draws = np.asarray(base.sampler(rng, total), dtype=float)
+        draws = np.asarray(sampler(rng, total), dtype=float)
         offsets = np.concatenate([[0], np.cumsum(chunk[:-1])]).astype(int)
-        if scales.shape[0] > 1:
-            pos = np.arange(total) - np.repeat(offsets, chunk)
-            draws = draws * scales[pos % scales.shape[0]]
-        elif scales[0] != 1.0:
-            draws = draws * scales[0]
         out[start:stop] = np.add.reduceat(draws, offsets)
         start = stop
     return out
 
 
-def recording(source, sizes):
-    """``source`` with a sampler that appends the size of each call to
-    ``sizes``."""
-    def sampler(rng, n):
+def recording(sampler, sizes):
+    """``sampler``, appending the size of each call to ``sizes``."""
+    def recorded(rng, n):
         sizes.append(n)
-        return source.sampler(rng, n)
-    return dataclasses.replace(source, sampler=sampler)
+        return sampler(rng, n)
+    return recorded
 
 
 def reference_random_sum_sample(spec, n, seed):
     """random_sum_sample with a scaled copy sorted by from_values: the
     values the in-place division and sort must keep."""
     rng = substream(seed, "random-sum")
-    counts = np.asarray(spec.index.sample(rng, n))
-    sm = spec.summands
-    if len(sm.scales) == 1 and sm.base.sum_sampler is not None:
-        sums = sm.scales[0] * np.asarray(sm.base.sum_sampler(rng, counts),
-                                         dtype=float)
+    counts = rng.geometric(spec.index.p, n)
+    base = spec.summands.base
+    if base.sum_sampler is not None:
+        sums = np.asarray(base.sum_sampler(rng, counts), dtype=float)
     else:
-        sums = _chunked_sums(rng, sm, counts)
+        sums = _chunked_sums(rng, base.sampler, counts)
     return EmpiricalSample.from_values(sums / math.sqrt(spec.index.mean))
 
 
@@ -669,19 +692,19 @@ class TestSampleInPlaceBits:
 
     @given(p=st.floats(min_value=0.01, max_value=1.0),
            source=st.sampled_from(tr.builtin_sources(1.0)),
-           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
            n=st.integers(min_value=1, max_value=3000),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_equals_sorted_copy(self, p, source, scales, n, seed):
-        spec = RandomSumSpec(GeometricIndex(p), Summands(source, scales))
+    def test_equals_sorted_copy(self, p, source, n, seed):
+        spec = RandomSumSpec(GeometricIndex(p), Summands(source))
         got = random_sum_sample(spec, n, seed).values
         want = reference_random_sum_sample(spec, n, seed).values
         assert got.tobytes() == want.tobytes()
 
 
 class TestChunkedSumsBits:
-    """Chunks cut from one cumulative sum are the chunks the per-row loop
-    grows, so the chunked sampler draws the same bits."""
+    """Runs cut from one cumulative sum are the chunks the per-row loop
+    grows, so one part, walked in ``_DRAW_BLOCK`` runs, draws the same
+    bits."""
 
     LIMIT = 64
 
@@ -689,42 +712,30 @@ class TestChunkedSumsBits:
     @given(counts=st.lists(st.sampled_from([1, 16, 32, 63, 64, 65, 200])
                            | st.integers(min_value=1, max_value=150),
                            min_size=1, max_size=80),
-           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @example(counts=[32, 32, 1, 63, 65, 64, 200, 1], scales=(1.0, 2.0, 0.5),
-             seed=3)
-    def test_equals_per_row_loop(self, counts, scales, seed):
-        src = tr.uniform_symmetric(math.sqrt(6))
-        # Uniform declares one-word draws and is walked in _DRAW_BLOCK runs;
-        # the same law without the declaration takes the _CHUNK walk
-        undeclared = dataclasses.replace(src, one_word_draws=False)
+    @example(counts=[32, 32, 1, 63, 65, 64, 200, 1], seed=3)
+    def test_equals_per_row_loop(self, counts, seed):
+        sampler = tr.uniform_symmetric(math.sqrt(6)).sampler
         counts = np.asarray(counts)
         got_sizes, want_sizes = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(random_sums, "_CHUNK", self.LIMIT)
+            mp.setattr(seeding, "_workers", lambda: 1)
+            mp.setattr(random_sums, "_DRAW_BLOCK", self.LIMIT)
             got = _chunked_sums(np.random.default_rng(seed),
-                                Summands(src, scales), counts)
-            walked = _chunked_sums(
-                np.random.default_rng(seed),
-                Summands(recording(undeclared, got_sizes), scales), counts)
-        want = per_row_chunked_sums(
-            np.random.default_rng(seed),
-            Summands(recording(undeclared, want_sizes), scales), counts,
-            self.LIMIT)
+                                recording(sampler, got_sizes), counts)
+        want = per_row_chunked_sums(np.random.default_rng(seed),
+                                    recording(sampler, want_sizes), counts,
+                                    self.LIMIT)
         assert got_sizes == want_sizes  # the same chunks
-        assert np.array_equal(walked, want)
         assert np.array_equal(got, want)
 
 
-def sequential_row_sums(rng, summands, counts):
-    """One ``sampler(rng, total)`` call for every draw, scaled per index and
-    summed row by row: the sums the chunked sampler must reproduce."""
-    scales = np.asarray(summands.scales)
+def sequential_row_sums(rng, sampler, counts):
+    """One ``sampler(rng, total)`` call for every draw, summed row by row:
+    the sums the chunked sampler must reproduce."""
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    draws = np.asarray(summands.base.sampler(rng, int(counts.sum())),
-                       dtype=float)
-    pos = np.arange(draws.shape[0]) - np.repeat(offsets, counts)
-    return np.add.reduceat(draws * scales[pos % scales.shape[0]], offsets)
+    draws = np.asarray(sampler(rng, int(counts.sum())), dtype=float)
+    return np.add.reduceat(draws, offsets)
 
 
 ONE_WORD_SOURCES = [src for src in tr.builtin_sources(1.0)
@@ -748,26 +759,23 @@ class TestPartedChunkedSumsBits:
     @given(counts=st.lists(st.sampled_from([1, 7, 8, 63, 64, 65, 200])
                            | st.integers(min_value=1, max_value=150),
                            min_size=1, max_size=80),
-           scales=st.sampled_from([(1.0,), (2.5,), (1.0, 2.0, 0.5)]),
            source=st.sampled_from(ONE_WORD_SOURCES),
            workers=st.integers(min_value=1, max_value=5),
            block=st.sampled_from([1, 7, 64]),
            buffered=st.booleans(),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @example(counts=[200, 1, 1, 1, 64, 7], scales=(1.0, 2.0, 0.5),
-             source=ONE_WORD_SOURCES[0], workers=5, block=1, buffered=True,
-             seed=3)
-    def test_equals_sequential_draw(self, counts, scales, source, workers,
-                                    block, buffered, seed):
+    @example(counts=[200, 1, 1, 1, 64, 7], source=ONE_WORD_SOURCES[0],
+             workers=5, block=1, buffered=True, seed=3)
+    def test_equals_sequential_draw(self, counts, source, workers, block,
+                                    buffered, seed):
         counts = np.asarray(counts)
-        summands = Summands(source, scales)
         rng = half_word_rng(seed, buffered)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seeding, "_workers", lambda: workers)
             mp.setattr(random_sums, "_DRAW_BLOCK", block)
-            got = _chunked_sums(rng, summands, counts)
+            got = _chunked_sums(rng, source.sampler, counts)
         ref = half_word_rng(seed, buffered)
-        want = sequential_row_sums(ref, summands, counts)
+        want = sequential_row_sums(ref, source.sampler, counts)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -775,7 +783,7 @@ class TestPartedChunkedSumsBits:
         # a fresh pool of 8 threads, and thread switches every microsecond:
         # a part written into the wrong rows or from the wrong word shows
         counts = substream(5, "stress").geometric(0.05, 3000)
-        summands = Summands(tr.uniform_symmetric(1.0), (1.0, 2.0, 0.5))
+        sampler = tr.uniform_symmetric(1.0).sampler
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seeding, "_POOL", None)
@@ -783,13 +791,13 @@ class TestPartedChunkedSumsBits:
             mp.setattr(random_sums, "_DRAW_BLOCK", 64)
             sys.setswitchinterval(1e-6)
             try:
-                got = [_chunked_sums(np.random.default_rng(k), summands,
+                got = [_chunked_sums(np.random.default_rng(k), sampler,
                                      counts) for k in range(20)]
             finally:
                 sys.setswitchinterval(interval)
                 seeding._pool().shutdown()
         for k, sums in enumerate(got):
-            want = sequential_row_sums(np.random.default_rng(k), summands,
+            want = sequential_row_sums(np.random.default_rng(k), sampler,
                                        counts)
             assert sums.tobytes() == want.tobytes()
 

@@ -25,13 +25,13 @@ def inner(k):
 assert seeding.run_all([lambda k=k: inner(k) for k in range(2)]) == [
     [(k, j) for j in range(3)] for k in range(2)]
 
-summands = random_sums.Summands(tr.uniform_symmetric(1.0))
+sampler = tr.uniform_symmetric(1.0).sampler
 counts = np.random.default_rng(5).geometric(0.05, 400)
 
 
 def sums(seed):
     rng = np.random.default_rng(seed)
-    return random_sums._chunked_sums(rng, summands, counts).tobytes()
+    return random_sums._chunked_sums(rng, sampler, counts).tobytes()
 
 
 want = [sums(seed) for seed in range(2)]
