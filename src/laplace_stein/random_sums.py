@@ -46,7 +46,7 @@ from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, bl_lower_bound, dkw_band,
                       kolmogorov_empirical, kolmogorov_from_bl,
                       wasserstein_empirical, within_four_se)
-from . import seeding
+from . import metrics, seeding
 from .seeding import derive_seed, substream
 from .stein import dense_bl_family
 from .transforms import SourceDistribution
@@ -149,6 +149,12 @@ class Summands:
         if not arr or any(not math.isfinite(s) or s < 0 for s in arr):
             raise ValueError("scales must be finite and nonnegative")
         object.__setattr__(self, "scales", arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.stack(self.residue_moments())).all(axis=0)
+        if not finite.all():
+            raise OverflowError(
+                f"scale {arr[int(np.argmin(finite))]:g} overflows the summand "
+                "moments (sigma^2, E|X|, E|X|^3)")
 
     @property
     def is_iid(self) -> bool:
@@ -192,18 +198,31 @@ class RandomSumSpec:
     summands: Summands
 
     def sigma2_total(self) -> float:
-        """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2."""
+        """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2.
+
+        Raises OverflowError when it is not a finite float.
+        """
         sm = self.summands
-        if sm.is_iid:
-            return sm.sigma2_at(1) * self.index.mean
-        if isinstance(self.index, ExplicitIndex):
-            m = np.arange(1, len(self.index.probs) + 1)
-            return float(np.sum(self.index.survival(m) * sm.sigma2_at(m)))
-        # geometric + cyclic scales: group by residue, sum the geometric series
-        p, L = self.index.p, len(sm.scales)
-        r = np.arange(1, L + 1)
-        q = 1.0 - p
-        return float(np.sum(sm.sigma2_at(r) * q ** (r - 1)) / (1.0 - q ** L))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if sm.is_iid:
+                total = sm.sigma2_at(1) * self.index.mean
+            elif isinstance(self.index, ExplicitIndex):
+                m = np.arange(1, len(self.index.probs) + 1)
+                total = float(np.sum(self.index.survival(m)
+                                     * sm.sigma2_at(m)))
+            else:
+                # geometric + cyclic scales: group by residue, sum the
+                # geometric series
+                p, L = self.index.p, len(sm.scales)
+                r = np.arange(1, L + 1)
+                q = 1.0 - p
+                total = float(np.sum(sm.sigma2_at(r) * q ** (r - 1))
+                              / (1.0 - q ** L))
+        if not math.isfinite(total):
+            raise OverflowError(
+                f"total variance sigma^2 is {total} at scales "
+                f"{', '.join(f'{s:g}' for s in sm.scales)}")
+        return total
 
     @property
     def b_equiv(self) -> float:
@@ -213,31 +232,43 @@ class RandomSumSpec:
 
 @dataclass(frozen=True)
 class MDistribution:
-    """Truncated pmf of the auxiliary index M, with certified tail mass, and
-    the index N's pmf on the same support (the coupling term needs both)."""
+    """Truncated pmf of the auxiliary index M, with certified tail mass, its
+    mean, and the index N's pmf on the same support (the coupling term
+    needs both).  Both arrays are read-only, and where the two pmfs are
+    equal bit for bit ``index_pmf`` may be ``pmf`` itself."""
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
     index_pmf: np.ndarray  # index_pmf[i] = P{N = i+1}
-
-    @property
-    def mean(self) -> float:
-        # a float support: np.dot would cast an integer one to a float copy
-        support = np.arange(1.0, self.pmf.shape[0] + 1.0)
-        return float(np.dot(support, self.pmf))
+    mean: float  # sum_m m P{M = m}, as np.dot of the support and the pmf
 
 
-def _over_atoms(k: int, *tables) -> tuple:
-    """Per-residue tables read at the atoms m = 1..k: as they are when
+def _geometric_survival(p: float, k: int) -> np.ndarray:
+    """(1-p)^(m-1), m = 1..k, over a float exponent, written over the
+    exponent: the bits of GeometricIndex.survival(m) without its integer
+    temporaries."""
+    out = np.arange(k, dtype=float)
+    np.power(1.0 - p, out, out=out)
+    return out
+
+
+def _over_atoms(i: int, j: int, *tables) -> tuple:
+    """Per-residue tables read at the atoms m = i+1..j: as they are when
     L = 1 (they broadcast), else gathered by one (m-1) mod L index array."""
     if tables[0].shape[0] == 1:
         return tables
-    residue = np.arange(k) % tables[0].shape[0]
+    residue = np.arange(i, j) % tables[0].shape[0]
     return tuple(table[residue] for table in tables)
 
 
 def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
     """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..truncation.
+
+    Every k-length array is built in its own storage, and the mean is taken
+    before N's pmf is built, so at most two are alive at once.  On a
+    geometric index whose weights sigma_r^2 / sigma^2 all equal p bit for
+    bit (i.i.d. summands, as a rule), P{M = m} and P{N = m} are the same
+    product p (1-p)^(m-1), and ``index_pmf`` is ``pmf``: one array for both.
 
     Raises TruncationError when the certified tail mass beyond the truncation
     exceeds 1e-10.
@@ -248,17 +279,15 @@ def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
     if sigma2 <= 0:
         raise ValueError("total variance must be positive")
     index = spec.index
-    if isinstance(index, ExplicitIndex):
-        m = np.arange(1, truncation + 1)
-        survival, index_pmf = index.survival(m), index.pmf(m)
-    else:
-        # (1-p)^(m-1) over a float exponent: the bits of index.survival(m)
-        # without its integer temporaries
-        survival = (1.0 - index.p) ** np.arange(truncation, dtype=float)
-        index_pmf = index.p * survival
+    explicit = isinstance(index, ExplicitIndex)
     weight = spec.summands.residue_moments()[0] / sigma2
-    pmf = _over_atoms(truncation, weight)[0] * survival
-    if isinstance(index, ExplicitIndex):
+    pmf = index.survival(np.arange(1, truncation + 1)) if explicit \
+        else _geometric_survival(index.p, truncation)
+    # the survival weighted in place, one residue at a time
+    period = weight.shape[0]
+    for r in range(period):
+        pmf[r::period] *= weight[r]
+    if explicit:
         tail = 0.0 if truncation >= len(index.probs) \
             else max(0.0, 1.0 - float(pmf.sum()))
     else:
@@ -269,7 +298,76 @@ def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
         raise TruncationError(
             f"tail mass {tail:.3e} above {_TAIL_TOL:g} at truncation "
             f"{truncation}; increase the truncation")
-    return MDistribution(pmf=pmf, tail_bound=float(tail), index_pmf=index_pmf)
+    # a float support: np.dot would cast an integer one to a float copy
+    mean = float(np.dot(np.arange(1.0, truncation + 1.0), pmf))
+    if explicit:
+        index_pmf = index.pmf(np.arange(1, truncation + 1))
+    elif np.all(weight == index.p):
+        index_pmf = pmf
+    else:
+        index_pmf = _geometric_survival(index.p, truncation)
+        index_pmf *= index.p
+    pmf.flags.writeable = index_pmf.flags.writeable = False
+    return MDistribution(pmf=pmf, tail_bound=float(tail),
+                         index_pmf=index_pmf, mean=mean)
+
+
+def _streamed_sum(count: int, blocks) -> float:
+    """np.sum of the ``count`` values that the iterator ``blocks`` gives,
+    block after block, bit for bit: ``metrics._tree_sum`` asks for its
+    leaves in order, and each is cut from the blocks drawn so far, so only
+    a leaf's and a block's values are alive at a time."""
+    pending = np.empty(0)
+
+    def leaf(i, j):
+        nonlocal pending
+        while pending.shape[0] < j - i:
+            pending = np.concatenate([pending, next(blocks)])
+        values, pending = pending[:j - i], pending[j - i:]
+        return values
+
+    return metrics._tree_sum(count, leaf)
+
+
+_MERGE_BLOCK = 1 << 14  # values of each cumulative sum per merge block
+
+
+def _quantile_merge(cn: np.ndarray, cm: np.ndarray, top: float):
+    """The quantile breaks np.union1d(cn, cm) at or below ``top``, with
+    np.searchsorted(cn, breaks, side="left") and the same in cm, one block
+    of at most 2 * _MERGE_BLOCK breaks at a time.
+
+    A block holds the breaks in a value range (previous v, v], where v is
+    the value _MERGE_BLOCK places on in one of the two sorted arrays.  The
+    values of either array in that range beyond those places all equal v,
+    so the block's breaks and ranks come from slices of at most
+    _MERGE_BLOCK values, however long a run of equal sums is.
+    """
+    block = _MERGE_BLOCK
+    i = j = 0
+    while True:
+        v = min(cn[min(i + block, cn.shape[0]) - 1],
+                cm[min(j + block, cm.shape[0]) - 1], top)
+        i1 = int(np.searchsorted(cn, v, side="right"))
+        j1 = int(np.searchsorted(cm, v, side="right"))
+        part_n, part_m = cn[i:min(i1, i + block)], cm[j:min(j1, j + block)]
+        breaks = np.union1d(part_n, part_m)
+        yield (breaks, i + np.searchsorted(part_n, breaks, side="left"),
+               j + np.searchsorted(part_m, breaks, side="left"))
+        if v == top:
+            return
+        i, j = i1, j1
+
+
+def _gap_terms(cn: np.ndarray, cm: np.ndarray, top: float):
+    """sqrt|nq - mq| times the widths of the merged quantile breaks, the
+    widths being the breaks' differences from 0.0 on, a block at a time."""
+    last = 0.0
+    for breaks, nq, mq in _quantile_merge(cn, cm, top):
+        widths = np.diff(breaks, prepend=last)
+        last = breaks[-1]
+        widths *= np.sqrt(np.abs(nq - mq))
+        yield widths
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -277,18 +375,17 @@ def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
 
     Bitwise-equal pmfs have equal quantiles everywhere: the coupling is the
     diagonal N = M and the gap is exactly 0.0, the value the merge of the
-    quantile breaks below would return, so it is returned without the sort.
+    quantile breaks below would return, so it is returned without the merge.
+    Otherwise the merge runs twice, a block at a time: once to count the
+    breaks, once to stream the terms into np.sum's tree.  The two
+    cumulative sums are its only arrays of length k.
     """
-    if np.array_equal(pn, pm):
+    if pn is pm or np.array_equal(pn, pm):
         return 0.0
     cn, cm = np.cumsum(pn), np.cumsum(pm)
     top = min(cn[-1], cm[-1])
-    breaks = np.union1d(cn, cm)
-    breaks = breaks[breaks <= top]
-    nq = np.searchsorted(cn, breaks, side="left")
-    mq = np.searchsorted(cm, breaks, side="left")
-    widths = np.diff(np.concatenate([[0.0], breaks]))
-    return float(np.sum(np.sqrt(np.abs(nq - mq)) * widths))
+    count = sum(blk[0].shape[0] for blk in _quantile_merge(cn, cm, top))
+    return _streamed_sum(count, _gap_terms(cn, cm, top))
 
 
 def _next_fast_len(n: int) -> int:
@@ -449,17 +546,28 @@ def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
     """(E|X_M|, (1/3) E[|X_M|^3 / sigma_M^2]) over the truncated M-pmf.
 
     Atoms without M-mass (zero variance or zero survival) are left out of
-    the ratio term, which is masked only when such atoms exist.
+    the ratio term.  Both sums are np.sum over the whole pmf, bit for bit,
+    taken a block of atoms at a time.
     """
-    sigma2, abs_mean, abs_third = _over_atoms(pmf.shape[0],
-                                              *summands.residue_moments())
-    abs_mean_m = float(np.sum(pmf * abs_mean))
-    ratio = pmf * abs_third
-    with np.errstate(invalid="ignore"):  # 0/0 on zero-variance atoms
-        ratio /= sigma2
-    live = pmf > 0
-    third_m = float(np.sum(ratio if live.all() else ratio[live])) / 3.0
-    return abs_mean_m, third_m
+    sigma2, abs_mean, abs_third = summands.residue_moments()
+    k, block = pmf.shape[0], metrics._BLOCK
+    spans = [(i, min(i + block, k)) for i in range(0, k, block)]
+
+    def abs_means():
+        for i, j in spans:
+            yield pmf[i:j] * _over_atoms(i, j, abs_mean)[0]
+
+    def ratios():
+        for i, j in spans:
+            var, third = _over_atoms(i, j, sigma2, abs_third)
+            ratio = pmf[i:j] * third
+            with np.errstate(invalid="ignore"):  # 0/0 on zero-variance atoms
+                ratio /= var
+            yield ratio[pmf[i:j] > 0]
+
+    live = sum(int(np.count_nonzero(pmf[i:j] > 0)) for i, j in spans)
+    return (_streamed_sum(k, abs_means()),
+            _streamed_sum(live, ratios()) / 3.0)
 
 
 def general_sum_bound(spec: RandomSumSpec,

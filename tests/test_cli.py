@@ -328,6 +328,26 @@ class TestFlags:
         assert "numeric/runtime failure:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, scale", [
+        (["bounds", "--scales", "1e200"], "1e+200"),
+        (["bounds", "--scales", "1,1e160", "--p", "0.1"], "1e+160"),
+        (["bounds", "--scales", "1e100", "--p", "1e-300"], "1e+100")])
+    def test_overflowing_scale_fails_before_any_array(self, argv, scale):
+        # a moment or the total variance that is not a finite float stops
+        # the command at once: one line naming the scale, no numpy warning
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "laplace_stein.cli",
+             *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and "Warning" not in lines[0]
+        assert lines[0].startswith("numeric/runtime failure: OverflowError")
+        assert scale in lines[0]
+
 
 class TestConfigResolution:
     def test_flags_override_config_file(self, tmp_path):

@@ -18,6 +18,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        _chunked_sums,
                                        _comonotone_sqrt_gap, _gap_truncation,
                                        _independent_sqrt_gap,
+                                       _moments_under_m,
                                        _next_fast_len, convergence_sweep,
                                        expected_sqrt_index_gap, fixed_index,
                                        general_sum_bound, geometric_sum_bound,
@@ -25,7 +26,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        random_sum_sample, recompute_bound)
 from laplace_stein.seeding import substream
 from laplace_stein.stein import dense_bl_family
-from laplace_stein import random_sums, seeding, transforms as tr
+from laplace_stein import metrics, random_sums, seeding, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
 RAD = tr.rademacher(SQRT2)
@@ -124,6 +125,31 @@ class TestMDistribution:
         md = m_distribution(spec, trunc)
         assert abs(float(md.pmf.sum()) + md.tail_bound - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
+    def test_equal_pmfs_share_one_read_only_array(self, p):
+        # sigma_1^2 / sigma^2 == p bit for bit at the bounds-deep p values,
+        # so P{M = m} and P{N = m} are the same product p (1-p)^(m-1)
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
+        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
+            == p
+        md = m_distribution(spec, _gap_truncation(spec))
+        assert md.index_pmf is md.pmf
+        assert not md.pmf.flags.writeable
+        with pytest.raises(ValueError):
+            md.pmf[0] = 0.0
+
+    def test_unequal_pmfs_stay_two_arrays(self):
+        # at p = 0.123 the weight sigma_1^2 / sigma^2 is p give or take an ulp
+        spec = RandomSumSpec(GeometricIndex(0.123), Summands(RAD))
+        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
+            != 0.123
+        k = _gap_truncation(spec)
+        md = m_distribution(spec, k)
+        assert md.index_pmf is not md.pmf
+        assert np.array_equal(md.index_pmf,
+                              spec.index.pmf(np.arange(1, k + 1)))
+        assert not md.index_pmf.flags.writeable
+
     def test_truncation_error(self):
         spec = RandomSumSpec(GeometricIndex(0.001), Summands(RAD))
         with pytest.raises(TruncationError):
@@ -216,13 +242,18 @@ class TestIndependentGapBits:
         assert gap == fftconvolve_gap(pn, md.pmf)
 
     def test_next_fast_len_matches_scipy(self):
+        # the answer is a step function of n that steps just past each
+        # 5-smooth number s, so s and s +- 1 for every s <= 2**20 meet
+        # every step at both its ends
         from scipy.fft import next_fast_len
 
-        ours = [_next_fast_len(n) for n in range(1, 200_001)]
-        assert ours == [next_fast_len(n, real=True)
-                        for n in range(1, 200_001)]
-        for n in (10 ** 9 + 1, 2 ** 31 - 1, 3 ** 19 + 1, 10 ** 12 + 7):
-            assert _next_fast_len(n) == next_fast_len(n, real=True)
+        smooth = [2 ** a * 3 ** b * 5 ** c for a in range(21)
+                  for b in range(14) for c in range(9)]
+        lengths = sorted({n for s in smooth if s <= 1 << 20
+                          for n in (s - 1, s, s + 1) if n >= 1})
+        lengths += [10 ** 9 + 1, 2 ** 31 - 1, 3 ** 19 + 1, 10 ** 12 + 7]
+        assert [_next_fast_len(n) for n in lengths] \
+            == [next_fast_len(n, real=True) for n in lengths]
 
 
 class TestGeometricSumBound:
@@ -440,18 +471,54 @@ class TestBoundBits:
         md = m_distribution(spec, k)
         assert np.array_equal(md.pmf, pmf)
         assert np.array_equal(md.index_pmf, index.pmf(np.arange(1, k + 1)))
+        assert md.mean == float(np.dot(np.arange(1.0, k + 1.0), pmf))
         assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
         if iid is not None:
             assert iid_sum_bound(spec, coupling).components == iid
         assert general_sum_bound(spec, coupling).components == general
 
     @given(pn=st.lists(st.integers(min_value=0, max_value=5), min_size=1,
-                       max_size=12).filter(any),
-           swap=st.booleans())
-    def test_gap_equals_quantile_merge(self, pn, swap):
+                       max_size=300).filter(any),
+           pair=st.sampled_from(("copy", "reversed", "rolled")),
+           block=st.sampled_from((1, 2, 5, 1 << 14)))
+    @example(pn=[1] * 200, pair="rolled", block=2)
+    @example(pn=[1, 0, 0, 0, 0, 0, 0, 2], pair="reversed", block=1)
+    def test_gap_equals_quantile_merge(self, pn, pair, block):
+        # small merge blocks cross runs of equal sums and, past 128 breaks,
+        # split numpy's summation tree between blocks
         pn = np.asarray(pn, dtype=float) / sum(pn)
-        pm = pn[::-1].copy() if swap else pn.copy()
-        assert _comonotone_sqrt_gap(pn, pm) == quantile_merge_gap(pn, pm)
+        pm = {"copy": pn.copy(), "reversed": pn[::-1].copy(),
+              "rolled": np.roll(pn, 1)}[pair]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random_sums, "_MERGE_BLOCK", block)
+            gap = _comonotone_sqrt_gap(pn, pm)
+        assert gap == quantile_merge_gap(pn, pm)
+
+    @given(scales=st.lists(SCALES, min_size=1, max_size=4).map(tuple),
+           source=st.sampled_from(tr.builtin_sources(1.0)),
+           k=st.integers(min_value=1, max_value=600),
+           zeros=st.sampled_from((0.0, 0.3)),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           block=st.sampled_from((1, 7, 1 << 16)))
+    def test_moments_equal_whole_pmf_sums(self, scales, source, k, zeros,
+                                          seed, block):
+        # the blocks' terms are np.sum's over the whole pmf, dead atoms
+        # (no M-mass, or no variance) left out of the ratio
+        sm = Summands(source, scales)
+        rng = np.random.default_rng(seed)
+        pmf = rng.random(k)
+        pmf[rng.random(k) < zeros] = 0.0
+        m = np.arange(1, k + 1)
+        live = pmf > 0
+        sigma2_m = sm.sigma2_at(m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            third = pmf[live] * sm.abs_third_at(m[live]) / sigma2_m[live]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            got = _moments_under_m(sm, pmf)
+        want = (float(np.sum(pmf * sm.abs_mean_at(m))),
+                float(np.sum(third)) / 3.0)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def traced_peak(fn, *args):
@@ -469,9 +536,32 @@ class TestBoundMemory:
 
     @pytest.mark.parametrize("bound", [iid_sum_bound, general_sum_bound])
     def test_peak_allocation(self, bound):
+        # N's and M's pmfs are one array here, and the M-moments are summed
+        # a block at a time: the pmf and the float support of its mean
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
         k = _gap_truncation(spec)
         _, peak = traced_peak(bound, spec, "comonotone")
+        assert peak <= 2.4 * 8 * k
+
+    def test_shared_pmf_gap_allocates_no_array(self):
+        # N and M share one pmf, and its mean was taken with it: the
+        # comonotone gap and its slack need no k-length array
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
+        md = m_distribution(spec, _gap_truncation(spec))
+        _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
+                              "comonotone")
+        assert peak <= 0.1 * 8 * md.pmf.shape[0]
+
+    def test_comonotone_merge_in_blocks(self):
+        # the two cumulative sums and a merge block's temporaries, where
+        # np.union1d over the whole sums held about 8 k-float arrays
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
+        md = m_distribution(spec, _gap_truncation(spec))
+        k = md.pmf.shape[0]
+        gap, peak = traced_peak(_comonotone_sqrt_gap, md.index_pmf, md.pmf)
+        assert gap == quantile_merge_gap(md.index_pmf, md.pmf)
+        assert peak <= 3.5 * 8 * k
+        _, peak = traced_peak(general_sum_bound, spec, "comonotone")
         assert peak <= 5 * 8 * k
 
     def test_independent_gap_in_place(self):
