@@ -20,16 +20,16 @@ Two tools live here:
 
         S_j = I_j + exp(-(x_{j+1} - x_j)/b) * S_{j+1},   T(x_j) = S_j / (2b)
 
-    yields every point in one sweep.  Panels are kink-free and at most b/2
-    wide.  The 10-point rule's error on a panel shrinks with the distance
-    from the panel to the integrand's nearest complex singularity, measured
-    in panel widths.  The linear pieces and sin and cos have none, and the
-    rule is at rounding level there.  tanh has poles at distance pi/2 from
-    the real axis, so wide panels resolve it less well: at b = 3.88 (panels
-    1.94 wide) the Stein solution g(-10.58) differs by 3.5e-13 between a
-    call on that point alone and one beside -2.95, which lays other nodes;
-    that was the worst of 600 random (b, points) draws with b in [0.25, 4].
-    It is far below the 1e-6 residual tolerance, but not below 1e-15.
+    yields every point in one sweep.  Panels are kink-free and at most
+    min(b/2, 1) wide.  The 10-point rule's error on a panel shrinks with the
+    distance from the panel to the integrand's nearest complex singularity,
+    measured in panel widths, and grows with the number of oscillations the
+    panel holds.  The linear pieces have no singularity, tanh has poles at
+    distance pi/2 from the real axis, and sin and cos turn once in 2 pi; a
+    panel at most 1 wide keeps all of them at rounding level whatever b is.
+    The cost is one panel per unit length beyond b = 2, so a call that would
+    need more than ``MAX_PANELS`` panels raises QuadratureError up front, and
+    the panels are integrated and summed in blocks of ``_PANEL_BLOCK``.
 
 SciPy is imported inside ``laplace_expectation``, the one function that calls
 it, so that importing the package, and commands that never integrate, load
@@ -43,16 +43,25 @@ import numpy as np
 from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the nodes mapped onto [0, 1]
 
 # exp(-40) ~ 4e-18: tail weight below double-precision resolution.
 TAIL_SPAN = 40.0
+
+# A call needing more panels is refused before any array is built: at this
+# many, one call takes about half a second and its node arrays tens of MB.
+MAX_PANELS = 2 ** 20
+# Panels integrated at once: 2^14 x 10 nodes, 1.3 MB an array.
+_PANEL_BLOCK = 2 ** 14
 
 
 def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there.
-    Raises QuadratureError when the error estimate exceeds ``tol``.
+    Raises QuadratureError when the error estimate exceeds ``tol``.  QUADPACK's
+    own complaint (roundoff, the subdivision limit) is logged at DEBUG, not
+    warned: the error estimate alone decides.
     """
     from scipy import integrate
 
@@ -62,8 +71,15 @@ def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
         return (f(u) + f(-u)) * np.exp(-u / b)
 
     points = sorted({abs(k) for k in kinks if 0.0 < abs(k) < hi})
-    val, err = integrate.quad(folded, 0.0, hi, points=points or None,
-                              limit=300, epsabs=1e-12, epsrel=1e-12)
+    val, err, info, *message = integrate.quad(
+        folded, 0.0, hi, points=points or None, limit=300, epsabs=1e-12,
+        epsrel=1e-12, full_output=1)
+    if message:
+        import logging  # loaded by scipy already
+
+        logging.getLogger(__name__).debug(
+            "quad at b=%g: %d subintervals, error estimate %.3e: %s",
+            b, info["last"], err, " ".join(message[0].split()))
     if err / (2.0 * b) > tol:
         raise QuadratureError("expectation quadrature did not converge",
                               residual=err / (2.0 * b))
@@ -74,41 +90,55 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
     """T(x) = (1/(2b)) int_0^inf exp(-u/b) f(x+u) du on sorted points xs.
 
     ``f`` must accept ndarray input.  Panels end at the points xs, at the
-    ``kinks`` (where f is not smooth) and on a b/2 grid up to the truncation
-    point xs[-1] + TAIL_SPAN*b, so each panel integrand is analytic; a panel
-    wider than b/2, as between two far-apart points, is split into equal
-    parts, so T(x) does not depend on the other points.
+    ``kinks`` (where f is not smooth) and on a min(b/2, 1) grid up to the
+    truncation point xs[-1] + TAIL_SPAN*b, so each panel integrand is
+    analytic; a wider panel, as between two far-apart points, is split into
+    equal parts, so T(x) does not depend on the other points.  Raises
+    QuadratureError when that takes more than MAX_PANELS panels.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a nonempty 1-d array")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be sorted ascending")
+    width_cap = min(0.5 * b, 1.0)
     top = xs[-1] + TAIL_SPAN * b
-    pieces = [xs, np.arange(xs[-1], top, 0.5 * b), np.asarray([top])]
+    # each gap g takes ceil(g / width_cap) <= g / width_cap + 1 panels
+    most = (top - xs[0]) / width_cap + xs.size + len(kinks)
+    if most > MAX_PANELS:
+        raise QuadratureError(
+            f"tail quadrature at b={b:g} over [{xs[0]:g}, {xs[-1]:g}] needs "
+            f"up to {most:.3g} panels, more than {MAX_PANELS}")
+    pieces = [xs, np.arange(xs[-1], top, width_cap), np.asarray([top])]
     interior = [k for k in kinks if xs[0] < k < top]
     if interior:
         pieces.append(np.asarray(interior, dtype=float))
     nodes = np.unique(np.concatenate(pieces))
-    # the b/2 grid's panels are b/2 up to rounding and stay whole
+    # the width_cap grid's panels are width_cap up to rounding and stay whole
     gap = np.diff(nodes)
-    parts = np.ceil(gap / (0.5 * b) - 1e-9).astype(int).clip(1)
+    parts = np.ceil(gap / width_cap - 1e-9).astype(int).clip(1)
     if parts.max() > 1:
         step = np.repeat(gap / parts, parts)
         k = np.arange(step.size) - np.repeat(np.cumsum(parts) - parts, parts)
         nodes = np.append(np.repeat(nodes[:-1], parts) + k * step, nodes[-1])
 
+    # panel integrals and the suffix recursion, one block at a time from
+    # the right; S_j = I_j + decay_j * S_{j+1} runs on Python floats, the
+    # same IEEE product and sum as on numpy scalars at a fraction of the cost
     left = nodes[:-1]
     width = np.diff(nodes)
-    y = left[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]
-    wts = (0.5 * width)[:, None] * _GL_WEIGHTS[None, :]
-    panel = np.sum(wts * np.exp(-(y - left[:, None]) / b) * f(y), axis=1)
-
-    decay = np.exp(-width / b)
     suffix = np.zeros(nodes.size)
     acc = 0.0
-    for j in range(nodes.size - 2, -1, -1):
-        acc = panel[j] + decay[j] * acc
-        suffix[j] = acc
+    for lo in reversed(range(0, width.size, _PANEL_BLOCK)):
+        x0 = left[lo:lo + _PANEL_BLOCK, None]
+        w = width[lo:lo + _PANEL_BLOCK, None]
+        y = x0 + _GL_UNIT[None, :] * w
+        wts = (0.5 * w) * _GL_WEIGHTS[None, :]
+        panel = np.sum(wts * np.exp(-(y - x0) / b) * f(y), axis=1).tolist()
+        decay = np.exp(-w[:, 0] / b).tolist()
+        block = [0.0] * len(panel)
+        for j in range(len(panel) - 1, -1, -1):
+            acc = panel[j] + decay[j] * acc
+            block[j] = acc
+        suffix[lo:lo + len(block)] = block
     return suffix[np.searchsorted(nodes, xs)] / (2.0 * b)
-

@@ -192,7 +192,8 @@ def _cached_wh(h: TestFunction, b: float) -> float:
 
 @dataclass(frozen=True)
 class SolutionProfile:
-    """Solution and derivatives evaluated on one grid in a single pass."""
+    """Solution and derivatives evaluated on one grid in a single pass; the
+    arrays are read-only."""
 
     x: np.ndarray
     g: np.ndarray
@@ -204,13 +205,18 @@ class SolutionProfile:
 class SteinSolution:
     """Bounded solution of g - b^2 g'' = h - Wh with g(0) = 0.
 
-    Evaluators are immutable and safe for concurrent use; each call is a
-    fresh quadrature pass.
+    Evaluators are safe for concurrent use.  The solution keeps the profile
+    of the last grid it evaluated, keyed on the grid's shape and bytes, so
+    a residual and a certificate on one grid share one quadrature pass; any
+    other grid is a fresh pass, which replaces the stored one.
     """
 
     h: TestFunction
     b: float
     target_mean: float  # Wh
+    # (key, SolutionProfile), read and replaced as one tuple, so a thread
+    # sees either the old pair or the new one
+    _last: tuple = field(default=(None, None), init=False, repr=False)
 
     def centered(self, x):
         return self.h.fn(x) - self.target_mean
@@ -227,6 +233,10 @@ class SteinSolution:
 
     def profile(self, grid) -> SolutionProfile:
         xs = np.asarray(grid, dtype=float)
+        key = (xs.shape, xs.tobytes())
+        last_key, last = self._last
+        if key == last_key:
+            return last
         if np.any(np.diff(xs) < 0):
             raise ValueError("grid must be sorted ascending")
         a_vals, b_vals = self._tails(xs)
@@ -235,7 +245,11 @@ class SteinSolution:
         g = a_vals + b_vals
         g1 = (a_vals - b_vals) / b
         g2 = (g - ht) / b ** 2
-        return SolutionProfile(x=xs, g=g, g1=g1, g2=g2)
+        prof = SolutionProfile(x=xs.copy(), g=g, g1=g1, g2=g2)
+        for arr in (prof.x, prof.g, prof.g1, prof.g2):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_last", (key, prof))
+        return prof
 
     def _eval(self, x, of: Callable):
         """of(profile) at x in any order: profile sorted x, then unsort."""

@@ -23,6 +23,16 @@ def run_cli(args):
     return cli.main(args)
 
 
+def cli_subprocess(argv):
+    """Run the command in a fresh interpreter that shows every warning."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "laplace_stein.cli", *argv],
+        env=env, capture_output=True, text=True)
+
+
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -115,6 +125,26 @@ class TestOtherCommands:
         assert rep["family_size"] == 21
         assert all(c["residual_max"] <= 1e-6 for c in rep["checks"])
         assert all(c["certificate"]["passed"] for c in rep["checks"])
+
+    def test_stein_check_at_large_b(self):
+        # panels at most 1 wide keep cos's g(0) at rounding level (b/2-wide
+        # panels read -9.8e-10 at b = 24 and 9.6e-3 at b = 64), and QUADPACK's
+        # roundoff complaint on cos at b = 64 stays off stderr
+        run = cli_subprocess(["stein-check", "--b", "4,24,64"])
+        assert run.returncode == 0
+        assert run.stderr == ""
+        rep = json.loads(run.stdout)
+        assert rep["all_pass"] is True
+        assert max(abs(c["solution_at_zero"]) for c in rep["checks"]) <= 1e-13
+
+    def test_stein_check_beyond_quadrature_is_one_line(self):
+        # Wh of cos does not converge at b = 5e3: exit 3 and one line
+        run = cli_subprocess(["stein-check", "--b", "5e3"])
+        assert run.returncode == 3
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric/runtime failure: QuadratureError")
 
     def test_fixed_point(self, tmp_path):
         out = tmp_path / "fp.json"
@@ -335,12 +365,7 @@ class TestFlags:
     def test_overflowing_scale_fails_before_any_array(self, argv, scale):
         # a moment or the total variance that is not a finite float stops
         # the command at once: one line naming the scale, no numpy warning
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "laplace_stein.cli",
-             *argv], env=env, capture_output=True, text=True)
+        run = cli_subprocess(argv)
         assert run.returncode == 3
         assert run.stdout == ""
         lines = run.stderr.splitlines()

@@ -1,13 +1,52 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
+from laplace_stein import quadrature
 from laplace_stein.errors import QuadratureError
 from laplace_stein.laplace import LaplaceParams, char_fn, moment
 from laplace_stein.quadrature import (exp_weighted_right_tail,
                                       laplace_expectation)
+from laplace_stein.stein import smoothed_indicator
+
+
+def numpy_scalar_tail(f, b, xs, kinks=()):
+    """The tail rule with b/2 panels, all at once, and its suffix recursion
+    on numpy scalars: the reference for the blocked Python-float version,
+    which must match it bit for bit wherever b/2 <= 1."""
+    xs = np.asarray(xs, dtype=float)
+    top = xs[-1] + quadrature.TAIL_SPAN * b
+    pieces = [xs, np.arange(xs[-1], top, 0.5 * b), np.asarray([top])]
+    interior = [k for k in kinks if xs[0] < k < top]
+    if interior:
+        pieces.append(np.asarray(interior, dtype=float))
+    nodes = np.unique(np.concatenate(pieces))
+    gap = np.diff(nodes)
+    parts = np.ceil(gap / (0.5 * b) - 1e-9).astype(int).clip(1)
+    if parts.max() > 1:
+        step = np.repeat(gap / parts, parts)
+        k = np.arange(step.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        nodes = np.append(np.repeat(nodes[:-1], parts) + k * step, nodes[-1])
+
+    left = nodes[:-1]
+    width = np.diff(nodes)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    y = left[:, None] + (0.5 * (gl_nodes + 1.0))[None, :] * width[:, None]
+    wts = (0.5 * width)[:, None] * gl_weights[None, :]
+    panel = np.sum(wts * np.exp(-(y - left[:, None]) / b) * f(y), axis=1)
+
+    decay = np.exp(-width / b)
+    suffix = np.zeros(nodes.size)
+    acc = 0.0
+    for j in range(nodes.size - 2, -1, -1):
+        acc = panel[j] + decay[j] * acc
+        suffix[j] = acc
+    return suffix[np.searchsorted(nodes, xs)] / (2.0 * b)
 
 
 class TestLaplaceExpectation:
@@ -36,6 +75,18 @@ class TestLaplaceExpectation:
         val = laplace_expectation(lambda w: np.abs(w - 1.0), 1.0, kinks=(1.0,))
         assert val == pytest.approx(oracle, abs=1e-11)
 
+    def test_quadpack_complaint_is_logged_not_warned(self, caplog):
+        # at b = 64 QUADPACK reports roundoff on cos, yet its error estimate
+        # passes; SciPy's multi-line warning would reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with caplog.at_level(logging.DEBUG, "laplace_stein.quadrature"):
+                val = laplace_expectation(np.cos, 64.0)
+        assert val == pytest.approx(1.0 / (1.0 + 64.0 ** 2), abs=1e-11)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "roundoff" in record.getMessage()
+
     def test_nonconvergent_raises(self):
         import warnings
         with warnings.catch_warnings():
@@ -51,7 +102,7 @@ class TestExpWeightedRightTail:
         got = exp_weighted_right_tail(lambda y: np.ones_like(y), 1.0, xs)
         assert np.max(np.abs(got - 0.5)) <= 1e-14
 
-    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 24.0, 64.0])
     def test_sine_closed_form(self, b):
         # (1/(2b)) int_0^inf exp(-u/b) sin(x+u) du
         #   = (sin x + b cos x) / (2 (1 + b^2))
@@ -80,3 +131,45 @@ class TestExpWeightedRightTail:
         with pytest.raises(ValueError):
             exp_weighted_right_tail(np.sin, 1.0, np.array([1.0, 0.0]))
 
+
+    @pytest.mark.parametrize("b", [4.0, 24.0, 64.0, 128.0])
+    def test_cosine_closed_form_at_large_b(self, b):
+        # panels at most 1 wide hold at most a sixth of a period of cos;
+        # b/2-wide panels were off by 3.6e-11 at b = 24 and 1e-2 at b = 64
+        xs = np.linspace(-8, 8, 161)
+        got = exp_weighted_right_tail(np.cos, b, xs)
+        want = (np.cos(xs) - b * np.sin(xs)) / (2.0 * (1.0 + b ** 2))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("b, xs", [
+        (1e300, [0.0]), (1e5, [0.0]), (1e-3, [0.0, 1e4])])
+    def test_too_many_panels_raises_before_any_array(self, b, xs):
+        def never(y):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(QuadratureError, match="panels"):
+            exp_weighted_right_tail(never, b, np.asarray(xs))
+
+    @given(b=st.floats(0.05, 2.0),
+           points=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40),
+           repeat=st.integers(0, 3),
+           kinks=st.lists(st.floats(-40.0, 40.0), max_size=3),
+           on_point=st.integers(0, 2),
+           member=st.sampled_from(["sin", "tanh", "indicator"]),
+           block=st.sampled_from([1, 7, 2 ** 14]))
+    def test_equals_numpy_scalar_recursion_bit_for_bit(
+            self, b, points, repeat, kinks, on_point, member, block):
+        # duplicates in xs, kinks inside the range, beyond it and on a
+        # point, and panels integrated in blocks of 1, 7 or 2^14
+        xs = np.sort(np.asarray(points + points[:repeat]))
+        kinks = tuple(kinks + points[:on_point])
+        if member == "indicator":
+            h = smoothed_indicator(points[-1], 0.5)
+            f, kinks = h.fn, kinks + h.kinks
+        else:
+            f = {"sin": np.sin, "tanh": np.tanh}[member]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_PANEL_BLOCK", block)
+            got = exp_weighted_right_tail(f, b, xs, kinks=kinks)
+        want = numpy_scalar_tail(f, b, xs, kinks=kinks)
+        assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from laplace_stein import cli, stein
 from laplace_stein.errors import CertificationError
 from laplace_stein.stein import _HBL_SLACK, TestFunction as HBLFunction
 from laplace_stein.stein import (certify_bounds, clamp_fn,
@@ -214,12 +216,12 @@ class TestSolutionContract:
             assert sol.g(float(x)) == pytest.approx(v, abs=1e-12)
 
     @given(member=st.integers(0, len(stein_family()) - 1),
-           b=st.floats(0.25, 2.0),
+           b=st.floats(0.25, 64.0),
            x=st.floats(-60.0, 60.0), y=st.floats(-60.0, 60.0))
     def test_value_does_not_depend_on_companion_points(self, member, b, x, y):
-        # each point's tails are integrated on panels at most b/2 wide,
-        # however far apart the points of one call are; above b = 2 the
-        # 10-point rule on tanh's b/2 panels is itself only good to ~1e-13
+        # each point's tails are integrated on panels at most min(b/2, 1)
+        # wide, however far apart the points of one call are, and the
+        # 10-point rule is at rounding level on every such panel
         sol = solve(stein_family()[member], b)
         for of in (sol.g, sol.g1, sol.g2):
             pair = of(np.array([x, y]))
@@ -245,6 +247,85 @@ class TestSolutionContract:
                 fd_g2 = (sol.g1(xs + delta) - sol.g1(xs - delta)) / (2 * delta)
                 assert np.max(np.abs(fd_g1 - prof.g1)) <= 1e-5
                 assert np.max(np.abs(fd_g2 - prof.g2)) <= 1e-5
+
+
+class TestProfileReuse:
+    """A solution keeps the profile of its last grid: stein-check's residual
+    and certificate on one grid share one quadrature pass."""
+
+    def test_stein_check_makes_four_tail_calls_per_member(self, monkeypatch,
+                                                          tmp_path):
+        # two on the grid, shared by residual and certify_bounds, and two
+        # for g(0), which stays its own pass
+        calls = []
+        tail = stein.exp_weighted_right_tail
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return tail(*args, **kwargs)
+
+        monkeypatch.setattr(stein, "exp_weighted_right_tail", counted)
+        assert cli.main(["stein-check", "--b", "1",
+                         "--out", str(tmp_path / "s.json")]) == 0
+        size = len(stein_family())
+        assert len(calls) == 4 * size
+        assert sorted(set(calls)) == [1, standard_grid(1.0).size]
+        assert calls.count(1) == 2 * size
+
+    def test_arrays_are_read_only(self):
+        grid = standard_grid(1.0)
+        prof = solve(tanh_fn(), 1.0).profile(grid)
+        for arr in (prof.x, prof.g, prof.g1, prof.g2):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        grid[0] = grid[0]  # the caller's grid stays writable
+        assert prof.x is not grid
+
+    def test_copied_grid_hits_and_another_grid_replaces(self):
+        sol = solve(clamp_fn(), 1.0)
+        grid = standard_grid(1.0)
+        prof = sol.profile(grid)
+        assert sol.profile(grid.copy()) is prof
+        assert sol.profile(list(grid)) is prof
+        grid[3] += 1e-3  # the stored profile keeps its own copy of x
+        other = sol.profile(grid)
+        assert other is not prof
+        assert other.x.tobytes() == grid.tobytes()
+        assert sol.profile(grid) is other
+        again = sol.profile(standard_grid(1.0))
+        assert again is not prof
+        for field in ("x", "g", "g1", "g2"):
+            assert (getattr(again, field).tobytes()
+                    == getattr(prof, field).tobytes())
+
+    def test_two_threads_get_byte_equal_profiles(self):
+        # both threads alternate between two grids on one solution, so each
+        # store races the other thread's reads
+        grids = [standard_grid(1.0), np.linspace(-50.0, 50.0, 1201)]
+        fresh = [solve(tanh_fn(), 1.0).profile(g) for g in grids]
+        want = [tuple(getattr(p, f).tobytes() for f in ("x", "g", "g1", "g2"))
+                for p in fresh]
+        sol = solve(tanh_fn(), 1.0)
+        start = threading.Barrier(2)
+        seen = [[], []]
+
+        def run(slot):
+            start.wait()
+            for i in range(12):
+                which = (i + slot) % 2
+                prof = sol.profile(grids[which].copy())
+                seen[slot].append((which, tuple(
+                    getattr(prof, f).tobytes() for f in ("x", "g", "g1", "g2"))))
+
+        threads = [threading.Thread(target=run, args=(slot,))
+                   for slot in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(len(s) == 12 for s in seen)
+        for which, got in seen[0] + seen[1]:
+            assert got == want[which]
 
 
 class TestCertificates:
