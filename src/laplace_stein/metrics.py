@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplace import LaplaceParams, cdf
-from .stein import _cached_wh, require_hbl
+from .stein import _U, _cached_wh, _gamma, require_hbl, wh_enclosure
 
 # values per block of the n-length kernels: their temporaries are arrays of
 # 512 KiB, a few at a time, however large the sample is
@@ -128,8 +128,10 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     largest per-member standard error of the sample means.
 
     Members without piecewise-linear data are evaluated on the whole sample.
-    Members with data are first screened by ``_screen`` in O(log n) each;
-    only those that may attain either maximum are evaluated.  Every evaluated
+    Members with data are first screened by ``_screen`` in O(log n) each,
+    on closed-form bounds on their Wh, so a screened-out member needs no
+    quadrature; only those that may attain either maximum are evaluated,
+    with the quadrature Wh.  Every evaluated
     member gets the bits of np.mean / np.std(ddof=1) (see ``_member_stats``),
     so the result is the one the full loop over the family would give, bit
     for bit.
@@ -184,25 +186,17 @@ def _member_stats(h, x: np.ndarray, b: float) -> tuple:
     return diff, math.sqrt(_tree_sum(n, squares) / (n - 1))
 
 
-_U = 2.0 ** -53  # unit roundoff of float64
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u): relative error after k roundings."""
-    ku = k * _U
-    return ku / (1.0 - ku) if ku < 0.25 else math.inf
-
-
 def _screen(x: np.ndarray, data, b: float, exact) -> list:
     """Members of ``data`` whose diff or sd may reach the largest value.
 
     ``exact`` holds the (diff, sd) pairs of the members already evaluated.
     For each member with data, ``_data_interval`` gives the centre and the
     half-width of an interval that holds the (diff, sd) that
-    ``_member_stats`` would compute.  The largest lower end L, over these
-    intervals and the exact values, is at most the largest value, so a
-    member whose upper end is below L cannot attain it; every other member
-    is returned.
+    ``_member_stats`` would compute, from the closed-form enclosure of Wh
+    (``stein.wh_enclosure``), so no member runs a quadrature here.  The
+    largest lower end L, over these intervals and the exact values, is at
+    most the largest value, so a member whose upper end is below L cannot
+    attain it; every other member is returned.
     """
     n = x.size
     cuts = [np.searchsorted(x, h.knots) for h in data]
@@ -213,7 +207,7 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
     for i in range(0, n, _BLOCK):
         abs_sum += float(np.sum(np.abs(x[i:i + _BLOCK])))
     boxes = [_data_interval(h, cut.tolist(), n, p1, p2, abs_sum,
-                            _cached_wh(h, b))
+                            *wh_enclosure(h, b))
              for h, cut in zip(data, cuts)]
     exact = list(exact)
     floor_d = max([d for d, _ in exact] + [d - pd for d, pd, _, _ in boxes])
@@ -251,7 +245,7 @@ def _prefix_sums(x: np.ndarray, at: np.ndarray) -> tuple:
 
 
 def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
-                   wh: float) -> tuple:
+                   wh: float, wh_radius: float) -> tuple:
     """(d, pad_d, sd, pad_s): diff in [d - pad_d, d + pad_d], sd likewise.
 
     Let y be the interpolant of h's data and v = fn(x) the values the full
@@ -299,6 +293,15 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
     Both pads are doubled, which covers the rounding of the pad arithmetic
     (a few operations, relative error below 1e-14), and carry a 4u (1 + d)
     term for the rounding of d, sd and of the interval ends.
+
+    Wh.  ``wh`` is the centre of ``stein.wh_enclosure``, and the quadrature
+    Wh that ``_member_stats`` subtracts lies within ``wh_radius`` of it
+    (``stein.target_expectation`` audits that), so the diff it computes is
+    within wh_radius more of d: pad_d adds wh_radius after the doubling.
+    The doubling's slack, at least e + mu >= 5u sup, covers that one more
+    rounding, u (pad_d + wh_radius), and the 2u wh_radius by which |Wh|
+    may exceed |wh| in the diff's rounding term, while wh_radius (about
+    1e-8) is below sup.
     """
     k, v = h.knots, h.values
     below, above = cut[0], n - cut[-1]
@@ -329,7 +332,8 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
     mean = s1 / n
     d = abs(mean - wh)
     pad_d = 2.0 * (e1 / n + e + mu + _U * abs(mean)
-                   + 2.0 * _U * (abs(mean) + abs(wh))) + 4.0 * _U * (1.0 + d)
+                   + 2.0 * _U * (abs(mean) + abs(wh))) + 4.0 * _U * (1.0 + d) \
+        + wh_radius
     if n < 2:
         return d, pad_d, 0.0, 0.0
     var = (s2 - s1 * s1 / n) / (n - 1)

@@ -48,6 +48,12 @@ _GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the nodes mapped onto [0, 1]
 # exp(-40) ~ 4e-18: tail weight below double-precision resolution.
 TAIL_SPAN = 40.0
 
+# laplace_expectation integrates over [-EXPECTATION_SPAN b, EXPECTATION_SPAN b]
+# and accepts its value when quad's error estimate, over 2b, is at most
+# EXPECTATION_TOL; stein.wh_enclosure's radius is built on the same two.
+EXPECTATION_SPAN = 80.0
+EXPECTATION_TOL = 1e-8
+
 # A call needing more panels is refused before any array is built: at this
 # many, one call takes about half a second and its node arrays tens of MB.
 MAX_PANELS = 2 ** 20
@@ -55,7 +61,8 @@ MAX_PANELS = 2 ** 20
 _PANEL_BLOCK = 2 ** 14
 
 
-def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
+def laplace_expectation(f, b: float, kinks=(),
+                        tol: float = EXPECTATION_TOL) -> float:
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there.
@@ -65,7 +72,7 @@ def laplace_expectation(f, b: float, kinks=(), tol: float = 1e-8) -> float:
     """
     from scipy import integrate
 
-    hi = 80.0 * b
+    hi = EXPECTATION_SPAN * b
 
     def folded(u):
         return (f(u) + f(-u)) * np.exp(-u / b)

@@ -28,16 +28,26 @@ second-order identity E[g(W)] - g(0) = b**2 E[g''(W)] and the first-order
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError
-from .quadrature import exp_weighted_right_tail, laplace_expectation
+from .errors import CertificationError, QuadratureError
+from .quadrature import (EXPECTATION_SPAN, EXPECTATION_TOL,
+                         exp_weighted_right_tail, laplace_expectation)
 
 _HBL_SLACK = 1e-12
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): relative error after k roundings."""
+    ku = k * _U
+    return ku / (1.0 - ku) if ku < 0.25 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +106,7 @@ class TestFunction:
         """
         widths = [k1 - k0 for k0, k1 in zip(self.knots, self.knots[1:])]
         reach = max(abs(k) for k in self.knots) / min(widths) if widths else 0.0
-        return 4.0 * 2.0 ** -53 * self.sup_bound * (1.0 + reach)
+        return 4.0 * _U * self.sup_bound * (1.0 + reach)
 
     @property
     def in_hbl(self) -> bool:
@@ -180,9 +190,77 @@ def dense_bl_family() -> tuple:
 
 
 def target_expectation(h: TestFunction, b: float) -> float:
-    """Wh = E[h(W)] for W ~ Laplace(0, b); |Wh| <= 1 for members of the ball."""
+    """Wh = E[h(W)] for W ~ Laplace(0, b); |Wh| <= 1 for members of the ball.
+
+    For a member with data the quadrature value is audited against
+    :func:`wh_enclosure`, and one outside it raises QuadratureError: the
+    d_BL screening relies on the enclosure.
+    """
     require_hbl(h)
-    return laplace_expectation(h.fn, b, kinks=h.kinks)
+    wh = laplace_expectation(h.fn, b, kinks=h.kinks)
+    if h.knots:
+        centre, radius = wh_enclosure(h, b)
+        if not abs(wh - centre) <= radius:
+            raise QuadratureError(
+                f"{h.label}: Wh at b={b:g} is outside its closed-form "
+                f"enclosure", residual=abs(wh - centre))
+    return wh
+
+
+def _right_mass(x: float, b: float) -> float:
+    """int_0^x P(W > t) dt for W ~ Laplace(0, b), negative for x < 0."""
+    if x >= 0.0:
+        return -(0.5 * b) * math.expm1(-x / b)
+    return x - (0.5 * b) * math.expm1(x / b)
+
+
+def wh_enclosure(h: TestFunction, b: float) -> tuple:
+    """(centre, radius): the Wh that :func:`target_expectation` accepts for a
+    member with data lies within radius of centre.
+
+    The interpolant y of the data is v_0 + sum_j s_j (clip(x, k_j, k_j+1)
+    - k_j), s_j the slope of piece j, and E[clip(W, a, c) - a] =
+    Phi(c) - Phi(a) with Phi(x) = int_0^x P(W > t) dt, which is
+    -(b/2) expm1(-x/b) for x >= 0 and x - (b/2) expm1(x/b) for x < 0.  So
+    E y(W) = v_0 + sum_j s_j (Phi(k_j+1) - Phi(k_j)): the centre.
+
+    Rounding of the centre, u = 2**-53, gamma_k = k u / (1 - k u), with
+    libm's expm1 within one ulp (counted as two roundings).  expm1 runs on
+    a nonpositive argument y, where |y e^y / expm1(y)| <= 1, so the
+    rounded x/b adds at most one rounding: Phi(x >= 0) is within
+    gamma_4 |Phi|.  For x < 0 the term (b/2) |expm1(x/b)| is at most
+    |x|/2 <= |Phi(x)|, so with the subtraction Phi is within gamma_5 |Phi|.
+    A difference of two Phi is within gamma_6 (|Phi(k_j)| + |Phi(k_j+1)|),
+    the slope within gamma_3 and the product within gamma_10 of
+    M_j = |s_j| (|Phi(k_j)| + |Phi(k_j+1)|), and the accumulation adds at
+    most m more, m the number of knots: |fl(centre) - E y(W)| <=
+    gamma_(m+10) (|v_0| + sum_j M_j).  That sum is computed from rounded
+    terms, so it is low by at most a factor 1 - gamma_(m+10); gamma of
+    twice the count covers that.
+
+    Radius.  quad's value is accepted when its error estimate over 2b is
+    at most EXPECTATION_TOL; it integrates fn, within e = h.interp_error of
+    y, over |x| <= EXPECTATION_SPAN b, which leaves out at most
+    sup e^(-EXPECTATION_SPAN), and rounds once more on dividing by 2b
+    (u sup).  The radius is EXPECTATION_TOL (1 + 8u) plus twice the sum
+    of e, sup (u + e^(-EXPECTATION_SPAN)) and the centre's rounding bound;
+    the doubling and the 8u cover the radius's own arithmetic.
+    """
+    k, v = h.knots, h.values
+    if not k:
+        raise ValueError(f"{h.label}: Wh has a closed form only for a "
+                         f"member with data")
+    phi = [_right_mass(x, b) for x in k]
+    centre = v[0]
+    mass = abs(v[0])
+    for j in range(len(k) - 1):
+        slope = (v[j + 1] - v[j]) / (k[j + 1] - k[j])
+        centre += slope * (phi[j + 1] - phi[j])
+        mass += abs(slope) * (abs(phi[j]) + abs(phi[j + 1]))
+    sup = h.sup_bound
+    small = h.interp_error + sup * (_U + math.exp(-EXPECTATION_SPAN)) \
+        + _gamma(2 * (len(k) + 10)) * mass
+    return centre, EXPECTATION_TOL * (1.0 + 8.0 * _U) + 2.0 * small
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from laplace_stein import metrics, transforms
+from laplace_stein import metrics, stein, transforms
 from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
 from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
@@ -16,7 +16,8 @@ from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
                                    kolmogorov_from_bl, wasserstein_empirical,
                                    within_four_se)
 from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
-                                       Summands, random_sum_sample)
+                                       Summands, convergence_sweep,
+                                       random_sum_sample)
 from laplace_stein.stein import (_cached_wh, dense_bl_family,
                                  smoothed_indicator, stein_family)
 
@@ -233,6 +234,96 @@ class TestScreenedBlLowerBound:
         assert len(seen) <= smooth + 8
         assert set(seen.values()) == {2 * s.n}
         assert (est.value, est.std_error) == full_loop_bl(s, UNIT, DENSE)
+
+
+def survivors(x, family, b, exact_wh=False):
+    """ids of the data members of ``family`` that ``_screen`` keeps; with
+    ``exact_wh`` it screens on quad's Wh, as before the closed-form
+    enclosures."""
+    data = [h for h in family if h.knots]
+    exact = [metrics._member_stats(h, x, b) for h in family if not h.knots]
+    with pytest.MonkeyPatch.context() as mp:
+        if exact_wh:
+            mp.setattr(metrics, "wh_enclosure",
+                       lambda h, b: (_cached_wh(h, b), 0.0))
+        return {id(h) for h in metrics._screen(x, data, b, exact)}
+
+
+class TestScreenQuadratures:
+    """The screen runs on closed-form Wh bounds: a screened-out member
+    needs no quadrature, and the bounds lose no survivor."""
+
+    def test_one_point_sample_runs_three_quadratures(self, monkeypatch):
+        # the benchmark's set-up call: only sin, cos and tanh are
+        # integrated; every data member is screened out at 0
+        ran = []
+        expectation = stein.laplace_expectation
+
+        def counted(f, b, kinks=()):
+            ran.append(f)
+            return expectation(f, b, kinks=kinks)
+
+        monkeypatch.setattr(stein, "laplace_expectation", counted)
+        _cached_wh.cache_clear()
+        try:
+            bl_lower_bound(EmpiricalSample.from_values([0.0]), UNIT, DENSE)
+        finally:
+            _cached_wh.cache_clear()
+        assert sorted(f.__name__ for f in ran) == ["cos", "sin", "tanh"]
+
+    def test_wh_anywhere_in_its_enclosure_keeps_the_result(self,
+                                                          monkeypatch):
+        # the ramp's diff at 0 sits 5e-9 below the smooth member's, and its
+        # audited Wh is moved 0.9 radius down, which makes it the largest:
+        # the screen keeps it only because pad_d carries the radius
+        ramp = smoothed_indicator(0.0, 1.0)
+        centre, radius = stein.wh_enclosure(ramp, 1.0)
+        c = 2.0 * (1.0 - _cached_wh(ramp, 1.0) + 5e-9)
+        smooth = stein.TestFunction(fn=lambda x: c * np.cos(x), lip_const=c,
+                                    sup_bound=c, label="c*cos")
+        expectation = stein.laplace_expectation
+
+        def moved(f, b, kinks=()):
+            wh = expectation(f, b, kinks=kinks)
+            return wh - 0.9 * radius if f is ramp.fn else wh
+
+        monkeypatch.setattr(stein, "laplace_expectation", moved)
+        _cached_wh.cache_clear()
+        try:
+            s = EmpiricalSample.from_values([0.0])
+            est = bl_lower_bound(s, UNIT, [smooth, ramp])
+            want = full_loop_bl(s, UNIT, [smooth, ramp])
+        finally:
+            _cached_wh.cache_clear()
+        assert (est.value, est.std_error) == want
+        assert est.value > c / 2.0 + 1e-9
+
+    @given(screened_cases())
+    def test_bound_survivors_include_exact_survivors(self, case):
+        x, family, b = case
+        x = EmpiricalSample.from_values(x).values
+        assert survivors(x, family, b) >= survivors(x, family, b, True)
+
+    @pytest.mark.parametrize("source, n", [
+        (transforms.rademacher(math.sqrt(2.0)), 10 ** 6),
+        (transforms.uniform_symmetric(math.sqrt(6.0)), 10 ** 5)])
+    def test_benchmark_sweeps_keep_the_same_survivors(self, source, n,
+                                                      monkeypatch):
+        # the sweep-exact and sweep-chunked configurations at seed 7
+        screened = []  # (sample, b, survivors), one per point
+        screen = metrics._screen
+
+        def recorded(x, data, b, exact):
+            kept = screen(x, data, b, exact)
+            screened.append((x, b, {id(h) for h in kept}))
+            return kept
+
+        monkeypatch.setattr(metrics, "_screen", recorded)
+        convergence_sweep(source, [0.1, 0.03, 0.01, 0.003, 0.001], n, 7)
+        monkeypatch.undo()
+        assert len(screened) == 5
+        for x, b, kept in screened:
+            assert kept == survivors(x, DENSE, b, exact_wh=True)
 
 
 class TestWasserstein:

@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein import cli, stein
-from laplace_stein.errors import CertificationError
+from laplace_stein.errors import CertificationError, QuadratureError
+from laplace_stein.quadrature import EXPECTATION_TOL, laplace_expectation
 from laplace_stein.stein import _HBL_SLACK, TestFunction as HBLFunction
 from laplace_stein.stein import (certify_bounds, clamp_fn,
                                  constant_fn, cos_fn, dense_bl_family,
                                  residual, sin_fn, smoothed_indicator, solve,
                                  standard_grid, stein_family, tanh_fn,
                                  target_expectation, verify_characterization,
-                                 verify_first_order)
+                                 verify_first_order, wh_enclosure)
 
 SCALES = (0.5, 1.0, 2.0)
 
@@ -145,6 +147,61 @@ class TestTargetExpectation:
             assert abs(target_expectation(h, b)) <= 1.0 + 1e-12
 
 
+def clamp_member(lo: float, hi: float) -> HBLFunction:
+    return HBLFunction.piecewise_linear(
+        (lo, hi), (lo, hi), fn=lambda x: np.clip(x, lo, hi),
+        label=f"clamp({lo:g},{hi:g})")
+
+
+def assert_enclosed(h, b):
+    """quad's Wh inside the closed-form enclosure, and the centre within
+    1e-12 of it: far tighter than the radius, so a wrong closed form shows."""
+    centre, radius = wh_enclosure(h, b)
+    wh = laplace_expectation(h.fn, b, kinks=h.kinks)
+    assert abs(wh - centre) <= radius, (h.label, b)
+    assert abs(wh - centre) <= 1e-12, (h.label, b)
+    assert EXPECTATION_TOL <= radius <= EXPECTATION_TOL + 1e-12
+
+
+class TestWhEnclosure:
+    """The d_BL screening trusts wh_enclosure in place of quad's Wh."""
+
+    @pytest.mark.parametrize("b", [0.05, 0.25, 0.5, 1.0, math.sqrt(3.0),
+                                   2.0, 4.0, 64.0])
+    def test_holds_quad_wh_of_every_data_member(self, b):
+        for h in DATA_MEMBERS:
+            assert_enclosed(h, b)
+
+    @given(st.floats(-12.0, 12.0), st.floats(0.01, 16.0),
+           st.floats(-3.0, 1.0), st.floats(0.01, 2.0),
+           st.floats(0.05, 64.0))
+    def test_holds_on_ramps_and_clamps(self, x0, eps, lo, width, b):
+        assert_enclosed(smoothed_indicator(x0, eps), b)
+        assert_enclosed(clamp_member(lo, lo + width), b)
+
+    def test_closed_forms_by_hand(self):
+        # E clip(W, -1, 1) = 0, E const = const, and ind(0, 1) at b = 1 is
+        # 1/2 + (1/2) int_0^1 (1 - t) e^-t dt = 1/2 + e^-1 / 2
+        assert wh_enclosure(clamp_fn(), 1.0)[0] == 0.0
+        assert wh_enclosure(constant_fn(-0.5), 2.0)[0] == -0.5
+        centre = wh_enclosure(smoothed_indicator(0.0, 1.0), 1.0)[0]
+        assert centre == pytest.approx(0.5 + 0.5 * math.exp(-1.0), abs=1e-15)
+
+    def test_smooth_member_has_none(self):
+        with pytest.raises(ValueError, match="data"):
+            wh_enclosure(sin_fn(), 1.0)
+
+    def test_quad_outside_the_enclosure_raises(self, monkeypatch):
+        h = smoothed_indicator(0.0, 1.0)
+        centre, radius = wh_enclosure(h, 1.0)
+        monkeypatch.setattr(stein, "laplace_expectation",
+                            lambda f, b, kinks=(): centre + 2.0 * radius)
+        with pytest.raises(QuadratureError, match="enclosure"):
+            target_expectation(h, 1.0)
+        # a smooth member has no enclosure to check against
+        assert target_expectation(sin_fn(), 1.0) == centre + 2.0 * radius
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("b", SCALES)
     def test_sine_solution(self, b):
@@ -271,6 +328,52 @@ class TestProfileReuse:
         assert len(calls) == 4 * size
         assert sorted(set(calls)) == [1, standard_grid(1.0).size]
         assert calls.count(1) == 2 * size
+
+    def test_stein_check_solves_every_member_before_any_tail(
+            self, monkeypatch):
+        # Wh of cos fails: exit 3 before any tail pass
+        tails = []
+        tail = stein.exp_weighted_right_tail
+        expectation = stein.laplace_expectation
+
+        def failing(f, b, kinks=()):
+            if f is np.cos:
+                raise QuadratureError("expectation quadrature did not converge")
+            return expectation(f, b, kinks=kinks)
+
+        monkeypatch.setattr(stein, "laplace_expectation", failing)
+        monkeypatch.setattr(stein, "exp_weighted_right_tail",
+                            lambda *a, **k: tails.append(1) or tail(*a, **k))
+        stein._cached_wh.cache_clear()
+        try:
+            assert cli.main(["stein-check", "--b", "0.5,1"]) == 3
+        finally:
+            stein._cached_wh.cache_clear()
+        assert tails == []
+
+    def test_stein_check_keeps_one_profile_alive(self, monkeypatch, tmp_path):
+        # every solution is built first; each is dropped after its checks,
+        # so when a residual starts no earlier solution holds its profile
+        made, most = [], []
+        make, res = cli.solve, cli.residual
+
+        def solving(h, b):
+            sol = make(h, b)
+            made.append(weakref.ref(sol))
+            return sol
+
+        def checking(sol, grid):
+            live = [r() for r in made]
+            most.append(sum(1 for s in live
+                            if s is not None and s._last[1] is not None))
+            return res(sol, grid)
+
+        monkeypatch.setattr(cli, "solve", solving)
+        monkeypatch.setattr(cli, "residual", checking)
+        assert cli.main(["stein-check", "--b", "0.5,1",
+                         "--out", str(tmp_path / "s.json")]) == 0
+        assert len(most) == len(made) == 2 * len(stein_family())
+        assert max(most) == 0
 
     def test_arrays_are_read_only(self):
         grid = standard_grid(1.0)
