@@ -42,6 +42,7 @@ from .errors import QuadratureError, TruncationError
 from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
                       within_four_se)
+from .quadrature import check_tail_panels
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
@@ -207,8 +208,13 @@ def _write(data: bytes, out: Optional[str]) -> None:
 
 def cmd_stein_check(args):
     family = stein_family()
-    # solve computes Wh, so every quadrature failure exits before the first
-    # tail pass; each solution is dropped, with its profile, after its checks
+    # a b the tail rule refuses exits before any quadrature; solve computes
+    # Wh, so every quadrature failure exits before the first tail pass; each
+    # solution is dropped, with its profile, after its checks
+    for b in args.b:
+        grid = standard_grid(b)
+        for h in family:
+            check_tail_panels(b, grid, h.kinks)
     pending = collections.deque(solve(h, b) for b in args.b for h in family)
     checks = []
     for b in args.b:

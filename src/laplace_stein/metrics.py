@@ -14,7 +14,8 @@ bound through the target's density sup C:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -28,24 +29,45 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """A sorted sample; estimators below are deterministic functionals of it."""
+    """A sorted sample; estimators below are deterministic functionals of it.
+
+    ``runs`` is its run table when it has at most n/2 runs of equal values:
+    (edges, run_values), run k holding values[edges[k]:edges[k + 1]], all
+    equal to run_values[k].  Values are equal when their bits are, so -0.0
+    and 0.0 never share a run.  A sample with more runs keeps None.
+    """
 
     values: np.ndarray
+    runs: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty 1-d array")
         # checked a block at a time, each block with the first value of the
-        # next for the order, so no n-length bool array is built
-        starts = range(0, arr.shape[0], _BLOCK)
+        # next for the order and the runs, so no n-length bool array is built
+        n = arr.shape[0]
+        starts = range(0, n, _BLOCK)
         if not all(np.all(np.isfinite(arr[i:i + _BLOCK])) for i in starts):
             raise ValueError("sample values must be finite")
+        bits = arr.view(np.int64)
+        changes = 0  # counted while a table of at most n/2 runs may come
         for i in starts:
             block = arr[i:i + _BLOCK + 1]
             if np.any(block[1:] < block[:-1]):
                 raise ValueError("sample values must be sorted ascending")
+            if 2 * (changes + 1) <= n:
+                block = bits[i:i + _BLOCK + 1]
+                changes += np.count_nonzero(block[1:] != block[:-1])
         object.__setattr__(self, "values", arr)
+        if 2 * (changes + 1) <= n:
+            edges = [[0]]
+            for i in starts:
+                block = bits[i:i + _BLOCK + 1]
+                edges.append(np.flatnonzero(block[1:] != block[:-1]) + i + 1)
+            edges = np.concatenate(edges + [[n]]).astype(np.intp)
+            object.__setattr__(self, "runs", (edges, arr[edges[:-1]]))
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalSample":
@@ -88,6 +110,27 @@ def _tree_node(i: int, j: int, leaf, top: int):
         + _tree_node(i + half, j, leaf, top)
 
 
+def _per_value(s: EmpiricalSample, fn):
+    """leaf(i, j) = fn(s.values[i:j]), for an elementwise fn.
+
+    With a run table fn runs once, on the run values, and a block repeats
+    its runs' results: equal bits in give equal bits out, so the block
+    holds the bits fn gives it in place.
+    """
+    if s.runs is None:
+        x = s.values
+        return lambda i, j: fn(x[i:j])
+    edges, run_values = s.runs
+    per_run = fn(run_values)
+
+    def leaf(i, j):
+        lo = np.searchsorted(edges, i, side="right") - 1
+        hi = np.searchsorted(edges, j, side="left")
+        return np.repeat(per_run[lo:hi], np.diff(np.clip(edges[lo:hi + 1],
+                                                         i, j)))
+    return leaf
+
+
 def dkw_band(n: int, alpha: float = 0.05) -> float:
     """Two-sided DKW deviation band: sqrt(log(2/alpha)/(2n)) (~1.36/sqrt(n)
     at 95%)."""
@@ -104,18 +147,23 @@ def kolmogorov_empirical(s: EmpiricalSample,
                          target: LaplaceParams) -> DistanceEstimate:
     """Exact sup-distance between the empirical CDF and the target CDF.
 
-    The sample is read in blocks of ``_BLOCK`` values.  Every term is an
-    elementwise function of one value and its rank, and the maximum is
-    exact, so the running maximum over the blocks is the maximum over the
-    whole sample, bit for bit, and no full-length temporary is built.
+    The value at rank i gives the terms (i+1)/n - F(x_i) and F(x_i) - i/n.
+    Over a run of equal values the first is largest at its last rank and
+    the second at its first, so with a run table one term of each per run
+    gives the same maximum.  The sample, or its runs, are read in blocks of
+    ``_BLOCK``; every term is an elementwise function and the maximum is
+    exact, so the result is the full-length pass's, bit for bit, with no
+    full-length temporary.
     """
     n = s.n
+    edges, x = s.runs if s.runs is not None else (None, s.values)
     upper = lower = -math.inf
-    for i in range(0, n, _BLOCK):
-        j = min(i + _BLOCK, n)
-        f = cdf(s.values[i:j], target)
-        upper = max(upper, np.max(np.arange(i + 1, j + 1) / n - f))
-        lower = max(lower, np.max(f - np.arange(i, j) / n))
+    for i in range(0, x.shape[0], _BLOCK):
+        j = min(i + _BLOCK, x.shape[0])
+        f = cdf(x[i:j], target)
+        rank = np.arange(i, j + 1) if edges is None else edges[i:j + 1]
+        upper = max(upper, np.max(rank[1:] / n - f))
+        lower = max(lower, np.max(f - rank[:-1] / n))
     return DistanceEstimate(value=float(max(upper, lower)))
 
 
@@ -143,12 +191,12 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
         require_hbl(h)
     if target.a != 0.0:
         raise ValueError("target expectations are implemented for a=0")
-    x, b = s.values, target.b
-    stats = {h: _member_stats(h, x, b) for h in family if not h.knots}
+    b = target.b
+    stats = {h: _member_stats(h, s, b) for h in family if not h.knots}
     data = [h for h in family if h.knots]
     if data:
-        for h in _screen(x, data, b, stats.values()):
-            stats[h] = _member_stats(h, x, b)
+        for h in _screen(s.values, data, b, stats.values()):
+            stats[h] = _member_stats(h, s, b)
     best = max(diff for diff, _ in stats.values())
     # fl(sd / sqrt_n) is monotone in sd, so dividing the largest sd gives the
     # largest per-member standard error
@@ -159,31 +207,28 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
                             family_size=len(family))
 
 
-def _member_stats(h, x: np.ndarray, b: float) -> tuple:
+def _member_stats(h, s: EmpiricalSample, b: float) -> tuple:
     """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample.
 
     np.mean(v) is np.sum(v) / n, and np.std(v, ddof=1) is
     sqrt(np.sum((v - mean)**2) / (n - 1)); both sums are taken by
-    ``_tree_sum`` with h evaluated a block at a time (twice per block, once
-    per sum), so the values are np.mean's and np.std's, bit for bit, and
-    no n-length h(x) is built.
+    ``_tree_sum`` on the leaves of ``_per_value`` (h is evaluated once per
+    sum, a block or the run values at a time), so the values are np.mean's
+    and np.std's, bit for bit, and no n-length h(x) is built.
     """
-    n = x.size
-
-    def values(i, j):
-        return np.asarray(h.fn(x[i:j]), dtype=float)
-
-    mean = _tree_sum(n, values) / n
+    n = s.n
+    mean = _tree_sum(n, _per_value(
+        s, lambda v: np.asarray(h.fn(v), dtype=float))) / n
     diff = abs(mean - _cached_wh(h, b))
     if n < 2:
         return diff, 0.0
 
-    def squares(i, j):
-        dev = values(i, j) - mean
+    def squares(v):
+        dev = np.asarray(h.fn(v), dtype=float) - mean
         dev *= dev
         return dev
 
-    return diff, math.sqrt(_tree_sum(n, squares) / (n - 1))
+    return diff, math.sqrt(_tree_sum(n, _per_value(s, squares)) / (n - 1))
 
 
 def _screen(x: np.ndarray, data, b: float, exact) -> list:
@@ -347,18 +392,16 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
 
 
 def _quantile_antiderivative(u, params: LaplaceParams):
-    """P(u) = int_0^u Q(t) dt in closed form (Q = target quantile)."""
+    """P(u) = int_0^u Q(t) dt in closed form (Q = target quantile), for
+    sorted u in [0, 1]: a u + b (v log(2v) - v), v = u up to 1/2 and
+    1 - u above, so the two branches are slices of u."""
     u = np.asarray(u, dtype=float)
-    a, b = params.a, params.b
-    out = np.empty_like(u)
-    lo = u <= 0.5
+    v = u.copy()
+    upper = v[np.searchsorted(u, 0.5, side="right"):]
+    np.subtract(1.0, upper, out=upper)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ul = u[lo]
-        out[lo] = a * ul + b * np.where(ul > 0, ul * np.log(2.0 * ul) - ul, 0.0)
-        sr = 1.0 - u[~lo]
-        out[~lo] = a * u[~lo] + b * np.where(
-            sr > 0, sr * np.log(2.0 * sr) - sr, 0.0)
-    return out
+        tail = np.where(v > 0, v * np.log(2.0 * v) - v, 0.0)
+    return params.a * u + params.b * tail
 
 
 def wasserstein_empirical(s: EmpiricalSample,
@@ -367,24 +410,31 @@ def wasserstein_empirical(s: EmpiricalSample,
 
     On each quantile strip [(i-1)/n, i/n] the integrand changes sign at most
     once (at u = F(x_i)); both pieces use the closed-form antiderivative of
-    the target quantile, so no inner quadrature error enters.
+    the target quantile, so no inner quadrature error enters.  The crossing
+    is F(x_i) clipped to the strip, and P takes it only where it lies inside:
+    at either end P is the end's value, already computed.
 
-    The strips are computed a block at a time and summed by ``_tree_sum``.
-    Each strip is an elementwise function of x_i and its two levels, so a
-    block holds the bits a full-length pass would, and the sum is np.sum's
-    over all n strips, bit for bit, with no n-length array.
+    The strips are computed a block at a time, F once per run with a run
+    table (see ``_per_value``), and summed by ``_tree_sum``.  Each strip is
+    an elementwise function of x_i and its two levels, so a block holds the
+    bits a full-length pass would, and the sum is np.sum's over all n
+    strips, bit for bit, with no n-length array.
     """
     n = s.n
     x = s.values
+    f = _per_value(s, lambda v: cdf(v, target))
 
     def strips(i, j):
         xb = x[i:j]
         levels = np.arange(i, j + 1) / n
         lo, hi = levels[:-1], levels[1:]
-        cross = np.clip(cdf(xb, target), lo, hi)
+        cross = np.clip(f(i, j), lo, hi)
         p_level = _quantile_antiderivative(levels, target)
         p_lo, p_hi = p_level[:-1], p_level[1:]
-        p_cr = _quantile_antiderivative(cross, target)
+        p_cr = np.where(cross == lo, p_lo, p_hi)
+        # F(x_i) and both levels rise with i, so cross is sorted
+        inside = np.flatnonzero((lo < cross) & (cross < hi))
+        p_cr[inside] = _quantile_antiderivative(cross[inside], target)
         return (xb * (cross - lo) - (p_cr - p_lo)) \
             + ((p_hi - p_cr) - xb * (hi - cross))
 

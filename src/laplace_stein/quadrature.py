@@ -38,6 +38,8 @@ numpy alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import QuadratureError
@@ -66,20 +68,28 @@ def laplace_expectation(f, b: float, kinks=(),
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there.
-    Raises QuadratureError when the error estimate exceeds ``tol``.  QUADPACK's
-    own complaint (roundoff, the subdivision limit) is logged at DEBUG, not
-    warned: the error estimate alone decides.
+    quad may take max(300, ceil(80b)) subintervals.  Raises QuadratureError
+    when the error estimate exceeds ``tol``, or up front when 80b exceeds
+    MAX_PANELS.  QUADPACK's own complaint (roundoff, the subdivision limit)
+    is logged at DEBUG, not warned: the error estimate alone decides.
     """
-    from scipy import integrate
-
     hi = EXPECTATION_SPAN * b
+    # quad's subinterval limit grows with the span: Wh of cos takes 3735
+    # subintervals at b = 1e3 and 21189 at 5e3; past MAX_PANELS it is
+    # refused before any work, as the tail rule is
+    if not hi <= MAX_PANELS:
+        raise QuadratureError(
+            f"expectation quadrature at b={b:g} needs up to {hi:.3g} "
+            f"subintervals, more than {MAX_PANELS}")
+    from scipy import integrate
 
     def folded(u):
         return (f(u) + f(-u)) * np.exp(-u / b)
 
     points = sorted({abs(k) for k in kinks if 0.0 < abs(k) < hi})
     val, err, info, *message = integrate.quad(
-        folded, 0.0, hi, points=points or None, limit=300, epsabs=1e-12,
+        folded, 0.0, hi, points=points or None,
+        limit=max(300, math.ceil(hi)), epsabs=1e-12,
         epsrel=1e-12, full_output=1)
     if message:
         import logging  # loaded by scipy already
@@ -91,6 +101,18 @@ def laplace_expectation(f, b: float, kinks=(),
         raise QuadratureError("expectation quadrature did not converge",
                               residual=err / (2.0 * b))
     return val / (2.0 * b)
+
+
+def check_tail_panels(b: float, xs, kinks=()) -> None:
+    """Raise QuadratureError when ``exp_weighted_right_tail`` on the sorted
+    points xs would need more than MAX_PANELS panels."""
+    top = xs[-1] + TAIL_SPAN * b
+    # each gap g takes ceil(g / width_cap) <= g / width_cap + 1 panels
+    most = (top - xs[0]) / min(0.5 * b, 1.0) + len(xs) + len(kinks)
+    if not most <= MAX_PANELS:
+        raise QuadratureError(
+            f"tail quadrature at b={b:g} over [{xs[0]:g}, {xs[-1]:g}] needs "
+            f"up to {most:.3g} panels, more than {MAX_PANELS}")
 
 
 def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
@@ -108,14 +130,9 @@ def exp_weighted_right_tail(f, b: float, xs, kinks=()) -> np.ndarray:
         raise ValueError("xs must be a nonempty 1-d array")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be sorted ascending")
+    check_tail_panels(b, xs, kinks)
     width_cap = min(0.5 * b, 1.0)
     top = xs[-1] + TAIL_SPAN * b
-    # each gap g takes ceil(g / width_cap) <= g / width_cap + 1 panels
-    most = (top - xs[0]) / width_cap + xs.size + len(kinks)
-    if most > MAX_PANELS:
-        raise QuadratureError(
-            f"tail quadrature at b={b:g} over [{xs[0]:g}, {xs[-1]:g}] needs "
-            f"up to {most:.3g} panels, more than {MAX_PANELS}")
     pieces = [xs, np.arange(xs[-1], top, width_cap), np.asarray([top])]
     interior = [k for k in kinks if xs[0] < k < top]
     if interior:

@@ -363,6 +363,8 @@ def residual(sol: SteinSolution, x):
 
 def standard_grid(b: float) -> np.ndarray:
     """Default certification grid: [-40b, 40b] in steps of b/20."""
+    if not 40.0 * b < math.inf:
+        raise OverflowError(f"the grid [-40b, 40b] at b={b:g} overflows")
     return np.linspace(-40.0 * b, 40.0 * b, 1601)
 
 

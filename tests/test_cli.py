@@ -128,9 +128,10 @@ class TestOtherCommands:
 
     def test_stein_check_at_large_b(self):
         # panels at most 1 wide keep cos's g(0) at rounding level (b/2-wide
-        # panels read -9.8e-10 at b = 24 and 9.6e-3 at b = 64), and QUADPACK's
-        # roundoff complaint on cos at b = 64 stays off stderr
-        run = cli_subprocess(["stein-check", "--b", "4,24,64"])
+        # panels read -9.8e-10 at b = 24 and 9.6e-3 at b = 64), QUADPACK's
+        # roundoff complaint on cos at b = 64 stays off stderr, and Wh of
+        # cos at b = 1e3 takes 3735 subintervals, past a fixed 300
+        run = cli_subprocess(["stein-check", "--b", "4,24,64,1e3"])
         assert run.returncode == 0
         assert run.stderr == ""
         rep = json.loads(run.stdout)
@@ -138,13 +139,34 @@ class TestOtherCommands:
         assert max(abs(c["solution_at_zero"]) for c in rep["checks"]) <= 1e-13
 
     def test_stein_check_beyond_quadrature_is_one_line(self):
-        # Wh of cos does not converge at b = 5e3: exit 3 and one line
-        run = cli_subprocess(["stein-check", "--b", "5e3"])
+        # the tail rule needs 2.4e6 panels at b = 2e4, more than MAX_PANELS:
+        # exit 3 and one line
+        run = cli_subprocess(["stein-check", "--b", "2e4"])
         assert run.returncode == 3
         assert run.stdout == ""
         lines = run.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("numeric/runtime failure: QuadratureError")
+
+    def test_stein_check_grid_overflow_is_one_line(self):
+        # 40b overflows: no numpy warning from the grid reaches stderr
+        run = cli_subprocess(["stein-check", "--b", "1e308"])
+        assert run.returncode == 3
+        assert run.stderr.splitlines() == [
+            "numeric/runtime failure: OverflowError: the grid [-40b, 40b] "
+            "at b=1e+308 overflows"]
+
+    def test_stein_check_refuses_before_any_quadrature(self, monkeypatch,
+                                                       capsys):
+        # solve computes Wh; a b the tail rule refuses stops the command
+        # before the first solve, at whatever place it has in --b
+        def never(h, b):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(cli, "solve", never)
+        assert run_cli(["stein-check", "--b", "0.5,2e4"]) == 3
+        err = capsys.readouterr().err
+        assert "panels, more than 1048576" in err
 
     def test_fixed_point(self, tmp_path):
         out = tmp_path / "fp.json"

@@ -87,6 +87,18 @@ class TestLaplaceExpectation:
         assert record.levelno == logging.DEBUG
         assert "roundoff" in record.getMessage()
 
+    def test_cosine_at_large_b(self):
+        # Wh of cos takes 3735 subintervals at b = 1e3, past a fixed 300
+        val = laplace_expectation(np.cos, 1e3)
+        assert val == pytest.approx(1.0 / (1.0 + 1e6), abs=1e-11)
+
+    def test_span_beyond_max_panels_raises_before_any_evaluation(self):
+        def never(w):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(QuadratureError, match="subintervals"):
+            laplace_expectation(never, 2e4)
+
     def test_nonconvergent_raises(self):
         import warnings
         with warnings.catch_warnings():
