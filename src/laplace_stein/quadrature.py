@@ -67,7 +67,8 @@ def laplace_expectation(f, b: float, kinks=(),
                         tol: float = EXPECTATION_TOL) -> float:
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
-    ``kinks`` lists points where f or f' jumps; the rule is split there.
+    ``kinks`` lists points where f or f' jumps; the rule is split there,
+    except at a kink within 80b * 2^-52 of 0, which is dropped.
     quad may take max(300, ceil(80b)) subintervals.  Raises QuadratureError
     when the error estimate exceeds ``tol``, or up front when 80b exceeds
     MAX_PANELS.  QUADPACK's own complaint (roundoff, the subdivision limit)
@@ -86,7 +87,9 @@ def laplace_expectation(f, b: float, kinks=(),
     def folded(u):
         return (f(u) + f(-u)) * np.exp(-u / b)
 
-    points = sorted({abs(k) for k in kinks if 0.0 < abs(k) < hi})
+    # a kink within hi * eps of 0 cannot move the integral, and quad given
+    # it as a breakpoint reports bad integrand behaviour
+    points = sorted({abs(k) for k in kinks if hi * 2.0 ** -52 < abs(k) < hi})
     val, err, info, *message = integrate.quad(
         folded, 0.0, hi, points=points or None,
         limit=max(300, math.ceil(hi)), epsabs=1e-12,

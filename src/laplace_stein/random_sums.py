@@ -35,6 +35,7 @@ bounded by 1), flagging regimes where the formula is vacuous.  Every report's
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Union
@@ -53,6 +54,16 @@ from .transforms import SourceDistribution
 
 _TAIL_TOL = 1e-10
 _GAP_TAIL = 1e-24
+
+
+def _check_fits(k: float, where: str) -> None:
+    """TruncationError, before anything is allocated, when one array of k
+    floats would exceed the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not 8.0 * k <= memory:
+        raise TruncationError(f"truncation k = {k:.4g} at {where} needs "
+                              f"{8.0 * k:.3g} bytes per array, more than the "
+                              f"{memory:.3g} bytes of physical memory")
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,13 @@ class GeometricIndex:
         return (1.0 - self.p) ** k
 
     def truncation_for(self, tail: float) -> int:
+        """The least k >= 1 with P{N > k} <= tail; TruncationError when k
+        floats would not fit in memory."""
         if self.p == 1.0:
             return 1
-        return max(1, math.ceil(math.log(tail) / math.log1p(-self.p)))
+        k = math.log(tail) / math.log1p(-self.p)
+        _check_fits(k, f"p = {self.p:g}")
+        return max(1, math.ceil(k))
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,7 @@ def fixed_index(k: int) -> ExplicitIndex:
     """N identically equal to k."""
     if k < 1:
         raise ValueError("index value must be at least 1")
+    _check_fits(k, f"fixed index {k}")
     return ExplicitIndex(probs=(0.0,) * (k - 1) + (1.0,))
 
 
@@ -196,6 +212,9 @@ class RandomSumSpec:
 
     index: Index
     summands: Summands
+
+    def __post_init__(self):
+        self.sigma2_total()  # a non-finite variance fails before a truncation
 
     def sigma2_total(self) -> float:
         """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2.
@@ -329,63 +348,20 @@ def _streamed_sum(count: int, blocks) -> float:
     return metrics._tree_sum(count, leaf)
 
 
-_MERGE_BLOCK = 1 << 14  # values of each cumulative sum per merge block
-
-
-def _quantile_merge(cn: np.ndarray, cm: np.ndarray, top: float):
-    """The quantile breaks np.union1d(cn, cm) at or below ``top``, with
-    np.searchsorted(cn, breaks, side="left") and the same in cm, one block
-    of at most 2 * _MERGE_BLOCK breaks at a time.
-
-    A block holds the breaks in a value range (previous v, v], where v is
-    the value _MERGE_BLOCK places on in one of the two sorted arrays.  The
-    values of either array in that range beyond those places all equal v,
-    so the block's breaks and ranks come from slices of at most
-    _MERGE_BLOCK values, however long a run of equal sums is.
-    """
-    block = _MERGE_BLOCK
-    i = j = 0
-    while True:
-        v = min(cn[min(i + block, cn.shape[0]) - 1],
-                cm[min(j + block, cm.shape[0]) - 1], top)
-        i1 = int(np.searchsorted(cn, v, side="right"))
-        j1 = int(np.searchsorted(cm, v, side="right"))
-        part_n, part_m = cn[i:min(i1, i + block)], cm[j:min(j1, j + block)]
-        breaks = np.union1d(part_n, part_m)
-        yield (breaks, i + np.searchsorted(part_n, breaks, side="left"),
-               j + np.searchsorted(part_m, breaks, side="left"))
-        if v == top:
-            return
-        i, j = i1, j1
-
-
-def _gap_terms(cn: np.ndarray, cm: np.ndarray, top: float):
-    """sqrt|nq - mq| times the widths of the merged quantile breaks, the
-    widths being the breaks' differences from 0.0 on, a block at a time."""
-    last = 0.0
-    for breaks, nq, mq in _quantile_merge(cn, cm, top):
-        widths = np.diff(breaks, prepend=last)
-        last = breaks[-1]
-        widths *= np.sqrt(np.abs(nq - mq))
-        yield widths
-
-
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
-    """E|N - M|^(1/2) when both are driven by one uniform via their quantiles.
-
-    Bitwise-equal pmfs have equal quantiles everywhere: the coupling is the
-    diagonal N = M and the gap is exactly 0.0, the value the merge of the
-    quantile breaks below would return, so it is returned without the merge.
-    Otherwise the merge runs twice, a block at a time: once to count the
-    breaks, once to stream the terms into np.sum's tree.  The two
-    cumulative sums are its only arrays of length k.
-    """
-    if pn is pm or np.array_equal(pn, pm):
-        return 0.0
+    """E|N - M|^(1/2) over the given atoms when both are driven by one
+    uniform via their quantiles: the breaks of both cumulative sums up to
+    the smaller total, merged, each width weighted by sqrt|N - M| on it.
+    Equal pmfs give 0.0 by themselves, since N = M at every break."""
     cn, cm = np.cumsum(pn), np.cumsum(pm)
-    top = min(cn[-1], cm[-1])
-    count = sum(blk[0].shape[0] for blk in _quantile_merge(cn, cm, top))
-    return _streamed_sum(count, _gap_terms(cn, cm, top))
+    # np.union1d's breaks, without its first-call import of numpy.ma (1.2 MB)
+    breaks = np.sort(np.concatenate((cn, cm)))
+    breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])
+                    & (breaks <= min(cn[-1], cm[-1]))]
+    widths = np.diff(breaks, prepend=0.0)
+    widths *= np.sqrt(np.abs(np.searchsorted(cn, breaks, side="left")
+                             - np.searchsorted(cm, breaks, side="left")))
+    return float(np.sum(widths))
 
 
 def _next_fast_len(n: int) -> int:
@@ -432,23 +408,34 @@ def _independent_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
 
 def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
                             coupling: str = "comonotone") -> tuple:
-    """(E|N - M|^(1/2) over the truncated supports, additive slack).
+    """(E|N - M|^(1/2), additive slack).
+
+    Comonotone on a geometric index with L cyclic scales, P{N = m} =
+    p q^(m-1) and P{M = m} = w_r q^(m-1) put mass 1 - q^L on the first L
+    atoms and then repeat scaled by q^L, and so do their quantiles, shifted
+    by L: the gap is the merge of the first min(k, L) atoms over 1 - q^L =
+    -expm1(L log1p(-p)).  An explicit index merges its whole pmfs; the
+    independent coupling is the exact double sum over the truncated supports.
 
     The slack keeps the result a certified upper bound: the mass beyond the
-    truncation is covered via Cauchy-Schwarz
-    (E[sqrt|N-M|; tail] <= (sqrt(E N) + sqrt(E M)) sqrt(P{tail}), with the
-    tail masses computed analytically), and cumulative-sum rounding, which
-    perturbs each quantile break by at most k*eps, contributes at most
-    k*eps*sqrt(2k).  That rounding slack is added even when the gap is
-    exact (bitwise-equal pmfs under the comonotone coupling give 0.0), so a
-    report does not depend on which way the gap was found.
+    truncation k is covered via Cauchy-Schwarz (E[sqrt|N-M|; tail] <=
+    (sqrt(E N) + sqrt(E M)) sqrt(P{tail}), the tail masses analytic), and
+    cumulative-sum rounding, at most k*eps per quantile break, by
+    k*eps*sqrt(2k).  It over-covers the periodic gap, which is truncated
+    only when L > k and sums L atoms, not k.
     """
     k = m_dist.pmf.shape[0]
-    pn = m_dist.index_pmf
+    pn, pm = m_dist.index_pmf, m_dist.pmf
     if coupling == "comonotone":
-        gap = _comonotone_sqrt_gap(pn, m_dist.pmf)
+        if isinstance(spec.index, GeometricIndex):
+            p, period = spec.index.p, len(spec.summands.scales)
+            atoms = min(k, period)
+            mass = 1.0 if p == 1.0 else -math.expm1(period * math.log1p(-p))
+            gap = _comonotone_sqrt_gap(pn[:atoms], pm[:atoms]) / mass
+        else:
+            gap = _comonotone_sqrt_gap(pn, pm)
     elif coupling == "independent":
-        gap = _independent_sqrt_gap(pn, m_dist.pmf)
+        gap = _independent_sqrt_gap(pn, pm)
     else:
         raise ValueError(f"unknown coupling rule {coupling!r}")
     tail_mass = spec.index.tail(k) + m_dist.tail_bound
@@ -676,7 +663,11 @@ def random_sum_sample(spec: RandomSumSpec, n: int, seed: int) -> EmpiricalSample
     i.i.d. copies of the base (scales ``(1.0,)``), and a base with an exact
     aggregate law (Rademacher via binomial counts, Laplace via gamma
     differences) or one-word draws, which ``_chunked_sums`` sums.  Any other
-    spec raises ValueError.  The index is drawn first, then the summands.
+    spec raises ValueError, and so do a drawn N above 2^53, where the walk
+    2K - N leaves float64's exact integers (numpy's draw saturates at
+    2^63 - 1), and a float total of the counts at 2^62, whatever its
+    rounding clear of int64's 2^63.  The index is drawn first, then the
+    summands.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -688,6 +679,11 @@ def random_sum_sample(spec: RandomSumSpec, n: int, seed: int) -> EmpiricalSample
                          "with a sum_sampler or one-word draws are sampled")
     rng = substream(seed, "random-sum")
     counts = rng.geometric(spec.index.p, n)
+    top, total = int(counts.max()), float(counts.sum(dtype=float))
+    if top > 2 ** 53 or total >= 2.0 ** 62:
+        raise ValueError(f"the index at p = {spec.index.p:g} drew N = {top}, "
+                         f"{total:.4g} in all: past 2^53 per sum or 2^62 in "
+                         "total, no sum is sampled")
     if base.sum_sampler is not None:
         sums = np.asarray(base.sum_sampler(rng, counts), dtype=float)
     else:

@@ -380,6 +380,37 @@ class TestFlags:
         assert "numeric/runtime failure:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, p", [
+        (["sweep", "--n", "100", "--p", "1e-300"], "1e-300"),
+        (["sweep", "--source", "uniform", "--c", UNIC, "--n", "100",
+          "--p", "1e-20"], "1e-20")])
+    def test_clipped_index_law_is_not_sampled(self, argv, p, tmp_path):
+        # numpy's geometric draw saturates at 2^63 - 1: a FAIL row there
+        # would be about a law that was never sampled
+        out = tmp_path / "r.csv"
+        run = cli_subprocess(argv + ["--out", str(out)])
+        assert run.returncode == 2
+        assert not out.exists()
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"p = {p}" in lines[0] and "2^53" in lines[0]
+
+    @pytest.mark.parametrize("argv, where", [
+        (["bounds", "--p", "1e-300"], "at p = 1e-300"),
+        (["bounds", "--p", "1e-12"], "at p = 1e-12"),
+        (["bounds", "--index", "fixed", "--k", "100000000000"],
+         "at fixed index 100000000000")])
+    def test_truncation_beyond_memory_is_refused(self, argv, where):
+        # refused before any array is built: one line naming k, where a
+        # numpy size error exited 2 and a MemoryError asked for 402 TiB
+        run = cli_subprocess(argv)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric/runtime failure: TruncationError")
+        assert "truncation k = " in lines[0] and where in lines[0]
+
     @pytest.mark.parametrize("argv, scale", [
         (["bounds", "--scales", "1e200"], "1e+200"),
         (["bounds", "--scales", "1,1e160", "--p", "0.1"], "1e+160"),

@@ -62,16 +62,16 @@ GOLDEN = {
         ["bounds", "--index", "fixed", "--k", "1", "--coupling",
          "independent"],
         "76e7e00a58b96cd62f8adf50ec6b274112648f86f73bc0ea9bed10d23f41592f"),
-    # p = 0.2: the N- and M-pmfs are bitwise equal, so the gap is exactly 0;
-    # p = 0.03: they differ in the last bits and the quantile breaks are
-    # merged (e_sqrt_gap 8.4e-16)
+    # p = 0.2: the N- and M-pmfs are bitwise equal; p = 0.03: they differ
+    # in the last bits; on one atom of the period both gaps are exactly 0
     "bounds-iid-comonotone": (
         ["bounds", "--source", "uniform", "--c", UNIC, "--p", "0.2,0.03"],
-        "25803a2bd2f79a6695ef632d02736098ad06d963cb2eb5ec3db04634fbbee5ea"),
+        "ea98e453a3c38a2b2482fa8bd3ce88d08279335f4e6699d9cb5a6da6b690e941"),
+    # the comonotone gap from the first L = 2 atoms over 1 - q^L
     "bounds-cyclic-comonotone": (
         ["bounds", "--source", "rademacher", "--c", RADC, "--scales", "1,2",
          "--p", "0.2,0.05"],
-        "c0c38ee9645bcedca630a48dc3b6bae9a9e64d88c453a582ae9d67e0eb1c7a56"),
+        "12caabee1422e9b2a7ac062dd0ca7eec48817d3df00c95cc04c82bbd0882e289"),
     # n = 150000 spans three blocks of the n-length kernels (2**16 each),
     # the last one partial: d_K, d_W and the sorted sample across blocks
     "sweep-blocks": (

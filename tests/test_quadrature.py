@@ -75,6 +75,19 @@ class TestLaplaceExpectation:
         val = laplace_expectation(lambda w: np.abs(w - 1.0), 1.0, kinks=(1.0,))
         assert val == pytest.approx(oracle, abs=1e-11)
 
+    @pytest.mark.parametrize("x0", [1e-307, 3.386778236526314e-305, 1e-304,
+                                    1e-300, 1e-15])
+    def test_kink_next_to_zero(self, x0):
+        # a breakpoint within 80b * 2^-52 of 0 is dropped: quad given one
+        # reported bad integrand behaviour, and the sliver it bounds cannot
+        # move the integral
+        h, at_zero = (smoothed_indicator(x, 0.18377785665448562)
+                      for x in (x0, 0.0))
+        val = laplace_expectation(h.fn, 1.0, kinks=h.kinks)
+        assert val == pytest.approx(
+            laplace_expectation(at_zero.fn, 1.0, kinks=at_zero.kinks),
+            abs=1e-14)
+
     def test_quadpack_complaint_is_logged_not_warned(self, caplog):
         # at b = 64 QUADPACK reports roundoff on cos, yet its error estimate
         # passes; SciPy's multi-line warning would reach stderr

@@ -3,6 +3,10 @@ import math
 import multiprocessing
 import sys
 import tracemalloc
+from bisect import bisect_left
+from collections import defaultdict
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -202,6 +206,71 @@ class TestIndexGap:
             expected_sqrt_index_gap(spec, md, "antithetic")
 
 
+def periodic_gap_oracle(p, scales):
+    """The comonotone E|N - M|^(1/2) on a geometric index with cyclic
+    scales, in exact rational arithmetic: N and M both put mass 1 - q^L on
+    the first L atoms and then repeat, scaled by q^L, so the gap is the
+    merge of those atoms' quantile breaks over 1 - q^L.  The total width at
+    each |N - M| = d is exact; only the sum of sqrt(d) times it is float."""
+    p = Fraction(p)
+    q, period = 1 - p, len(scales)
+    var = [Fraction(s) ** 2 for s in scales]  # sigma_r^2 over the base's
+    mass = 1 - q ** period
+    # P{M = r} = sigma_r^2 q^(r-1) / sigma^2, sigma^2 = sum_r ... / mass
+    tilt = mass / sum(v * q ** r for r, v in enumerate(var))
+    cn = list(accumulate(p * q ** r for r in range(period)))
+    cm = list(accumulate(v * q ** r * tilt for r, v in enumerate(var)))
+    assert cn[-1] == cm[-1] == mass
+    width, last = defaultdict(Fraction), Fraction(0)
+    for brk in sorted(set(cn) | set(cm)):
+        width[abs(bisect_left(cn, brk) - bisect_left(cm, brk))] += brk - last
+        last = brk
+    return math.fsum(math.sqrt(d) * float(w / mass) for d, w in width.items())
+
+
+class TestPeriodicGap:
+    """The comonotone gap on a geometric index against exact arithmetic.
+    The tolerance is 1e-10 relative, not a few ulps: sigma^2 takes 1 - q^L
+    by subtraction, which shifts the M-pmf by up to 5e-12 relative at
+    p = 1e-5."""
+
+    @pytest.mark.parametrize("p", [0.2, 0.05, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("scales", [(1.0, 2.0), (1.0, 0.0, 2.0),
+                                        (1.0, 2.0, 3.0), (0.5, 1.7)])
+    def test_equals_exact_rational_gap(self, scales, p):
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
+        gap = general_sum_bound(spec).components["e_sqrt_gap"]
+        assert gap == pytest.approx(periodic_gap_oracle(p, scales),
+                                    rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.2, 0.05])
+    @pytest.mark.parametrize("scales", [(1.0, 2.0), (1.0, 0.0, 2.0),
+                                        (0.5, 1.7)])
+    def test_identity_equals_merge_of_all_atoms(self, scales, p):
+        # the merge over all k atoms, whose rounding is small at k <= 1100,
+        # agrees with the periodic identity: the identity is right
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
+        k = _gap_truncation(spec)
+        md = m_distribution(spec, k)
+        whole = quantile_merge_gap(spec.index.pmf(np.arange(1, k + 1)),
+                                   md.pmf)
+        assert whole == pytest.approx(periodic_gap_oracle(p, scales),
+                                      rel=1e-12, abs=0.0)
+
+    def test_period_longer_than_truncation(self):
+        # 40 scales at p = 0.9 give k = 24: the first k atoms are merged,
+        # and the mass beyond them, below 1e-24, is the slack's tail term
+        scales = (1.0, 2.0, 0.5, 3.0) * 10
+        spec = RandomSumSpec(GeometricIndex(0.9), Summands(RAD, scales))
+        k = _gap_truncation(spec)
+        assert k == 24 < len(scales)
+        md = m_distribution(spec, k)
+        gap, slack = expected_sqrt_index_gap(spec, md, "comonotone")
+        assert gap == pytest.approx(periodic_gap_oracle(0.9, scales),
+                                    rel=1e-10, abs=0.0)
+        assert 0.0 < slack <= 1e-10
+
+
 def fftconvolve_gap(pn, pm):
     """The independent-coupling gap as SciPy's fftconvolve gives it: the
     reference the numpy FFT must reproduce bit for bit."""
@@ -392,7 +461,9 @@ def quantile_merge_gap(pn, pm):
 def per_atom_bounds(spec, coupling):
     """(M-pmf, gap, i.i.d. components or None, general components), each
     atom's moments and survival evaluated on the full index array m = 1..k:
-    the reference for the per-residue tables and the shared index pmf."""
+    the reference for the per-residue tables and the shared index pmf.  A
+    geometric comonotone gap merges the first min(k, L) atoms and divides
+    by 1 - q^L."""
     sm, index = spec.summands, spec.index
     k = _gap_truncation(spec)
     m = np.arange(1, k + 1)
@@ -404,8 +475,16 @@ def per_atom_bounds(spec, coupling):
     else:
         tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
     pn = np.asarray(index.pmf(m), dtype=float)
-    gap = (quantile_merge_gap(pn, pmf) if coupling == "comonotone"
-           else _independent_sqrt_gap(pn, pmf))
+    if coupling == "independent":
+        gap = _independent_sqrt_gap(pn, pmf)
+    elif isinstance(index, ExplicitIndex):
+        gap = quantile_merge_gap(pn, pmf)
+    else:
+        # both laws repeat with the period L of the scales, scaled by q^L
+        period = len(sm.scales)
+        atoms = min(k, period)
+        gap = quantile_merge_gap(pn[:atoms], pmf[:atoms]) \
+            / -math.expm1(period * math.log1p(-index.p))
     slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)
     tail_mass = index.tail(k) + tail
     if tail_mass > 0.0:
@@ -462,6 +541,8 @@ class TestBoundBits:
              source=RAD, coupling="comonotone")
     @example(index=ExplicitIndex((0.5, 0.0, 0.5, 0.0)), scales=(1.65,),
              source=RAD, coupling="independent")
+    @example(index=GeometricIndex(0.9), scales=(1.0, 2.0) * 20, source=RAD,
+             coupling="comonotone")
     def test_equals_per_atom_reference(self, index, scales, source,
                                        coupling):
         spec = RandomSumSpec(index, Summands(source, scales))
@@ -479,20 +560,14 @@ class TestBoundBits:
 
     @given(pn=st.lists(st.integers(min_value=0, max_value=5), min_size=1,
                        max_size=300).filter(any),
-           pair=st.sampled_from(("copy", "reversed", "rolled")),
-           block=st.sampled_from((1, 2, 5, 1 << 14)))
-    @example(pn=[1] * 200, pair="rolled", block=2)
-    @example(pn=[1, 0, 0, 0, 0, 0, 0, 2], pair="reversed", block=1)
-    def test_gap_equals_quantile_merge(self, pn, pair, block):
-        # small merge blocks cross runs of equal sums and, past 128 breaks,
-        # split numpy's summation tree between blocks
+           pair=st.sampled_from(("copy", "reversed", "rolled")))
+    @example(pn=[1] * 200, pair="rolled")
+    @example(pn=[1, 0, 0, 0, 0, 0, 0, 2], pair="reversed")
+    def test_gap_equals_quantile_merge(self, pn, pair):
         pn = np.asarray(pn, dtype=float) / sum(pn)
         pm = {"copy": pn.copy(), "reversed": pn[::-1].copy(),
               "rolled": np.roll(pn, 1)}[pair]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(random_sums, "_MERGE_BLOCK", block)
-            gap = _comonotone_sqrt_gap(pn, pm)
-        assert gap == quantile_merge_gap(pn, pm)
+        assert _comonotone_sqrt_gap(pn, pm) == quantile_merge_gap(pn, pm)
 
     @given(scales=st.lists(SCALES, min_size=1, max_size=4).map(tuple),
            source=st.sampled_from(tr.builtin_sources(1.0)),
@@ -552,17 +627,22 @@ class TestBoundMemory:
                               "comonotone")
         assert peak <= 0.1 * 8 * md.pmf.shape[0]
 
-    def test_comonotone_merge_in_blocks(self):
-        # the two cumulative sums and a merge block's temporaries, where
-        # np.union1d over the whole sums held about 8 k-float arrays
+    def test_cyclic_gap_allocates_no_array(self):
+        # the comonotone gap on a geometric index merges the first L atoms
+        # alone
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
         md = m_distribution(spec, _gap_truncation(spec))
-        k = md.pmf.shape[0]
-        gap, peak = traced_peak(_comonotone_sqrt_gap, md.index_pmf, md.pmf)
-        assert gap == quantile_merge_gap(md.index_pmf, md.pmf)
-        assert peak <= 3.5 * 8 * k
+        _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
+                              "comonotone")
+        assert peak <= 0.1 * 8 * md.pmf.shape[0]
+
+    def test_cyclic_general_bound(self):
+        # the M-pmf, N's pmf and the float support of the mean: 2.9
+        # k-float arrays at the peak
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
+        k = _gap_truncation(spec)
         _, peak = traced_peak(general_sum_bound, spec, "comonotone")
-        assert peak <= 5 * 8 * k
+        assert peak <= 3 * 8 * k
 
     def test_independent_gap_in_place(self):
         # the spectra are multiplied and the weights built in place: about
@@ -693,6 +773,16 @@ class TestRandomSumSample:
         se = np.std(sq, ddof=1) / math.sqrt(n)
         assert abs(np.mean(sq) - 2.0) <= 4.0 * se
         assert abs(np.mean(s.values)) <= 4.0 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("p, n", [(1e-300, 100), (1e-19, 100),
+                                      (2e-15, 10_000)])
+    def test_rejects_counts_past_float_or_int64_range(self, p, n):
+        # N past 2^53 (numpy's draw saturates at 2^63 - 1, as it does at
+        # p = 1e-19 and 1e-300), or about 5e18 summands in all, each N near
+        # 5e14
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
+        with pytest.raises(ValueError, match=r"2\^53 per sum or 2\^62"):
+            random_sum_sample(spec, n, 1)
 
     def test_rejects_empty(self):
         spec = RandomSumSpec(GeometricIndex(0.5), Summands(RAD))
