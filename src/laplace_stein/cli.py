@@ -62,9 +62,9 @@ SOURCES = {"rademacher": transforms.rademacher,
            "uniform": transforms.uniform_symmetric,
            "laplace": transforms.laplace_source}
 
-# transform-check's zero-bias relations: (name, f''), in report order
-ZERO_BIAS_F_DD = (("one", np.ones_like), ("square", np.square),
-                  ("cos", np.cos))
+# transform-check's zero-bias relations: (name, f'', its degree in x)
+ZERO_BIAS_F_DD = (("one", np.ones_like, 0), ("square", np.square, 2),
+                  ("cos", np.cos, 0))
 
 
 class UsageError(Exception):
@@ -96,6 +96,15 @@ def _comma_list(item):
             raise argparse.ArgumentTypeError(f"{text!r} lists no value")
         return values
     return comma_list
+
+
+def _source(args):
+    """The --source law at scale --c, unless its variance underflows."""
+    src = SOURCES[args.source](args.c)
+    if not src.sigma2 >= sys.float_info.min:
+        raise FloatingPointError(
+            f"the variance of {src.label} underflows to {src.sigma2!r}")
+    return src
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,14 +249,17 @@ def cmd_stein_check(args):
     return report, all_pass
 
 
-def _four_se_check(name, observed, expected, se) -> dict:
+def _four_se_check(name, observed, expected, se, shift=0) -> dict:
+    """The 4-standard-error check, reported times 2^shift once judged."""
     se = max(se, 5e-324)
+    ok = within_four_se(abs(observed - expected), 0.0, se)
+    observed, expected, se = (math.ldexp(v, shift)
+                              for v in (observed, expected, se))
     return {"check": name, "observed": observed, "expected": expected,
-            "std_error": se,
-            "pass": within_four_se(abs(observed - expected), 0.0, se)}
+            "std_error": se, "pass": ok}
 
 
-def _equilibrium_checks(src, n, seed) -> tuple:
+def _equilibrium_checks(src, n, seed, e) -> tuple:
     """The moment and CF checks of one X_L sample, and the coupling-gap
     check of the same sample against a draw of the source."""
     stream = derive_seed(seed, "tc-equilibrium")
@@ -257,7 +269,7 @@ def _equilibrium_checks(src, n, seed) -> tuple:
         est = mc_estimate(xl ** k)
         checks.append(_four_se_check(
             f"equilibrium_moment_k{k}", est.value,
-            transforms.equilibrium_moment(k, src), est.std_error))
+            transforms.equilibrium_moment(k, src), est.std_error, k * e))
     for t in (0.5, 1.0, 2.0):
         arg = t * xl
         est = mc_estimate(np.cos(arg, out=arg))
@@ -271,9 +283,11 @@ def _equilibrium_checks(src, n, seed) -> tuple:
     del xl
     gap = mc_estimate(np.abs(x, out=x))
     bound = src.abs_mean + src.abs_third / (6.0 * src.b_equiv ** 2)
-    return checks, {"check": "equilibrium_gap_bound", "observed": gap.value,
-                    "bound": bound, "std_error": gap.std_error,
-                    "pass": within_four_se(gap.value, bound, gap.std_error)}
+    ok = within_four_se(gap.value, bound, gap.std_error)
+    observed, bound, se = (math.ldexp(v, e)
+                           for v in (gap.value, bound, gap.std_error))
+    return checks, {"check": "equilibrium_gap_bound", "observed": observed,
+                    "bound": bound, "std_error": se, "pass": ok}
 
 
 def _sgn_bias_check(src, n, seed) -> dict:
@@ -282,28 +296,34 @@ def _sgn_bias_check(src, n, seed) -> dict:
     return _four_se_check("sgn_bias_symmetry", est.value, 0.0, est.std_error)
 
 
-def _zero_bias_check(src, n, seed, name, f_dd) -> dict:
+def _zero_bias_check(src, n, seed, name, f_dd, shift) -> dict:
     est = verify_zero_bias_relation(src, f_dd, n,
                                     derive_seed(seed, "tc-zb", name))
     return _four_se_check(f"zero_bias_relation_{name}", est.value, 0.0,
-                          est.std_error)
+                          est.std_error, shift)
 
 
 def cmd_transform_check(args):
     """Each check group draws from its own substreams, so the groups run
     concurrently (seeding.run_all), longest first; the report lists their
-    checks in a fixed order."""
+    checks in a fixed order.  The identities are scale-equivariant and the
+    samplers exactly so under a power of two, so the checks run on the
+    source rescaled by the power of two 2^e nearest its Laplace scale, and
+    a number of degree d in x is reported times 2^(d e)."""
     if args.n < 2:
         raise UsageError("--n must be at least 2: the 4-standard-error checks "
                          "need a standard error, which one draw does not have")
-    src = SOURCES[args.source](args.c)
+    src = _source(args)
+    e = round(math.log2(src.b_equiv))
+    unit = SOURCES[args.source](math.ldexp(args.c, -e))
     n, seed = args.n, args.seed
     # the longest first: the equilibrium group, then the relations from
     # the costliest f'' down
-    groups = ([functools.partial(_equilibrium_checks, src, n, seed)]
-              + [functools.partial(_zero_bias_check, src, n, seed, name, f_dd)
-                 for name, f_dd in reversed(ZERO_BIAS_F_DD)]
-              + [functools.partial(_sgn_bias_check, src, n, seed)])
+    groups = ([functools.partial(_equilibrium_checks, unit, n, seed, e)]
+              + [functools.partial(_zero_bias_check, unit, n, seed, name,
+                                   f_dd, degree * e)
+                 for name, f_dd, degree in reversed(ZERO_BIAS_F_DD)]
+              + [functools.partial(_sgn_bias_check, unit, n, seed)])
     (equilibrium, gap), *zero_bias, sgn_bias = run_all(groups)
     results = equilibrium + [sgn_bias, gap] + zero_bias[::-1]
     all_pass = all(r["pass"] for r in results)
@@ -345,7 +365,7 @@ def cmd_sweep(args):
     if band >= 1.0:
         raise UsageError(f"--n {args.n} gives a DKW band of {band:g}, and "
                          "every Kolmogorov distance is at most 1; raise --n")
-    src = SOURCES[args.source](args.c)
+    src = _source(args)
     if abs(src.sigma2 - 2.0 * args.b ** 2) > 1e-9 * max(1.0, src.sigma2):
         raise UsageError(
             f"source variance {src.sigma2:g} does not match 2*b^2 = "
@@ -373,7 +393,7 @@ def _bound_entry(rep) -> dict:
 
 
 def cmd_bounds(args):
-    src = SOURCES[args.source](args.c)
+    src = _source(args)
     fixed = args.index == "fixed"
     reports = []
     for p in (None,) if fixed else args.p:
@@ -386,7 +406,8 @@ def cmd_bounds(args):
                 iid_sum_bound(spec, coupling=args.coupling))
             if p is not None:
                 entry["geometric_sum"] = _bound_entry(geometric_sum_bound(
-                    p, spec.b_equiv, float(spec.summands.abs_third_at(1))))
+                    p, spec.b_equiv,
+                    float(spec.summands.residue_moments()[2][0])))
         entry["general_sum"] = _bound_entry(
             general_sum_bound(spec, coupling=args.coupling))
         reports.append(entry)

@@ -247,10 +247,8 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
     cuts = [np.searchsorted(x, h.knots) for h in data]
     at = np.unique(np.concatenate(cuts + [[n]]))
     p1, p2 = (dict(zip(at.tolist(), p.tolist())) for p in _prefix_sums(x, at))
-    # it feeds only the pads; summed per block, without an n-length |x|
-    abs_sum = 0.0
-    for i in range(0, n, _BLOCK):
-        abs_sum += float(np.sum(np.abs(x[i:i + _BLOCK])))
+    # it feeds only the pads; summed without an n-length |x|
+    abs_sum = _tree_sum(n, lambda i, j: np.abs(x[i:j]))
     boxes = [_data_interval(h, cut.tolist(), n, p1, p2, abs_sum,
                             *wh_enclosure(h, b))
              for h, cut in zip(data, cuts)]
@@ -313,10 +311,8 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
     both prefixes).  t1, t2 and A1 are themselves computed, from
     nonnegative terms, so they are low by at most a factor
     (1 - gamma_(n+m+12))**2; taking gamma of twice the count covers that:
-    E = gamma_(2(n+m+12)) t.  A1 is summed pairwise within blocks of
-    ``_BLOCK`` values and the block sums added in turn: a term meets at
-    most _BLOCK - 1 roundings in its block and ceil(n / _BLOCK) - 1 in the
-    running sum, at most n - 1 in all, within the count above.
+    E = gamma_(2(n+m+12)) t.  A1 is summed pairwise, so a term meets at
+    most n - 1 roundings, within the count above.
 
     Mean.  np.mean(v) sums pairwise, within gamma_(n-1) sum |v_i|, then
     divides: it is within mu = gamma_n (sup + e) of the exact mean of v,

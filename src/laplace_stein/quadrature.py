@@ -69,10 +69,12 @@ def laplace_expectation(f, b: float, kinks=(),
 
     ``kinks`` lists points where f or f' jumps; the rule is split there,
     except at a kink within 80b * 2^-52 of 0, which is dropped.
-    quad may take max(300, ceil(80b)) subintervals.  Raises QuadratureError
-    when the error estimate exceeds ``tol``, or up front when 80b exceeds
-    MAX_PANELS.  QUADPACK's own complaint (roundoff, the subdivision limit)
-    is logged at DEBUG, not warned: the error estimate alone decides.
+    quad may take max(300, ceil(80b)) subintervals, to an absolute error
+    of 1e-12 min(1, 2b), which over 2b meets ``tol`` at any b.  Raises
+    QuadratureError when the error estimate exceeds ``tol``, or up front
+    when 80b exceeds MAX_PANELS.  QUADPACK's own complaint (roundoff, the
+    subdivision limit) is logged at DEBUG, not warned: the error estimate
+    alone decides.
     """
     hi = EXPECTATION_SPAN * b
     # quad's subinterval limit grows with the span: Wh of cos takes 3735
@@ -92,7 +94,7 @@ def laplace_expectation(f, b: float, kinks=(),
     points = sorted({abs(k) for k in kinks if hi * 2.0 ** -52 < abs(k) < hi})
     val, err, info, *message = integrate.quad(
         folded, 0.0, hi, points=points or None,
-        limit=max(300, math.ceil(hi)), epsabs=1e-12,
+        limit=max(300, math.ceil(hi)), epsabs=1e-12 * min(1.0, 2.0 * b),
         epsrel=1e-12, full_output=1)
     if message:
         import logging  # loaded by scipy already

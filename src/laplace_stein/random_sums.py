@@ -80,12 +80,17 @@ class GeometricIndex:
     def mean(self) -> float:
         return 1.0 / self.p
 
-    def survival(self, m):
-        """P{N >= m} for m >= 1."""
-        return (1.0 - self.p) ** (np.asarray(m) - 1)
+    def survival_atoms(self, k: int) -> np.ndarray:
+        """P{N >= m} = (1-p)^(m-1), m = 1..k, on a float exponent."""
+        out = np.arange(k, dtype=float)
+        np.power(1.0 - self.p, out, out=out)
+        return out
 
-    def pmf(self, m):
-        return self.p * self.survival(m)
+    def pmf_atoms(self, k: int) -> np.ndarray:
+        """P{N = m}, m = 1..k."""
+        out = self.survival_atoms(k)
+        out *= self.p
+        return out
 
     def tail(self, k: int) -> float:
         """P{N > k}, computed analytically (no summation noise)."""
@@ -120,16 +125,13 @@ class ExplicitIndex:
     def mean(self) -> float:
         return float(np.dot(np.arange(1, len(self.probs) + 1), self.probs))
 
-    def survival(self, m):
-        arr = np.asarray(self.probs)
-        surv = np.concatenate([np.cumsum(arr[::-1])[::-1], [0.0]])
-        idx = np.clip(np.asarray(m) - 1, 0, len(self.probs))
-        return surv[idx]
+    def survival_atoms(self, k: int) -> np.ndarray:
+        """P{N >= m}, m = 1..min(k, len(probs)): N has no atom beyond."""
+        return np.cumsum(self.probs[::-1])[::-1][:k].copy()
 
-    def pmf(self, m):
-        arr = np.asarray(self.probs + (0.0,))
-        idx = np.clip(np.asarray(m) - 1, 0, len(self.probs))
-        return arr[idx]
+    def pmf_atoms(self, k: int) -> np.ndarray:
+        """P{N = m}, m = 1..min(k, len(probs))."""
+        return np.array(self.probs[:k])
 
     def tail(self, k: int) -> float:
         return 0.0 if k >= len(self.probs) else float(sum(self.probs[k:]))
@@ -176,26 +178,10 @@ class Summands:
     def is_iid(self) -> bool:
         return len(set(self.scales)) == 1
 
-    def scale_at(self, m):
-        idx = (np.asarray(m) - 1) % len(self.scales)
-        return np.asarray(self.scales)[idx]
-
-    def sigma2_at(self, m):
-        return self.scale_at(m) ** 2 * self.base.sigma2
-
-    def abs_mean_at(self, m):
-        return self.scale_at(m) * self.base.abs_mean
-
-    def abs_third_at(self, m):
-        return self.scale_at(m) ** 3 * self.base.abs_third
-
     def residue_moments(self) -> tuple:
-        """(sigma_r^2, E|X_r|, E|X_r|^3) for the residues r = 1..L.
-
-        numpy array arithmetic on the L scales: read at (m-1) mod L, these
-        tables hold the bits that the ``*_at`` methods give on an index
-        array (a Python or numpy scalar ``** 3`` can round differently).
-        """
+        """(sigma_r^2, E|X_r|, E|X_r|^3) for the residues r = 1..L, the
+        moments of every atom m with (m-1) mod L = r-1: numpy array
+        arithmetic on the L scales, the one source of per-index moments."""
         s = np.asarray(self.scales)
         base = self.base
         return (s ** 2 * base.sigma2, s * base.abs_mean,
@@ -221,22 +207,19 @@ class RandomSumSpec:
 
         Raises OverflowError when it is not a finite float.
         """
-        sm = self.summands
+        sm, index = self.summands, self.index
+        sigma2 = sm.residue_moments()[0]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if sm.is_iid:
-                total = sm.sigma2_at(1) * self.index.mean
-            elif isinstance(self.index, ExplicitIndex):
-                m = np.arange(1, len(self.index.probs) + 1)
-                total = float(np.sum(self.index.survival(m)
-                                     * sm.sigma2_at(m)))
+                total = sigma2[0] * index.mean
             else:
-                # geometric + cyclic scales: group by residue, sum the
-                # geometric series
-                p, L = self.index.p, len(sm.scales)
-                r = np.arange(1, L + 1)
-                q = 1.0 - p
-                total = float(np.sum(sm.sigma2_at(r) * q ** (r - 1))
-                              / (1.0 - q ** L))
+                # all atoms of an explicit index (tail 0.0); one period of
+                # a geometric one, summed as a geometric series
+                k = len(sm.scales) if isinstance(index, GeometricIndex) \
+                    else len(index.probs)
+                total = float(np.sum(index.survival_atoms(k)
+                                     * _over_atoms(0, k, sigma2)[0])
+                              / (1.0 - index.tail(k)))
         if not math.isfinite(total):
             raise OverflowError(
                 f"total variance sigma^2 is {total} at scales "
@@ -260,15 +243,6 @@ class MDistribution:
     tail_bound: float
     index_pmf: np.ndarray  # index_pmf[i] = P{N = i+1}
     mean: float  # sum_m m P{M = m}, as np.dot of the support and the pmf
-
-
-def _geometric_survival(p: float, k: int) -> np.ndarray:
-    """(1-p)^(m-1), m = 1..k, over a float exponent, written over the
-    exponent: the bits of GeometricIndex.survival(m) without its integer
-    temporaries."""
-    out = np.arange(k, dtype=float)
-    np.power(1.0 - p, out, out=out)
-    return out
 
 
 def _over_atoms(i: int, j: int, *tables) -> tuple:
@@ -298,54 +272,31 @@ def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
     if sigma2 <= 0:
         raise ValueError("total variance must be positive")
     index = spec.index
-    explicit = isinstance(index, ExplicitIndex)
     weight = spec.summands.residue_moments()[0] / sigma2
-    pmf = index.survival(np.arange(1, truncation + 1)) if explicit \
-        else _geometric_survival(index.p, truncation)
+    pmf = index.survival_atoms(truncation)
     # the survival weighted in place, one residue at a time
     period = weight.shape[0]
     for r in range(period):
         pmf[r::period] *= weight[r]
-    if explicit:
+    if isinstance(index, ExplicitIndex):
         tail = 0.0 if truncation >= len(index.probs) \
             else max(0.0, 1.0 - float(pmf.sum()))
     else:
-        p = index.p
-        sup_sig2 = spec.summands.sup_sigma ** 2
-        tail = sup_sig2 / sigma2 * (1.0 - p) ** truncation / p
+        tail = spec.summands.sup_sigma ** 2 / sigma2 \
+            * index.tail(truncation) / index.p
     if tail > _TAIL_TOL:
         raise TruncationError(
             f"tail mass {tail:.3e} above {_TAIL_TOL:g} at truncation "
             f"{truncation}; increase the truncation")
     # a float support: np.dot would cast an integer one to a float copy
-    mean = float(np.dot(np.arange(1.0, truncation + 1.0), pmf))
-    if explicit:
-        index_pmf = index.pmf(np.arange(1, truncation + 1))
-    elif np.all(weight == index.p):
+    mean = float(np.dot(np.arange(1.0, pmf.shape[0] + 1.0), pmf))
+    if isinstance(index, GeometricIndex) and np.all(weight == index.p):
         index_pmf = pmf
     else:
-        index_pmf = _geometric_survival(index.p, truncation)
-        index_pmf *= index.p
+        index_pmf = index.pmf_atoms(truncation)
     pmf.flags.writeable = index_pmf.flags.writeable = False
     return MDistribution(pmf=pmf, tail_bound=float(tail),
                          index_pmf=index_pmf, mean=mean)
-
-
-def _streamed_sum(count: int, blocks) -> float:
-    """np.sum of the ``count`` values that the iterator ``blocks`` gives,
-    block after block, bit for bit: ``metrics._tree_sum`` asks for its
-    leaves in order, and each is cut from the blocks drawn so far, so only
-    a leaf's and a block's values are alive at a time."""
-    pending = np.empty(0)
-
-    def leaf(i, j):
-        nonlocal pending
-        while pending.shape[0] < j - i:
-            pending = np.concatenate([pending, next(blocks)])
-        values, pending = pending[:j - i], pending[j - i:]
-        return values
-
-    return metrics._tree_sum(count, leaf)
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -513,15 +464,15 @@ def iid_sum_bound(spec: RandomSumSpec,
     for i.i.d. summands with E[X_1^2] = 2 b^2."""
     if not spec.summands.is_iid:
         raise ValueError("summands are not i.i.d.; use general_sum_bound")
-    sm = spec.summands
+    sigma2, abs_mean, abs_third = spec.summands.residue_moments()
     mu = spec.index.mean
-    b = math.sqrt(sm.sigma2_at(1) / 2.0)
+    b = math.sqrt(sigma2[0] / 2.0)
     m_dist = m_distribution(spec, _gap_truncation(spec))
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("iid_sum", {
         "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
-        "abs_mean": float(sm.abs_mean_at(1)),
-        "third_moment_term": float(sm.abs_third_at(1)) / (6.0 * b ** 2),
+        "abs_mean": float(abs_mean[0]),
+        "third_moment_term": float(abs_third[0]) / (6.0 * b ** 2),
         "index_gap_term": b * math.sqrt(2.0) * (gap + slack),
         "e_sqrt_gap": gap,
         "gap_tail_slack": slack,
@@ -532,29 +483,23 @@ def iid_sum_bound(spec: RandomSumSpec,
 def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
     """(E|X_M|, (1/3) E[|X_M|^3 / sigma_M^2]) over the truncated M-pmf.
 
-    Atoms without M-mass (zero variance or zero survival) are left out of
-    the ratio term.  Both sums are np.sum over the whole pmf, bit for bit,
-    taken a block of atoms at a time.
+    Both are np.sum's over all k atoms' terms, bit for bit, taken by
+    ``metrics._tree_sum`` on slices of the atoms.  An atom without variance
+    has no M-mass and adds 0.0 to the ratio term.
     """
     sigma2, abs_mean, abs_third = summands.residue_moments()
-    k, block = pmf.shape[0], metrics._BLOCK
-    spans = [(i, min(i + block, k)) for i in range(0, k, block)]
 
-    def abs_means():
-        for i, j in spans:
-            yield pmf[i:j] * _over_atoms(i, j, abs_mean)[0]
+    def abs_means(i, j):
+        return pmf[i:j] * _over_atoms(i, j, abs_mean)[0]
 
-    def ratios():
-        for i, j in spans:
-            var, third = _over_atoms(i, j, sigma2, abs_third)
-            ratio = pmf[i:j] * third
-            with np.errstate(invalid="ignore"):  # 0/0 on zero-variance atoms
-                ratio /= var
-            yield ratio[pmf[i:j] > 0]
+    def ratios(i, j):
+        var, third = _over_atoms(i, j, sigma2, abs_third)
+        return np.divide(pmf[i:j] * third, var, out=np.zeros(j - i),
+                         where=var > 0)
 
-    live = sum(int(np.count_nonzero(pmf[i:j] > 0)) for i, j in spans)
-    return (_streamed_sum(k, abs_means()),
-            _streamed_sum(live, ratios()) / 3.0)
+    k = pmf.shape[0]
+    return (metrics._tree_sum(k, abs_means),
+            metrics._tree_sum(k, ratios) / 3.0)
 
 
 def general_sum_bound(spec: RandomSumSpec,
@@ -562,7 +507,7 @@ def general_sum_bound(spec: RandomSumSpec,
     """The three-term bound with per-index variances (see module docstring).
 
     Expectations over M use the truncated, tail-certified pmf; atoms with
-    zero variance carry zero M-mass and are skipped in the ratio term.
+    zero variance carry zero M-mass and add 0.0 to the ratio term.
     """
     sm = spec.summands
     mu = spec.index.mean
@@ -616,14 +561,14 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     cut into parts of about equal draws, at most one per CPU and, when there
     are several, each at least ``_DRAW_BLOCK`` draws.  Every part, a single
     one too, runs through ``seeding.run_all`` from a copy of the generator
-    advanced, in O(log k) steps, to the part's first draw.  Within a part, runs take at most ``_DRAW_BLOCK`` draws
-    (2 MiB, a core's L2 cache).  A smaller run pays more per-call overhead,
-    and its frees raise glibc's dynamic mmap threshold less, so more of the
-    metrics' n-length temporaries fault in fresh pages (on a Uniform sweep
-    at n = 1e5: about 14k minor faults per 5-point pass at 2^16 draws, 3.3k
-    at 2^18, none at 2^19).  A larger run overflows L2 and costs memory per
-    thread.  Afterwards the caller's generator is advanced past every draw,
-    its buffered 32-bit half-word kept, so its state is the sequential one.
+    advanced, in O(log k) steps, to the part's first draw.  Within a part,
+    runs take at most ``_DRAW_BLOCK`` draws (2 MiB, a core's L2 cache).  A
+    smaller run pays more per-call overhead, and its frees raise glibc's
+    dynamic mmap threshold less, so more of the metrics' n-length
+    temporaries fault in fresh pages (on a Uniform sweep at n = 1e5: about
+    14k minor faults per 5-point pass at 2^16 draws, 3.3k at 2^18, none at
+    2^19).  A larger run overflows L2 and costs memory per thread.  The
+    caller's generator is left as it was.
     """
     out = np.empty(counts.shape[0])
     ends = np.cumsum(counts)
@@ -634,8 +579,7 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     # (k+1)/parts of it; a row longer than a part leaves a later one empty
     cuts = [0] + [int(np.searchsorted(ends, k * total // parts, side="right"))
                   for k in range(1, parts)] + [rows]
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
+    state = rng.bit_generator.state
 
     def part(start, stop):
         clone = np.random.PCG64(0)  # its seed is replaced by the state
@@ -646,13 +590,6 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     seeding.run_all(partial(part, start, stop)
                     for start, stop in zip(cuts[:-1], cuts[1:])
                     if start < stop)
-    # advance() clears the buffered 32-bit half-word that draws of doubles
-    # leave alone; put it back
-    bit_gen.advance(total)
-    after = bit_gen.state
-    after["has_uint32"], after["uinteger"] = (state["has_uint32"],
-                                              state["uinteger"])
-    bit_gen.state = after
     return out
 
 

@@ -29,6 +29,7 @@ second-order identity E[g(W)] - g(0) = b**2 E[g''(W)] and the first-order
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -362,9 +363,12 @@ def residual(sol: SteinSolution, x):
 
 
 def standard_grid(b: float) -> np.ndarray:
-    """Default certification grid: [-40b, 40b] in steps of b/20."""
+    """Default certification grid: [-40b, 40b] in steps of b/20, refused
+    where it overflows or where b^3, in the limit (b+2)/b^3, underflows."""
     if not 40.0 * b < math.inf:
         raise OverflowError(f"the grid [-40b, 40b] at b={b:g} overflows")
+    if not b * b * b >= sys.float_info.min:
+        raise FloatingPointError(f"b^3 at b={b:g} underflows")
     return np.linspace(-40.0 * b, 40.0 * b, 1601)
 
 

@@ -347,13 +347,13 @@ _CF_SERIES_CUTOFF = 1e-4
 def equilibrium_cf(t, src: SourceDistribution):
     """Characteristic function (1 - cf_X(t)) / (t^2 b^2) of X_L (real sources).
 
-    Below |t| = 1e-4 the 0/0 cancellation is replaced by the second-order
-    series 1 - t^2 E[(X_L)^2] / 2.
+    Below |t| b = 1e-4, t on the source's own scale, the 0/0 cancellation
+    is replaced by the second-order series 1 - t^2 E[(X_L)^2] / 2.
     """
     arr = np.atleast_1d(np.asarray(t, float))
     b2 = src.sigma2 / 2.0
     out = np.empty_like(arr)
-    small = np.abs(arr) < _CF_SERIES_CUTOFF
+    small = np.abs(arr) * math.sqrt(b2) < _CF_SERIES_CUTOFF
     if np.any(small):
         m2 = equilibrium_moment(2, src)
         out[small] = 1.0 - arr[small] ** 2 * m2 / 2.0

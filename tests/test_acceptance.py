@@ -186,7 +186,7 @@ def test_criterion_09_index_reweighting():
     for p in (0.05, 0.37):
         spec = RandomSumSpec(GeometricIndex(p), Summands(tr.rademacher(SQRT2)))
         md = m_distribution(spec, 10 ** 4)
-        pn = spec.index.pmf(np.arange(1, 10 ** 4 + 1))
+        pn = spec.index.pmf_atoms(10 ** 4)
         worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(md.pmf - pn))))
     spec = RandomSumSpec(fixed_index(7), Summands(tr.rademacher(SQRT2)))
     uniform_exact = np.array_equal(m_distribution(spec, 7).pmf,

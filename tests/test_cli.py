@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from laplace_stein import cli
 from laplace_stein.random_sums import recompute_bound
@@ -137,6 +138,15 @@ class TestOtherCommands:
         rep = json.loads(run.stdout)
         assert rep["all_pass"] is True
         assert max(abs(c["solution_at_zero"]) for c in rep["checks"]) <= 1e-13
+
+    def test_stein_check_at_small_b(self, tmp_path):
+        # quad's absolute tolerance shrinks with 2b: a fixed 1e-12 gave an
+        # error estimate of 1.5e-8 over 2b at b = 1e-5, past the 1e-8 rule
+        out = tmp_path / "stein.json"
+        assert run_cli(["stein-check", "--b", "1e-5", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["all_pass"] is True
+        assert max(abs(c["solution_at_zero"]) for c in rep["checks"]) <= 1e-15
 
     def test_stein_check_beyond_quadrature_is_one_line(self):
         # the tail rule needs 2.4e6 panels at b = 2e4, more than MAX_PANELS:
@@ -425,6 +435,62 @@ class TestFlags:
         assert len(lines) == 1 and "Warning" not in lines[0]
         assert lines[0].startswith("numeric/runtime failure: OverflowError")
         assert scale in lines[0]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["stein-check", "--b", "1e-200"], "b^3 at b=1e-200"),
+        (["bounds", "--c", "1e-170"], "variance of rademacher(1e-170)"),
+        (["sweep", "--c", "1e-170", "--b", "7.07e-171", "--n", "10"],
+         "variance of rademacher(1e-170)")])
+    def test_underflow_is_one_line(self, argv, name):
+        # refused up front: no numpy warning, division by zero or
+        # misleading usage error
+        run = cli_subprocess(argv)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "numeric/runtime failure: FloatingPointError")
+        assert name in lines[0] and "underflows" in lines[0]
+
+
+# the degree in x of each transform-check quantity; the others are
+# dimensionless
+DEGREE = {"equilibrium_moment_k2": 2, "equilibrium_moment_k4": 4,
+          "equilibrium_gap_bound": 1, "zero_bias_relation_square": 2}
+UNIT_C = {"rademacher": math.sqrt(2.0), "uniform": math.sqrt(6.0),
+          "laplace": 1.0}
+
+
+def transform_checks(source, c):
+    args = cli.build_parser().parse_args(
+        ["transform-check", "--source", source, "--c", repr(c),
+         "--n", "2000", "--seed", "7"])
+    return args.handler(args)[0]["checks"]
+
+
+class TestTransformCheckScale:
+    """The checks run at the power of two nearest the source's Laplace
+    scale: scaling --c by 2^j scales each reported number by 2^(d j), d
+    its degree in x, and changes no verdict (at c = 2^-30 sqrt(2) every CF
+    check failed on 1 - cf(t) cancelling)."""
+
+    @given(source=st.sampled_from(sorted(UNIT_C)),
+           j=st.integers(min_value=-100, max_value=100))
+    @example(source="rademacher", j=-30)
+    @example(source="uniform", j=-10)
+    @example(source="laplace", j=-170)  # c = 7e-52 and 1e40: the k4 check
+    @example(source="laplace", j=133)  # failed, or passed on an inf se
+    @settings(max_examples=20)
+    def test_verdicts_do_not_change(self, source, j):
+        base = transform_checks(source, UNIT_C[source])
+        scaled = transform_checks(source, math.ldexp(UNIT_C[source], j))
+        assert [c["pass"] for c in scaled] == [c["pass"] for c in base]
+        for got, want in zip(scaled, base):
+            shift = DEGREE.get(want["check"], 0) * j
+            assert got == {key: math.ldexp(v, shift)
+                           if isinstance(v, float) else v
+                           for key, v in want.items()}
 
 
 class TestConfigResolution:

@@ -36,6 +36,31 @@ SQRT2 = math.sqrt(2.0)
 RAD = tr.rademacher(SQRT2)
 
 
+def atom_survival(index, m):
+    """P{N >= m} at each atom of the index array m (within an explicit
+    index's support): the reference for ``survival_atoms``."""
+    if isinstance(index, GeometricIndex):
+        return (1.0 - index.p) ** (m - 1)
+    return np.cumsum(index.probs[::-1])[::-1][m - 1]
+
+
+def atom_pmf(index, m):
+    """P{N = m} at each atom of the index array m: the reference for
+    ``pmf_atoms``."""
+    if isinstance(index, GeometricIndex):
+        return index.p * atom_survival(index, m)
+    return np.asarray(index.probs)[m - 1]
+
+
+def atom_moments(summands, m):
+    """(sigma_m^2, E|X_m|, E|X_m|^3) at each atom of the index array m, from
+    its scale scales[(m-1) mod L] in numpy array arithmetic: the reference
+    for the per-residue tables."""
+    s = np.asarray(summands.scales)[(m - 1) % len(summands.scales)]
+    base = summands.base
+    return s ** 2 * base.sigma2, s * base.abs_mean, s ** 3 * base.abs_third
+
+
 class TestIndexes:
     def test_geometric_domain(self):
         with pytest.raises(ValueError):
@@ -47,8 +72,9 @@ class TestIndexes:
     def test_geometric_pmf_and_survival(self):
         idx = GeometricIndex(0.25)
         m = np.arange(1, 6)
-        assert np.allclose(idx.pmf(m), 0.25 * 0.75 ** (m - 1), rtol=1e-15)
-        assert np.allclose(idx.survival(m), 0.75 ** (m - 1), rtol=1e-15)
+        assert np.allclose(idx.pmf_atoms(5), 0.25 * 0.75 ** (m - 1),
+                           rtol=1e-15)
+        assert np.allclose(idx.survival_atoms(5), 0.75 ** (m - 1), rtol=1e-15)
         assert idx.tail(10) == 0.75 ** 10
 
     def test_explicit_validation(self):
@@ -63,19 +89,26 @@ class TestIndexes:
                 ExplicitIndex(probs=bad)
         idx = ExplicitIndex(probs=(0.25, 0.75))
         assert idx.mean == 1.75
-        assert np.allclose(idx.survival(np.array([1, 2, 3])), [1.0, 0.75, 0.0])
+        assert np.array_equal(idx.survival_atoms(2), [1.0, 0.75])
+        # atoms past the support do not exist
+        assert np.array_equal(idx.survival_atoms(3), [1.0, 0.75])
+        assert np.array_equal(idx.pmf_atoms(1), [0.25])
 
     def test_fixed_index(self):
         idx = fixed_index(4)
         assert idx.mean == 4.0
-        assert np.allclose(idx.pmf(np.array([1, 4, 5])), [0.0, 1.0, 0.0])
+        assert np.array_equal(idx.pmf_atoms(4), [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(idx.survival_atoms(4), [1.0, 1.0, 1.0, 1.0])
 
 
 class TestSummands:
     def test_cyclic_scales(self):
         sm = Summands(tr.rademacher(1.0), scales=(1.0, 2.0))
         assert not sm.is_iid
-        assert np.allclose(sm.sigma2_at(np.array([1, 2, 3, 4])), [1, 4, 1, 4])
+        sigma2, abs_mean, abs_third = sm.residue_moments()
+        assert np.array_equal(sigma2, [1.0, 4.0])
+        assert np.array_equal(abs_mean, [1.0, 2.0])
+        assert np.array_equal(abs_third, [1.0, 8.0])
         assert sm.sup_sigma == 2.0
 
     def test_validation(self):
@@ -92,7 +125,7 @@ class TestSummands:
         sm = Summands(tr.rademacher(1.0), scales=(1.0, 2.0))
         spec = RandomSumSpec(GeometricIndex(0.3), sm)
         m = np.arange(1, 400)
-        series = float(np.sum(0.7 ** (m - 1) * sm.sigma2_at(m)))
+        series = float(np.sum(0.7 ** (m - 1) * atom_moments(sm, m)[0]))
         assert spec.sigma2_total() == pytest.approx(series, rel=1e-13)
         # explicit index, exact finite sum
         spec = RandomSumSpec(fixed_index(2), sm)
@@ -104,7 +137,7 @@ class TestMDistribution:
     def test_geometric_constant_variance_collapses(self, p):
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
         md = m_distribution(spec, 10 ** 4)
-        pn = spec.index.pmf(np.arange(1, 10 ** 4 + 1))
+        pn = spec.index.pmf_atoms(10 ** 4)
         assert 0.5 * np.sum(np.abs(md.pmf - pn)) <= 1e-12
 
     def test_deterministic_index_gives_uniform(self):
@@ -150,8 +183,7 @@ class TestMDistribution:
         k = _gap_truncation(spec)
         md = m_distribution(spec, k)
         assert md.index_pmf is not md.pmf
-        assert np.array_equal(md.index_pmf,
-                              spec.index.pmf(np.arange(1, k + 1)))
+        assert np.array_equal(md.index_pmf, spec.index.pmf_atoms(k))
         assert not md.index_pmf.flags.writeable
 
     def test_truncation_error(self):
@@ -194,7 +226,7 @@ class TestIndexGap:
                                                                   0.5)))
         md = m_distribution(spec, 3)
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
-        pn = spec.index.pmf(np.arange(1, 4))
+        pn = spec.index.pmf_atoms(3)
         brute = sum(pn[i] * md.pmf[j] * math.sqrt(abs(i - j))
                     for i in range(3) for j in range(3))
         assert gap == pytest.approx(brute, rel=1e-12)
@@ -252,8 +284,7 @@ class TestPeriodicGap:
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
         k = _gap_truncation(spec)
         md = m_distribution(spec, k)
-        whole = quantile_merge_gap(spec.index.pmf(np.arange(1, k + 1)),
-                                   md.pmf)
+        whole = quantile_merge_gap(spec.index.pmf_atoms(k), md.pmf)
         assert whole == pytest.approx(periodic_gap_oracle(p, scales),
                                       rel=1e-12, abs=0.0)
 
@@ -306,7 +337,7 @@ class TestIndependentGapBits:
     def test_bounds_deep_specs_equal_fftconvolve(self, p):
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, (1.0, 2.0)))
         md = m_distribution(spec, _gap_truncation(spec))
-        pn = spec.index.pmf(np.arange(1, md.pmf.shape[0] + 1))
+        pn = spec.index.pmf_atoms(md.pmf.shape[0])
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
         assert gap == fftconvolve_gap(pn, md.pmf)
 
@@ -468,13 +499,14 @@ def per_atom_bounds(spec, coupling):
     k = _gap_truncation(spec)
     m = np.arange(1, k + 1)
     sigma2 = spec.sigma2_total()
-    pmf = sm.sigma2_at(m) / sigma2 * index.survival(m)
+    sigma2_m, abs_mean_m, abs_third_m = atom_moments(sm, m)
+    pmf = sigma2_m / sigma2 * atom_survival(index, m)
     if isinstance(index, ExplicitIndex):
         tail = 0.0 if k >= len(index.probs) \
             else max(0.0, 1.0 - float(pmf.sum()))
     else:
         tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
-    pn = np.asarray(index.pmf(m), dtype=float)
+    pn = np.asarray(atom_pmf(index, m), dtype=float)
     if coupling == "independent":
         gap = _independent_sqrt_gap(pn, pmf)
     elif isinstance(index, ExplicitIndex):
@@ -494,28 +526,32 @@ def per_atom_bounds(spec, coupling):
     mu = index.mean
     common = {"e_sqrt_gap": gap, "gap_tail_slack": slack, "mu": mu,
               "cap": 2.0}
-    live = pmf > 0
-    sigma2_m = sm.sigma2_at(m)
     general = dict(common, **{
         "mu_inv_sqrt": 1.0 / math.sqrt(mu),
         "sqrt8_over_sigma": math.sqrt(8.0) / math.sqrt(sigma2),
-        "abs_mean_m": float(np.sum(pmf * sm.abs_mean_at(m))),
-        "third_moment_m": float(np.sum(pmf[live] * sm.abs_third_at(m[live])
-                                       / sigma2_m[live])) / 3.0,
+        "abs_mean_m": float(np.sum(pmf * abs_mean_m)),
+        "third_moment_m": float(np.sum(third_over_variance(
+            pmf, abs_third_m, sigma2_m))) / 3.0,
         "index_gap_term": sm.sup_sigma * (gap + slack)})
     iid = None
     if sm.is_iid:
-        b = math.sqrt(sm.sigma2_at(1) / 2.0)
+        b = math.sqrt(sigma2_m[0] / 2.0)
         iid = dict(common, **{
             "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
-            "abs_mean": float(sm.abs_mean_at(1)),
-            "third_moment_term": float(sm.abs_third_at(1)) / (6.0 * b ** 2),
+            "abs_mean": float(abs_mean_m[0]),
+            "third_moment_term": float(abs_third_m[0]) / (6.0 * b ** 2),
             "index_gap_term": b * math.sqrt(2.0) * (gap + slack)})
     return pmf, gap, iid, general
 
 
-# 1.45, 1.65, 2.9 and 3.3 cube differently as Python floats than in a numpy
-# array on some CPUs; 0.0 makes atoms without M-mass
+def third_over_variance(pmf, third, var):
+    """pmf * third / var per atom, 0.0 where var is 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(var > 0, pmf * third / var, 0.0)
+
+
+# 1.45, 1.65, 2.9 and 3.3 cube differently as Python or numpy scalars than
+# in a numpy array on some CPUs; 0.0 makes atoms without M-mass
 SCALES = st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.45, 1.65, 2.9, 3.3]) \
     | st.floats(min_value=0.1, max_value=4.0)
 INDEXES = st.floats(min_value=1e-3, max_value=0.9).map(GeometricIndex) \
@@ -551,7 +587,8 @@ class TestBoundBits:
         k = _gap_truncation(spec)
         md = m_distribution(spec, k)
         assert np.array_equal(md.pmf, pmf)
-        assert np.array_equal(md.index_pmf, index.pmf(np.arange(1, k + 1)))
+        assert np.array_equal(md.index_pmf, atom_pmf(index, np.arange(1,
+                                                                      k + 1)))
         assert md.mean == float(np.dot(np.arange(1.0, k + 1.0), pmf))
         assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
         if iid is not None:
@@ -577,23 +614,21 @@ class TestBoundBits:
            block=st.sampled_from((1, 7, 1 << 16)))
     def test_moments_equal_whole_pmf_sums(self, scales, source, k, zeros,
                                           seed, block):
-        # the blocks' terms are np.sum's over the whole pmf, dead atoms
-        # (no M-mass, or no variance) left out of the ratio
+        # the leaves' terms are np.sum's over the whole pmf, an atom
+        # without variance adding 0.0 to the ratio
         sm = Summands(source, scales)
         rng = np.random.default_rng(seed)
         pmf = rng.random(k)
         pmf[rng.random(k) < zeros] = 0.0
-        m = np.arange(1, k + 1)
-        live = pmf > 0
-        sigma2_m = sm.sigma2_at(m)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            third = pmf[live] * sm.abs_third_at(m[live]) / sigma2_m[live]
+        sigma2_m, abs_mean_m, abs_third_m = atom_moments(sm, np.arange(1,
+                                                                      k + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_BLOCK", block)
             got = _moments_under_m(sm, pmf)
-        want = (float(np.sum(pmf * sm.abs_mean_at(m))),
-                float(np.sum(third)) / 3.0)
-        assert np.array_equal(got, want, equal_nan=True)
+        want = (float(np.sum(pmf * abs_mean_m)),
+                float(np.sum(third_over_variance(pmf, abs_third_m,
+                                                 sigma2_m))) / 3.0)
+        assert got == want
 
 
 def traced_peak(fn, *args):
@@ -933,8 +968,8 @@ def half_word_rng(seed, buffered):
 
 class TestPartedChunkedSumsBits:
     """Parts drawn on threads from generators advanced to their first word
-    give the sums, and leave the generator state, of one sequential draw,
-    for any number of parts and any block size."""
+    give the sums of one sequential draw, for any number of parts and any
+    block size."""
 
     @given(counts=st.lists(st.sampled_from([1, 7, 8, 63, 64, 65, 200])
                            | st.integers(min_value=1, max_value=150),
@@ -957,7 +992,6 @@ class TestPartedChunkedSumsBits:
         ref = half_word_rng(seed, buffered)
         want = sequential_row_sums(ref, source.sampler, counts)
         assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_more_threads_than_cores(self):
         # a fresh pool of 8 threads, and thread switches every microsecond:

@@ -182,6 +182,16 @@ class TestEquilibriumCf:
         got = tr.equilibrium_cf(1.0, tr.rademacher(SQRT2))
         assert got == pytest.approx(1.0 - math.cos(SQRT2), rel=1e-14)
 
+    @given(make=st.sampled_from([tr.rademacher, tr.uniform_symmetric,
+                                 tr.laplace_source]),
+           j=st.integers(min_value=-60, max_value=60),
+           t=st.floats(min_value=1e-9, max_value=10.0))
+    def test_power_of_two_equivariant(self, make, j, t):
+        # the series cutoff is on t b, so X -> 2^j X with t -> t / 2^j
+        # gives the same bits on either branch
+        assert tr.equilibrium_cf(math.ldexp(t, -j), make(2.0 ** j)) \
+            == tr.equilibrium_cf(t, make(1.0))
+
     def test_series_switchover_is_continuous(self):
         # the exact branch carries ~1e-8 cancellation error at the cutoff
         # (1 - cf(t) loses half its digits there), which is what the series
