@@ -98,9 +98,17 @@ def _comma_list(item):
     return comma_list
 
 
+def _scaled(factory, flag, value):
+    """factory(value), or one line naming the flag where a moment overflows."""
+    try:
+        return factory(value)
+    except OverflowError:
+        raise OverflowError(f"{flag} {value:g} overflows a moment") from None
+
+
 def _source(args):
-    """The --source law at scale --c, unless its variance underflows."""
-    src = SOURCES[args.source](args.c)
+    """The --source law at --c, unless its moments over- or underflow."""
+    src = _scaled(SOURCES[args.source], "--c", args.c)
     if not src.sigma2 >= sys.float_info.min:
         raise FloatingPointError(
             f"the variance of {src.label} underflows to {src.sigma2!r}")
@@ -316,6 +324,9 @@ def cmd_transform_check(args):
     src = _source(args)
     e = round(math.log2(src.b_equiv))
     unit = SOURCES[args.source](math.ldexp(args.c, -e))
+    # the largest number reported, E[X_L^4], scaled back before any draw
+    _scaled(lambda _: math.ldexp(transforms.equilibrium_moment(4, unit),
+                                 4 * e), "--c", args.c)
     n, seed = args.n, args.seed
     # the longest first: the equilibrium group, then the relations from
     # the costliest f'' down
@@ -337,7 +348,7 @@ def cmd_fixed_point(args):
     if band >= 1.0:
         raise UsageError(f"--n {args.n} gives a band of {band:g}, and every "
                          "Kolmogorov distance is at most 1; raise --n")
-    src = transforms.laplace_source(args.b)
+    src = _scaled(transforms.laplace_source, "--b", args.b)
     sample = sym_equilibrium_sample(src, args.n, derive_seed(args.seed, "fp"))
     d_k = kolmogorov_empirical(EmpiricalSample.from_values(sample.values),
                                LaplaceParams(0.0, args.b))

@@ -12,7 +12,7 @@ class QuadratureError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """A series tail exceeds its certified mass at the requested cutoff."""
+    """A truncation's k-float arrays would not fit in physical memory."""
 
 
 class CertificationError(ValueError):

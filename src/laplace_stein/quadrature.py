@@ -63,18 +63,17 @@ MAX_PANELS = 2 ** 20
 _PANEL_BLOCK = 2 ** 14
 
 
-def laplace_expectation(f, b: float, kinks=(),
-                        tol: float = EXPECTATION_TOL) -> float:
+def laplace_expectation(f, b: float, kinks=()) -> float:
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there,
     except at a kink within 80b * 2^-52 of 0, which is dropped.
     quad may take max(300, ceil(80b)) subintervals, to an absolute error
-    of 1e-12 min(1, 2b), which over 2b meets ``tol`` at any b.  Raises
-    QuadratureError when the error estimate exceeds ``tol``, or up front
-    when 80b exceeds MAX_PANELS.  QUADPACK's own complaint (roundoff, the
-    subdivision limit) is logged at DEBUG, not warned: the error estimate
-    alone decides.
+    of 1e-12 min(1, 2b), which over 2b meets ``EXPECTATION_TOL`` at any b.
+    Raises QuadratureError when the error estimate over 2b exceeds
+    ``EXPECTATION_TOL``, or up front when 80b exceeds MAX_PANELS.
+    QUADPACK's own complaint (roundoff, the subdivision limit) is logged at
+    DEBUG, not warned: the error estimate alone decides.
     """
     hi = EXPECTATION_SPAN * b
     # quad's subinterval limit grows with the span: Wh of cos takes 3735
@@ -102,7 +101,7 @@ def laplace_expectation(f, b: float, kinks=(),
         logging.getLogger(__name__).debug(
             "quad at b=%g: %d subintervals, error estimate %.3e: %s",
             b, info["last"], err, " ".join(message[0].split()))
-    if err / (2.0 * b) > tol:
+    if err / (2.0 * b) > EXPECTATION_TOL:
         raise QuadratureError("expectation quadrature did not converge",
                               residual=err / (2.0 * b))
     return val / (2.0 * b)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Union
 
@@ -106,38 +106,36 @@ class GeometricIndex:
         return max(1, math.ceil(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitIndex:
-    """N with an explicit pmf over {1, ..., len(probs)}."""
+    """N with an explicit pmf over {1, ..., len(probs)}, held as one
+    read-only float array with its mean."""
 
-    probs: tuple
+    probs: np.ndarray
+    mean: float = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.array(self.probs, dtype=float)
         # a NaN entry fails arr >= 0, and an infinite one the sum
         if arr.ndim != 1 or arr.size == 0 or not np.all(arr >= 0):
             raise ValueError("pmf must be a nonempty nonnegative vector")
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise ValueError("pmf must sum to 1 within 1e-12")
-        object.__setattr__(self, "probs", tuple(float(q) for q in arr))
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(np.arange(1, len(self.probs) + 1), self.probs))
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "mean", float(
+            np.dot(np.arange(1.0, arr.shape[0] + 1.0), arr)))
 
     def survival_atoms(self, k: int) -> np.ndarray:
         """P{N >= m}, m = 1..min(k, len(probs)): N has no atom beyond."""
         return np.cumsum(self.probs[::-1])[::-1][:k].copy()
 
     def pmf_atoms(self, k: int) -> np.ndarray:
-        """P{N = m}, m = 1..min(k, len(probs))."""
-        return np.array(self.probs[:k])
+        """P{N = m}, m = 1..min(k, len(probs)): a read-only view."""
+        return self.probs[:k]
 
     def tail(self, k: int) -> float:
         return 0.0 if k >= len(self.probs) else float(sum(self.probs[k:]))
-
-    def truncation_for(self, tail: float) -> int:
-        return len(self.probs)
 
 
 def fixed_index(k: int) -> ExplicitIndex:
@@ -145,7 +143,7 @@ def fixed_index(k: int) -> ExplicitIndex:
     if k < 1:
         raise ValueError("index value must be at least 1")
     _check_fits(k, f"fixed index {k}")
-    return ExplicitIndex(probs=(0.0,) * (k - 1) + (1.0,))
+    return ExplicitIndex(np.arange(1.0, k + 1.0) == k)
 
 
 Index = Union[GeometricIndex, ExplicitIndex]
@@ -200,31 +198,39 @@ class RandomSumSpec:
     summands: Summands
 
     def __post_init__(self):
-        self.sigma2_total()  # a non-finite variance fails before a truncation
+        self.sigma2_total()  # an unusable variance fails before a truncation
 
     def sigma2_total(self) -> float:
         """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2.
 
-        Raises OverflowError when it is not a finite float.
+        Raises OverflowError when it is not a finite float, FloatingPointError
+        when it underflows to 0 although an atom N reaches has a positive
+        scale, and ValueError when no such atom has one.
         """
         sm, index = self.summands, self.index
         sigma2 = sm.residue_moments()[0]
+        # all atoms of an explicit index (tail 0.0); one period of a
+        # geometric one, summed as a geometric series
+        k = len(sm.scales) if isinstance(index, GeometricIndex) \
+            else len(index.probs)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if sm.is_iid:
                 total = sigma2[0] * index.mean
             else:
-                # all atoms of an explicit index (tail 0.0); one period of
-                # a geometric one, summed as a geometric series
-                k = len(sm.scales) if isinstance(index, GeometricIndex) \
-                    else len(index.probs)
                 total = float(np.sum(index.survival_atoms(k)
                                      * _over_atoms(0, k, sigma2)[0])
                               / (1.0 - index.tail(k)))
-        if not math.isfinite(total):
+        if math.isfinite(total) and total > 0.0:
+            return total
+        named = ", ".join(f"{s:g}" for s in sm.scales)
+        if total != 0.0:
             raise OverflowError(
-                f"total variance sigma^2 is {total} at scales "
-                f"{', '.join(f'{s:g}' for s in sm.scales)}")
-        return total
+                f"total variance sigma^2 is {total} at scales {named}")
+        if not np.any((index.survival_atoms(k) > 0.0)
+                      & (_over_atoms(0, k, np.asarray(sm.scales))[0] > 0.0)):
+            raise ValueError("total variance must be positive")
+        raise FloatingPointError(
+            f"total variance sigma^2 underflows to 0 at scales {named}")
 
     @property
     def b_equiv(self) -> float:
@@ -254,46 +260,41 @@ def _over_atoms(i: int, j: int, *tables) -> tuple:
     return tuple(table[residue] for table in tables)
 
 
-def m_distribution(spec: RandomSumSpec, truncation: int) -> MDistribution:
-    """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..truncation.
+def m_distribution(spec: RandomSumSpec) -> MDistribution:
+    """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..k.  k is an
+    explicit index's whole support (tail 0.0), or a geometric one's 1e-24
+    truncation, grown where M's certified tail there, (sup_i sigma_i^2 /
+    sigma^2) (1-p)^k / p, is above 1e-10 to the k where it is not.
 
     Every k-length array is built in its own storage, and the mean is taken
     before N's pmf is built, so at most two are alive at once.  On a
     geometric index whose weights sigma_r^2 / sigma^2 all equal p bit for
     bit (i.i.d. summands, as a rule), P{M = m} and P{N = m} are the same
     product p (1-p)^(m-1), and ``index_pmf`` is ``pmf``: one array for both.
-
-    Raises TruncationError when the certified tail mass beyond the truncation
-    exceeds 1e-10.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    sigma2 = spec.sigma2_total()
-    if sigma2 <= 0:
-        raise ValueError("total variance must be positive")
-    index = spec.index
-    weight = spec.summands.residue_moments()[0] / sigma2
-    pmf = index.survival_atoms(truncation)
-    # the survival weighted in place, one residue at a time
-    period = weight.shape[0]
-    for r in range(period):
-        pmf[r::period] *= weight[r]
+    sigma2, index = spec.sigma2_total(), spec.index
     if isinstance(index, ExplicitIndex):
-        tail = 0.0 if truncation >= len(index.probs) \
-            else max(0.0, 1.0 - float(pmf.sum()))
+        k, tail = len(index.probs), 0.0
     else:
-        tail = spec.summands.sup_sigma ** 2 / sigma2 \
-            * index.tail(truncation) / index.p
-    if tail > _TAIL_TOL:
-        raise TruncationError(
-            f"tail mass {tail:.3e} above {_TAIL_TOL:g} at truncation "
-            f"{truncation}; increase the truncation")
+        ratio = spec.summands.sup_sigma ** 2 / sigma2
+        k = index.truncation_for(_GAP_TAIL)
+        tail = ratio * index.tail(k) / index.p
+        if tail > _TAIL_TOL:
+            if not _TAIL_TOL * index.p / ratio > 0.0:
+                raise TruncationError(f"sup_i sigma_i^2 / sigma^2 = {ratio:g} "
+                                      "leaves no k certifying M's tail")
+            k = index.truncation_for(_TAIL_TOL * index.p / ratio)
+            tail = ratio * index.tail(k) / index.p
+    weight = spec.summands.residue_moments()[0] / sigma2
+    pmf = index.survival_atoms(k)
+    for r, w in enumerate(weight):  # the survival weighted in place
+        pmf[r::weight.shape[0]] *= w
     # a float support: np.dot would cast an integer one to a float copy
     mean = float(np.dot(np.arange(1.0, pmf.shape[0] + 1.0), pmf))
     if isinstance(index, GeometricIndex) and np.all(weight == index.p):
         index_pmf = pmf
     else:
-        index_pmf = index.pmf_atoms(truncation)
+        index_pmf = index.pmf_atoms(k)
     pmf.flags.writeable = index_pmf.flags.writeable = False
     return MDistribution(pmf=pmf, tail_bound=float(tail),
                          index_pmf=index_pmf, mean=mean)
@@ -365,8 +366,9 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
     p q^(m-1) and P{M = m} = w_r q^(m-1) put mass 1 - q^L on the first L
     atoms and then repeat scaled by q^L, and so do their quantiles, shifted
     by L: the gap is the merge of the first min(k, L) atoms over 1 - q^L =
-    -expm1(L log1p(-p)).  An explicit index merges its whole pmfs; the
-    independent coupling is the exact double sum over the truncated supports.
+    -expm1(L log1p(-p)).  An explicit index is the same merge over all its
+    atoms and mass 1; the independent coupling is the exact double sum over
+    the truncated supports.
 
     The slack keeps the result a certified upper bound: the mass beyond the
     truncation k is covered via Cauchy-Schwarz (E[sqrt|N-M|; tail] <=
@@ -378,22 +380,18 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
     k = m_dist.pmf.shape[0]
     pn, pm = m_dist.index_pmf, m_dist.pmf
     if coupling == "comonotone":
-        if isinstance(spec.index, GeometricIndex):
-            p, period = spec.index.p, len(spec.summands.scales)
+        atoms, mass, period = k, 1.0, len(spec.summands.scales)
+        if isinstance(spec.index, GeometricIndex) and spec.index.p < 1.0:
             atoms = min(k, period)
-            mass = 1.0 if p == 1.0 else -math.expm1(period * math.log1p(-p))
-            gap = _comonotone_sqrt_gap(pn[:atoms], pm[:atoms]) / mass
-        else:
-            gap = _comonotone_sqrt_gap(pn, pm)
+            mass = -math.expm1(period * math.log1p(-spec.index.p))
+        gap = _comonotone_sqrt_gap(pn[:atoms], pm[:atoms]) / mass
     elif coupling == "independent":
         gap = _independent_sqrt_gap(pn, pm)
     else:
         raise ValueError(f"unknown coupling rule {coupling!r}")
-    tail_mass = spec.index.tail(k) + m_dist.tail_bound
     slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)
-    if tail_mass > 0.0:
-        slack += (math.sqrt(spec.index.mean) + math.sqrt(m_dist.mean + 1.0)) \
-            * math.sqrt(tail_mass)
+    slack += (math.sqrt(spec.index.mean) + math.sqrt(m_dist.mean + 1.0)) \
+        * math.sqrt(spec.index.tail(k) + m_dist.tail_bound)
     return gap, slack
 
 
@@ -454,10 +452,6 @@ def geometric_sum_bound(p: float, b: float, rho: float) -> BoundReport:
     })
 
 
-def _gap_truncation(spec: RandomSumSpec) -> int:
-    return spec.index.truncation_for(_GAP_TAIL)
-
-
 def iid_sum_bound(spec: RandomSumSpec,
                   coupling: str = "comonotone") -> BoundReport:
     """(b+2)/(b sqrt(mu)) ( E|X_1| + rho/(6 b^2) + b sqrt(2) E|N-M|^(1/2) )
@@ -467,7 +461,7 @@ def iid_sum_bound(spec: RandomSumSpec,
     sigma2, abs_mean, abs_third = spec.summands.residue_moments()
     mu = spec.index.mean
     b = math.sqrt(sigma2[0] / 2.0)
-    m_dist = m_distribution(spec, _gap_truncation(spec))
+    m_dist = m_distribution(spec)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("iid_sum", {
         "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
@@ -512,7 +506,7 @@ def general_sum_bound(spec: RandomSumSpec,
     sm = spec.summands
     mu = spec.index.mean
     sigma = math.sqrt(spec.sigma2_total())
-    m_dist = m_distribution(spec, _gap_truncation(spec))
+    m_dist = m_distribution(spec)
     abs_mean_m, third_m = _moments_under_m(sm, m_dist.pmf)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return _report("general_sum", {

@@ -73,11 +73,6 @@ class SourceDistribution:
         """Scale of the Laplace law with matching variance: E[X^2] = 2 b^2."""
         return math.sqrt(self.sigma2 / 2.0)
 
-    @property
-    def beta(self) -> float:
-        """E|X_P| = E[X^2] / (2 E|X|)."""
-        return self.sigma2 / (2.0 * self.abs_mean)
-
 
 # values per block of the in-place loops: 512 KiB of float64, so a block's
 # temporaries stay in a core's L2 cache and no loop holds an n-length one

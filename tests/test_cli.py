@@ -10,10 +10,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from laplace_stein import cli
+from laplace_stein import cli, stein
 from laplace_stein.random_sums import recompute_bound
 
 RADC = "1.4142135623730951"
@@ -129,15 +130,24 @@ class TestOtherCommands:
 
     def test_stein_check_at_large_b(self):
         # panels at most 1 wide keep cos's g(0) at rounding level (b/2-wide
-        # panels read -9.8e-10 at b = 24 and 9.6e-3 at b = 64), QUADPACK's
-        # roundoff complaint on cos at b = 64 stays off stderr, and Wh of
-        # cos at b = 1e3 takes 3735 subintervals, past a fixed 300
-        run = cli_subprocess(["stein-check", "--b", "4,24,64,1e3"])
+        # panels read -9.8e-10 at b = 24 and 9.6e-3 at b = 64), and
+        # QUADPACK's roundoff complaint on cos at b = 64 stays off stderr
+        run = cli_subprocess(["stein-check", "--b", "4,24,64"])
         assert run.returncode == 0
         assert run.stderr == ""
         rep = json.loads(run.stdout)
         assert rep["all_pass"] is True
         assert max(abs(c["solution_at_zero"]) for c in rep["checks"]) <= 1e-13
+
+    def test_cosine_solution_at_b_1e3(self):
+        # cos is the member whose Wh takes 3735 subintervals at b = 1e3,
+        # past a fixed 300 (test_quadrature pins that Wh): its solution
+        # passes stein-check's residual, certificate and g(0) rules there
+        b = 1e3
+        sol, grid = stein.solve(stein.cos_fn(), b), stein.standard_grid(b)
+        assert float(np.max(np.abs(stein.residual(sol, grid)))) <= 1e-6
+        assert stein.certify_bounds(sol, grid).passed
+        assert abs(sol.g(0.0)) <= 1e-13
 
     def test_stein_check_at_small_b(self, tmp_path):
         # quad's absolute tolerance shrinks with 2b: a fixed 1e-12 gave an
@@ -440,7 +450,11 @@ class TestFlags:
         (["stein-check", "--b", "1e-200"], "b^3 at b=1e-200"),
         (["bounds", "--c", "1e-170"], "variance of rademacher(1e-170)"),
         (["sweep", "--c", "1e-170", "--b", "7.07e-171", "--n", "10"],
-         "variance of rademacher(1e-170)")])
+         "variance of rademacher(1e-170)"),
+        (["bounds", "--scales", "1e-170"], "sigma^2 underflows to 0 at "
+         "scales 1e-170"),
+        (["bounds", "--scales", "0,1e-170", "--p", "0.5"], "underflows to 0 "
+         "at scales 0, 1e-170")])
     def test_underflow_is_one_line(self, argv, name):
         # refused up front: no numpy warning, division by zero or
         # misleading usage error
@@ -452,6 +466,56 @@ class TestFlags:
         assert lines[0].startswith(
             "numeric/runtime failure: FloatingPointError")
         assert name in lines[0] and "underflows" in lines[0]
+
+
+    def test_heavy_last_scale_grows_the_truncation(self, tmp_path):
+        # 39 unit scales and one of 1e10 at p = 0.9: M's tail bound at N's
+        # k = 24 is 1e-4, so m_distribution grows k until it is 1e-10
+        out = tmp_path / "bounds.json"
+        assert run_cli(["bounds", "--scales", "1," * 39 + "1e10", "--p",
+                        "0.9", "--out", str(out)]) == 0
+        general = json.loads(out.read_text())["reports"][0]["general_sum"]
+        assert general["value"] == 2.0
+        assert general["components"]["gap_tail_slack"] == pytest.approx(
+            2.5e-5, rel=0.01)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--scales", "0"],
+        ["bounds", "--scales", "0,0", "--p", "0.5"],
+        ["bounds", "--index", "fixed", "--k", "1", "--scales", "0,1"]])
+    def test_no_atom_with_variance_is_usage_error(self, argv):
+        # no atom N reaches has a positive scale: nothing underflowed
+        run = cli_subprocess(argv)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "error: total variance must be positive"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bounds", "--c", "1e103"], "--c 1e+103"),
+        (["sweep", "--c", "1e200", "--b", "7.071067811865475e199"],
+         "--c 1e+200"),
+        (["transform-check", "--source", "rademacher", "--c", "1e200"],
+         "--c 1e+200"),
+        (["transform-check", "--source", "laplace", "--c", "1e77"],
+         "--c 1e+77"),
+        (["fixed-point", "--b", "1e150"], "--b 1e+150")])
+    def test_huge_scale_is_one_line_before_sampling(self, argv, flag,
+                                                    monkeypatch, capsys):
+        # E|X|^3 (or, for transform-check, E[X_L^4] scaled back) overflows:
+        # one line naming the flag and its value, and nothing is drawn
+        def sampled(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        for name in ("convergence_sweep", "sym_equilibrium_sample",
+                     "sgn_bias_sample", "verify_zero_bias_relation"):
+            monkeypatch.setattr(cli, name, sampled)
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric/runtime failure: OverflowError: "
+                                   + flag)
 
 
 # the degree in x of each transform-check quantity; the others are

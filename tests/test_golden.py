@@ -8,6 +8,7 @@ CHANGES.md and record the new digest.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +73,11 @@ GOLDEN = {
         ["bounds", "--source", "rademacher", "--c", RADC, "--scales", "1,2",
          "--p", "0.2,0.05"],
         "12caabee1422e9b2a7ac062dd0ca7eec48817d3df00c95cc04c82bbd0882e289"),
+    # the second scale's variance underflows to 0: its atoms carry no
+    # M-mass, and the first scale keeps the total variance positive
+    "bounds-underflowing-scale": (
+        ["bounds", "--scales", "1,1e-170", "--p", "0.5"],
+        "8e97030f593b8267222f91f470c8d3033487e90cc69f19a7f9757f0dc785fbda"),
     # n = 150000 spans three blocks of the n-length kernels (2**16 each),
     # the last one partial: d_K, d_W and the sorted sample across blocks
     "sweep-blocks": (
@@ -96,6 +102,27 @@ def report_digest(argv):
 def test_report_digest(name):
     argv, digest = GOLDEN[name]
     assert report_digest(argv) == digest
+
+
+def seedless_benchmark_ops():
+    """{argv key: SHA-256} of every benchmark operation that takes no seed
+    (bounds-deep's two reports and battery's stein-check), read from the
+    benchmark's recorded reference, which is only read here."""
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    return {key: op["sha256"] for workload in reference.values()
+            for key, op in workload["ops"].items()
+            if "--seed" not in key.split()}
+
+
+BENCHMARK_OPS = seedless_benchmark_ops()
+
+
+@pytest.mark.parametrize("key", sorted(BENCHMARK_OPS))
+def test_benchmark_digest(key):
+    # a byte move in the benchmarked reports shows in tier-1, not only in
+    # a benchmark run
+    assert report_digest(key.split()) == BENCHMARK_OPS[key]
 
 
 # Uniform summands at p = 0.01 and 0.001 take about 3e5 and 3e6 draws, the

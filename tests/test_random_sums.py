@@ -10,7 +10,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
@@ -20,7 +20,7 @@ from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
 from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
                                        _chunked_sums,
-                                       _comonotone_sqrt_gap, _gap_truncation,
+                                       _comonotone_sqrt_gap,
                                        _independent_sqrt_gap,
                                        _moments_under_m,
                                        _next_fast_len, convergence_sweep,
@@ -94,6 +94,16 @@ class TestIndexes:
         assert np.array_equal(idx.survival_atoms(3), [1.0, 0.75])
         assert np.array_equal(idx.pmf_atoms(1), [0.25])
 
+    def test_explicit_pmf_is_one_read_only_array(self):
+        given_pmf = np.array([0.25, 0.75])
+        idx = ExplicitIndex(given_pmf)
+        assert idx.probs.dtype == float and idx.probs is not given_pmf
+        with pytest.raises(ValueError):
+            idx.probs[0] = 0.5
+        given_pmf[0] = 0.5  # the index holds its own copy
+        assert idx.probs[0] == 0.25 and idx.mean == 1.75
+        assert not fixed_index(3).probs.flags.writeable
+
     def test_fixed_index(self):
         idx = fixed_index(4)
         assert idx.mean == 4.0
@@ -136,20 +146,20 @@ class TestMDistribution:
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
     def test_geometric_constant_variance_collapses(self, p):
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
-        md = m_distribution(spec, 10 ** 4)
-        pn = spec.index.pmf_atoms(10 ** 4)
+        md = m_distribution(spec)
+        pn = spec.index.pmf_atoms(md.pmf.shape[0])
         assert 0.5 * np.sum(np.abs(md.pmf - pn)) <= 1e-12
 
     def test_deterministic_index_gives_uniform(self):
         spec = RandomSumSpec(fixed_index(7), Summands(RAD))
-        md = m_distribution(spec, 7)
+        md = m_distribution(spec)
         assert np.array_equal(md.pmf, np.full(7, 1.0 / 7.0))
         assert md.tail_bound == 0.0
 
     def test_zero_variance_atom_has_zero_mass(self):
         spec = RandomSumSpec(fixed_index(2),
                              Summands(tr.rademacher(1.0), scales=(1.0, 0.0)))
-        md = m_distribution(spec, 2)
+        md = m_distribution(spec)
         assert md.pmf[1] == 0.0 and md.pmf[0] == 1.0
 
     @given(p=st.floats(min_value=0.02, max_value=0.9),
@@ -158,8 +168,7 @@ class TestMDistribution:
     def test_pmf_sums_to_one(self, p, scales):
         spec = RandomSumSpec(GeometricIndex(p),
                              Summands(tr.rademacher(1.0), tuple(scales)))
-        trunc = spec.index.truncation_for(1e-13)
-        md = m_distribution(spec, trunc)
+        md = m_distribution(spec)
         assert abs(float(md.pmf.sum()) + md.tail_bound - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
@@ -169,7 +178,7 @@ class TestMDistribution:
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
         assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
             == p
-        md = m_distribution(spec, _gap_truncation(spec))
+        md = m_distribution(spec)
         assert md.index_pmf is md.pmf
         assert not md.pmf.flags.writeable
         with pytest.raises(ValueError):
@@ -180,22 +189,57 @@ class TestMDistribution:
         spec = RandomSumSpec(GeometricIndex(0.123), Summands(RAD))
         assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
             != 0.123
-        k = _gap_truncation(spec)
-        md = m_distribution(spec, k)
+        md = m_distribution(spec)
         assert md.index_pmf is not md.pmf
-        assert np.array_equal(md.index_pmf, spec.index.pmf_atoms(k))
+        assert np.array_equal(md.index_pmf,
+                              spec.index.pmf_atoms(md.pmf.shape[0]))
         assert not md.index_pmf.flags.writeable
 
-    def test_truncation_error(self):
-        spec = RandomSumSpec(GeometricIndex(0.001), Summands(RAD))
-        with pytest.raises(TruncationError):
-            m_distribution(spec, 100)
+    def test_explicit_index_takes_its_whole_support(self):
+        spec = RandomSumSpec(ExplicitIndex((0.2, 0.0, 0.8, 0.0)),
+                             Summands(RAD, (1.0, 2.0)))
+        md = m_distribution(spec)
+        assert md.pmf.shape[0] == 4 and md.tail_bound == 0.0
+        assert md.index_pmf.base is spec.index.probs  # a view, not a copy
+
+
+class TestTruncationRule:
+    """m_distribution picks k from the spec alone: N's 1e-24 truncation,
+    grown only where M's certified tail there is above 1e-10."""
+
+    def test_tail_ratio_past_the_floats_is_refused(self):
+        # the one positive scale is on atom 106, whose survival 0.001^105
+        # is subnormal: sup_i sigma_i^2 / sigma^2 overflows, and no k
+        # certifies M's tail
+        spec = RandomSumSpec(GeometricIndex(0.999),
+                             Summands(RAD, (0.0,) * 105 + (1.0,)))
+        with pytest.raises(TruncationError, match="leaves no k"):
+            m_distribution(spec)
+
+    @given(p=st.floats(min_value=1e-3, max_value=0.9),
+           scales=st.lists(st.just(0.0)
+                           | st.floats(min_value=1e-30, max_value=1e10),
+                           min_size=1, max_size=40).filter(any).map(tuple))
+    @example(p=0.9, scales=(1.0,) * 39 + (1e10,))
+    def test_geometric_specs(self, p, scales):
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
+        general_sum_bound(spec)
+        md = m_distribution(spec)
+        k, k0 = md.pmf.shape[0], spec.index.truncation_for(1e-24)
+        ratio = spec.summands.sup_sigma ** 2 / spec.sigma2_total()
+        assert md.tail_bound <= 1e-10 * (1.0 + 8 * 2.0 ** -52)
+        if ratio * spec.index.tail(k0) / p <= 1e-10:
+            assert k == k0
+        else:
+            # the least k, up to the rounding of its logarithm
+            assert k > k0
+            assert ratio * spec.index.tail(k - 1) / p > 1e-10 * (1 - 1e-9)
 
 
 class TestIndexGap:
     def test_matching_laws_give_zero(self):
         spec = RandomSumSpec(GeometricIndex(0.1), Summands(RAD))
-        md = m_distribution(spec, spec.index.truncation_for(1e-24))
+        md = m_distribution(spec)
         gap, slack = expected_sqrt_index_gap(spec, md, "comonotone")
         assert gap == 0.0
         assert slack <= 1e-8
@@ -203,7 +247,7 @@ class TestIndexGap:
     def test_deterministic_vs_uniform_oracle(self):
         k = 6
         spec = RandomSumSpec(fixed_index(k), Summands(RAD))
-        md = m_distribution(spec, k)
+        md = m_distribution(spec)
         gap, slack = expected_sqrt_index_gap(spec, md, "comonotone")
         oracle = sum(math.sqrt(k - m) for m in range(1, k + 1)) / k
         assert gap == pytest.approx(oracle, rel=1e-12)
@@ -214,7 +258,7 @@ class TestIndexGap:
         # P{|N-M| = j} = 2 p (1-p)^j / (2-p) for j >= 1
         p = 0.2
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
-        md = m_distribution(spec, spec.index.truncation_for(1e-24))
+        md = m_distribution(spec)
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
         series = 2 * p / (2 - p) * sum(
             math.sqrt(j) * (1 - p) ** j for j in range(1, 3000))
@@ -224,7 +268,7 @@ class TestIndexGap:
         spec = RandomSumSpec(ExplicitIndex((0.2, 0.3, 0.5)),
                              Summands(tr.rademacher(1.0), scales=(1.0, 2.0,
                                                                   0.5)))
-        md = m_distribution(spec, 3)
+        md = m_distribution(spec)
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
         pn = spec.index.pmf_atoms(3)
         brute = sum(pn[i] * md.pmf[j] * math.sqrt(abs(i - j))
@@ -233,7 +277,7 @@ class TestIndexGap:
 
     def test_unknown_coupling(self):
         spec = RandomSumSpec(GeometricIndex(0.5), Summands(RAD))
-        md = m_distribution(spec, 50)
+        md = m_distribution(spec)
         with pytest.raises(ValueError):
             expected_sqrt_index_gap(spec, md, "antithetic")
 
@@ -282,9 +326,9 @@ class TestPeriodicGap:
         # the merge over all k atoms, whose rounding is small at k <= 1100,
         # agrees with the periodic identity: the identity is right
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
-        k = _gap_truncation(spec)
-        md = m_distribution(spec, k)
-        whole = quantile_merge_gap(spec.index.pmf_atoms(k), md.pmf)
+        md = m_distribution(spec)
+        whole = quantile_merge_gap(spec.index.pmf_atoms(md.pmf.shape[0]),
+                                   md.pmf)
         assert whole == pytest.approx(periodic_gap_oracle(p, scales),
                                       rel=1e-12, abs=0.0)
 
@@ -293,9 +337,8 @@ class TestPeriodicGap:
         # and the mass beyond them, below 1e-24, is the slack's tail term
         scales = (1.0, 2.0, 0.5, 3.0) * 10
         spec = RandomSumSpec(GeometricIndex(0.9), Summands(RAD, scales))
-        k = _gap_truncation(spec)
-        assert k == 24 < len(scales)
-        md = m_distribution(spec, k)
+        md = m_distribution(spec)
+        assert md.pmf.shape[0] == 24 < len(scales)
         gap, slack = expected_sqrt_index_gap(spec, md, "comonotone")
         assert gap == pytest.approx(periodic_gap_oracle(0.9, scales),
                                     rel=1e-10, abs=0.0)
@@ -336,7 +379,7 @@ class TestIndependentGapBits:
     @pytest.mark.parametrize("p", [1e-3, 1e-4])
     def test_bounds_deep_specs_equal_fftconvolve(self, p):
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, (1.0, 2.0)))
-        md = m_distribution(spec, _gap_truncation(spec))
+        md = m_distribution(spec)
         pn = spec.index.pmf_atoms(md.pmf.shape[0])
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
         assert gap == fftconvolve_gap(pn, md.pmf)
@@ -489,21 +532,19 @@ def quantile_merge_gap(pn, pm):
     return float(np.sum(np.sqrt(np.abs(nq - mq)) * widths))
 
 
-def per_atom_bounds(spec, coupling):
-    """(M-pmf, gap, i.i.d. components or None, general components), each
-    atom's moments and survival evaluated on the full index array m = 1..k:
-    the reference for the per-residue tables and the shared index pmf.  A
-    geometric comonotone gap merges the first min(k, L) atoms and divides
-    by 1 - q^L."""
+def per_atom_bounds(spec, coupling, k):
+    """(M-pmf, gap, i.i.d. components or None, general components) at the
+    truncation k, each atom's moments and survival evaluated on the full
+    index array m = 1..k: the reference for the per-residue tables and the
+    shared index pmf.  A geometric comonotone gap merges the first
+    min(k, L) atoms and divides by 1 - q^L; an explicit index's, all k."""
     sm, index = spec.summands, spec.index
-    k = _gap_truncation(spec)
     m = np.arange(1, k + 1)
     sigma2 = spec.sigma2_total()
     sigma2_m, abs_mean_m, abs_third_m = atom_moments(sm, m)
     pmf = sigma2_m / sigma2 * atom_survival(index, m)
     if isinstance(index, ExplicitIndex):
-        tail = 0.0 if k >= len(index.probs) \
-            else max(0.0, 1.0 - float(pmf.sum()))
+        tail = 0.0
     else:
         tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
     pn = np.asarray(atom_pmf(index, m), dtype=float)
@@ -581,11 +622,13 @@ class TestBoundBits:
              coupling="comonotone")
     def test_equals_per_atom_reference(self, index, scales, source,
                                        coupling):
-        spec = RandomSumSpec(index, Summands(source, scales))
-        assume(spec.sigma2_total() > 0)
-        pmf, gap, iid, general = per_atom_bounds(spec, coupling)
-        k = _gap_truncation(spec)
-        md = m_distribution(spec, k)
+        try:
+            spec = RandomSumSpec(index, Summands(source, scales))
+        except ValueError:  # no atom N reaches has variance
+            reject()
+        md = m_distribution(spec)
+        k = md.pmf.shape[0]
+        pmf, gap, iid, general = per_atom_bounds(spec, coupling, k)
         assert np.array_equal(md.pmf, pmf)
         assert np.array_equal(md.index_pmf, atom_pmf(index, np.arange(1,
                                                                       k + 1)))
@@ -649,7 +692,7 @@ class TestBoundMemory:
         # N's and M's pmfs are one array here, and the M-moments are summed
         # a block at a time: the pmf and the float support of its mean
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
-        k = _gap_truncation(spec)
+        k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(bound, spec, "comonotone")
         assert peak <= 2.4 * 8 * k
 
@@ -657,7 +700,7 @@ class TestBoundMemory:
         # N and M share one pmf, and its mean was taken with it: the
         # comonotone gap and its slack need no k-length array
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
-        md = m_distribution(spec, _gap_truncation(spec))
+        md = m_distribution(spec)
         _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
                               "comonotone")
         assert peak <= 0.1 * 8 * md.pmf.shape[0]
@@ -666,7 +709,7 @@ class TestBoundMemory:
         # the comonotone gap on a geometric index merges the first L atoms
         # alone
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
-        md = m_distribution(spec, _gap_truncation(spec))
+        md = m_distribution(spec)
         _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
                               "comonotone")
         assert peak <= 0.1 * 8 * md.pmf.shape[0]
@@ -675,7 +718,7 @@ class TestBoundMemory:
         # the M-pmf, N's pmf and the float support of the mean: 2.9
         # k-float arrays at the peak
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
-        k = _gap_truncation(spec)
+        k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(general_sum_bound, spec, "comonotone")
         assert peak <= 3 * 8 * k
 
@@ -683,7 +726,7 @@ class TestBoundMemory:
         # the spectra are multiplied and the weights built in place: about
         # 4 k-float arrays at the peak instead of 12, with the gap's bits
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
-        md = m_distribution(spec, _gap_truncation(spec))
+        md = m_distribution(spec)
         k = md.pmf.shape[0]
         gap, peak = traced_peak(_independent_sqrt_gap, md.index_pmf, md.pmf)
         assert gap == 88.62045605121263

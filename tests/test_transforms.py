@@ -29,7 +29,6 @@ class TestSources:
         assert src.abs_mean == SQRT2
         assert src.abs_third == pytest.approx(2 * SQRT2)
         assert src.b_equiv == pytest.approx(1.0, rel=1e-15)
-        assert src.beta == pytest.approx(src.sigma2 / (2 * src.abs_mean))
 
     def test_uniform_moments(self):
         src = tr.uniform_symmetric(SQRT6)
