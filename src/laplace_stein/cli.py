@@ -228,14 +228,14 @@ def cmd_stein_check(args):
     # a b the tail rule refuses exits before any quadrature; solve computes
     # Wh, so every quadrature failure exits before the first tail pass; each
     # solution is dropped, with its profile, after its checks
+    grids = []
     for b in args.b:
-        grid = standard_grid(b)
+        grids.append(standard_grid(b))
         for h in family:
-            check_tail_panels(b, grid, h.kinks)
+            check_tail_panels(b, grids[-1], h.kinks)
     pending = collections.deque(solve(h, b) for b in args.b for h in family)
     checks = []
-    for b in args.b:
-        grid = standard_grid(b)
+    for b, grid in zip(args.b, grids):
         for h in family:
             sol = pending.popleft()
             res_max = float(np.max(np.abs(residual(sol, grid))))
@@ -335,7 +335,9 @@ def cmd_transform_check(args):
                                    f_dd, degree * e)
                  for name, f_dd, degree in reversed(ZERO_BIAS_F_DD)]
               + [functools.partial(_sgn_bias_check, unit, n, seed)])
-    (equilibrium, gap), *zero_bias, sgn_bias = run_all(groups)
+    # a sample's moment may still overflow where the expected one fits
+    (equilibrium, gap), *zero_bias, sgn_bias = _scaled(
+        lambda _: run_all(groups), "--c", args.c)
     results = equilibrium + [sgn_bias, gap] + zero_bias[::-1]
     all_pass = all(r["pass"] for r in results)
     report = {"source": src.label, "n": n, "seed": seed, "checks": results,

@@ -22,8 +22,9 @@ import numpy as np
 from .laplace import LaplaceParams, cdf
 from .stein import _U, _cached_wh, _gamma, require_hbl, wh_enclosure
 
-# values per block of the n-length kernels: their temporaries are arrays of
-# 512 KiB, a few at a time, however large the sample is
+# values per block of the n-length kernels, here and in ``transforms``: their
+# temporaries are arrays of 512 KiB, a few at a time, however large the
+# sample is
 _BLOCK = 1 << 16
 
 
@@ -207,28 +208,35 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
                             family_size=len(family))
 
 
-def _member_stats(h, s: EmpiricalSample, b: float) -> tuple:
-    """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample.
+def _mean_sd(n: int, leaves, fn) -> tuple:
+    """(np.mean(v), np.std(v, ddof=1)) of the n values v that fn gives,
+    bit for bit; the sd is 0.0 at n = 1.
 
     np.mean(v) is np.sum(v) / n, and np.std(v, ddof=1) is
-    sqrt(np.sum((v - mean)**2) / (n - 1)); both sums are taken by
-    ``_tree_sum`` on the leaves of ``_per_value`` (h is evaluated once per
-    sum, a block or the run values at a time), so the values are np.mean's
-    and np.std's, bit for bit, and no n-length h(x) is built.
+    sqrt(np.sum((v - mean)**2) / (n - 1)).  ``leaves(g)`` gives the leaf
+    of ``_tree_sum`` that applies the elementwise g to the values of [i, j),
+    and both sums are taken on it (fn runs once per sum, a block at a
+    time), so no n-length array is built.
     """
-    n = s.n
-    mean = _tree_sum(n, _per_value(
-        s, lambda v: np.asarray(h.fn(v), dtype=float))) / n
-    diff = abs(mean - _cached_wh(h, b))
+    mean = _tree_sum(n, leaves(fn)) / n
     if n < 2:
-        return diff, 0.0
+        return mean, 0.0
 
     def squares(v):
-        dev = np.asarray(h.fn(v), dtype=float) - mean
+        dev = fn(v) - mean
         dev *= dev
         return dev
 
-    return diff, math.sqrt(_tree_sum(n, _per_value(s, squares)) / (n - 1))
+    return mean, math.sqrt(_tree_sum(n, leaves(squares)) / (n - 1))
+
+
+def _member_stats(h, s: EmpiricalSample, b: float) -> tuple:
+    """(|mean h(x) - Wh|, std h(x) with ddof=1) on the full sample, with
+    np.mean's and np.std's bits (``_mean_sd``); h runs on the run values
+    alone where the sample has a run table (``_per_value``)."""
+    mean, sd = _mean_sd(s.n, lambda g: _per_value(s, g),
+                        lambda v: np.asarray(h.fn(v), dtype=float))
+    return abs(mean - _cached_wh(h, b)), sd
 
 
 def _screen(x: np.ndarray, data, b: float, exact) -> list:
@@ -260,31 +268,21 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
 
 
 def _prefix_sums(x: np.ndarray, at: np.ndarray) -> tuple:
-    """(p1, p2): p1[k] = sum x[:m] and p2[k] = sum x[:m]**2 for m = at[k],
-    as np.cumsum(x) and np.cumsum(x * x) have them (0.0 at m = 0).
+    """(p1, p2): p1[k] = sum x[:m] and p2[k] = sum x[:m]**2 for m = at[k]
+    (0.0 at m = 0), for a sorted ``at`` that ends at n = x.size.
 
-    ``at`` is sorted.  np.cumsum adds in sequence, so a block whose first
-    value has the sum of the values before it added on continues the same
-    additions: the prefix sums are computed a block at a time and read
-    where ``at`` asks, bit for bit, with no n-length array.
+    The stretches between consecutive cuts, the first from 0, are summed
+    by one numpy reduction each (np.add.reduceat for x, np.einsum for x**2,
+    so no n-length temporary and no BLAS call), and the stretch sums are
+    added in sequence.  reduceat gives x[i] for an empty stretch at i, which
+    is zeroed.
     """
-    n = x.shape[0]
-    p1, p2 = np.zeros(at.shape[0]), np.zeros(at.shape[0])
-    carry1 = carry2 = 0.0
-    for i in range(0, n, _BLOCK):
-        j = min(i + _BLOCK, n)
-        s1 = x[i:j].copy()
-        s2 = x[i:j] * x[i:j]
-        if i:  # 0.0 + -0.0 would lose the sign np.cumsum keeps
-            s1[0] += carry1
-            s2[0] += carry2
-        np.cumsum(s1, out=s1)
-        np.cumsum(s2, out=s2)
-        lo, hi = np.searchsorted(at, (i + 1, j + 1))  # m in (i, j]
-        p1[lo:hi] = s1[at[lo:hi] - i - 1]
-        p2[lo:hi] = s2[at[lo:hi] - i - 1]
-        carry1, carry2 = s1[-1], s2[-1]
-    return p1, p2
+    starts = np.concatenate([[0], at[:-1]])
+    s1 = np.add.reduceat(x, starts)
+    s1[starts == at] = 0.0
+    s2 = np.array([np.einsum("i,i->", x[i:j], x[i:j])
+                   for i, j in zip(starts.tolist(), at.tolist())])
+    return np.cumsum(s1), np.cumsum(s2)
 
 
 def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
@@ -298,12 +296,14 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
     S2 = sum y(x_i)**2 are, piece by piece, v_j c + s (X - k_j c) and
     v_j**2 c + 2 v_j s (X - k_j c) + s**2 (X2 - 2 k_j X + k_j**2 c), where
     c is the piece's count, s its slope and X, X2 its sums of x and x**2:
-    differences of the prefix sums p1, p2 (recursive summation).  Expanded
-    down to single samples, S1 and S2 are sums of terms, and every term
-    meets at most n + m + 12 roundings, m the number of knots: 1 for x**2,
-    n - 1 in the prefix sum, 1 for the difference, 3 for the knot shift,
-    7 for the coefficient s**2 (3 for s, squared, 1 for the product), 1 for
-    the product and 2 + (m - 2) in the accumulation over pieces.  So
+    differences of the prefix sums p1, p2.  Expanded down to single
+    samples, S1 and S2 are sums of terms, and every term meets at most
+    n + m + 12 roundings, m the number of knots: 1 for x**2, n - 1 in the
+    prefix sum (within its stretch, then across stretches, in any order;
+    an empty stretch adds an exact 0.0), 1 for the difference, 3 for the
+    knot shift, 7 for the coefficient s**2 (3 for s, squared, 1 for the
+    product), 1 for the product and 2 + (m - 2) in the accumulation over
+    pieces.  So
     |fl(S) - S| <= gamma_(n+m+12) T (Higham, Accuracy and Stability of
     Numerical Algorithms, sections 3-4), T the sum of the terms' absolute
     values, which t1, t2 below bound using A1 = sum |x| and A2 = sum x**2

@@ -192,21 +192,21 @@ class Summands:
 
 @dataclass(frozen=True, eq=False)
 class RandomSumSpec:
-    """Index law plus summand descriptor; the sum is scaled by 1/sqrt(E[N])."""
+    """Index law plus summand descriptor; the sum is scaled by 1/sqrt(E[N]).
+
+    ``sigma2_total`` is sigma^2 = E[sum_{i<=N} sigma_i^2] =
+    sum_m P{N>=m} sigma_m^2, computed once, when the spec is built, so an
+    unusable variance fails before any truncation: OverflowError when it
+    is not a finite float, FloatingPointError when it underflows to 0
+    although an atom N reaches has a positive scale, and ValueError when no
+    such atom has one.
+    """
 
     index: Index
     summands: Summands
+    sigma2_total: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.sigma2_total()  # an unusable variance fails before a truncation
-
-    def sigma2_total(self) -> float:
-        """sigma^2 = E[sum_{i<=N} sigma_i^2] = sum_m P{N>=m} sigma_m^2.
-
-        Raises OverflowError when it is not a finite float, FloatingPointError
-        when it underflows to 0 although an atom N reaches has a positive
-        scale, and ValueError when no such atom has one.
-        """
         sm, index = self.summands, self.index
         sigma2 = sm.residue_moments()[0]
         # all atoms of an explicit index (tail 0.0); one period of a
@@ -221,7 +221,8 @@ class RandomSumSpec:
                                      * _over_atoms(0, k, sigma2)[0])
                               / (1.0 - index.tail(k)))
         if math.isfinite(total) and total > 0.0:
-            return total
+            object.__setattr__(self, "sigma2_total", total)
+            return
         named = ", ".join(f"{s:g}" for s in sm.scales)
         if total != 0.0:
             raise OverflowError(
@@ -235,7 +236,7 @@ class RandomSumSpec:
     @property
     def b_equiv(self) -> float:
         """Scale of the matching Laplace law: 2 b^2 = sigma^2 / mu."""
-        return math.sqrt(self.sigma2_total() / (2.0 * self.index.mean))
+        return math.sqrt(self.sigma2_total / (2.0 * self.index.mean))
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     bit (i.i.d. summands, as a rule), P{M = m} and P{N = m} are the same
     product p (1-p)^(m-1), and ``index_pmf`` is ``pmf``: one array for both.
     """
-    sigma2, index = spec.sigma2_total(), spec.index
+    sigma2, index = spec.sigma2_total, spec.index
     if isinstance(index, ExplicitIndex):
         k, tail = len(index.probs), 0.0
     else:
@@ -505,7 +506,7 @@ def general_sum_bound(spec: RandomSumSpec,
     """
     sm = spec.summands
     mu = spec.index.mean
-    sigma = math.sqrt(spec.sigma2_total())
+    sigma = math.sqrt(spec.sigma2_total)
     m_dist = m_distribution(spec)
     abs_mean_m, third_m = _moments_under_m(sm, m_dist.pmf)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import laplace
+from .metrics import _BLOCK, _mean_sd
 from .seeding import derive_seed, substream
 
 
@@ -74,9 +75,14 @@ class SourceDistribution:
         return math.sqrt(self.sigma2 / 2.0)
 
 
-# values per block of the in-place loops: 512 KiB of float64, so a block's
-# temporaries stay in a core's L2 cache and no loop holds an n-length one
-_BLOCK = 1 << 16
+def _map_blocks(f, x, out=None):
+    """``out`` (x itself by default) written in order a block at a time by
+    f of x's block, for an elementwise f; a block is read before it is
+    written, so ``out`` may share x's storage."""
+    out = x if out is None else out
+    for start in range(0, x.shape[0], _BLOCK):
+        out[start:start + _BLOCK] = f(x[start:start + _BLOCK])
+    return out
 
 
 def _signed(rng, magnitudes):
@@ -85,37 +91,30 @@ def _signed(rng, magnitudes):
     The integers are drawn a block at a time; each is one 32-bit half-word
     of the bit stream, so the blocks take the words one call would.
     """
-    for start in range(0, magnitudes.shape[0], _BLOCK):
-        block = magnitudes[start:start + _BLOCK]
-        np.negative(block, out=block,
-                    where=rng.integers(0, 2, block.shape[0]) == 0)
-    return magnitudes
+    return _map_blocks(lambda block: np.negative(
+        block, out=block, where=rng.integers(0, 2, block.shape[0]) == 0),
+        magnitudes)
 
 
-def _counts_as_floats(counts):
-    """int64 ``counts`` as float64, converted in their own storage a block
-    at a time."""
+def _over_counts(counts, f=lambda block: block):
+    """f of int64 ``counts`` as float64, written over their storage a block
+    at a time (the counts themselves by default)."""
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    out = counts.view(np.float64)
-    for start in range(0, counts.shape[0], _BLOCK):
-        out[start:start + _BLOCK] = counts[start:start + _BLOCK]
-    return out
+    return _map_blocks(f, counts, out=counts.view(np.float64))
 
 
 def _binomial_walks(rng, counts, c):
     """c (2K - N) for K ~ Binomial(N, 1/2) per count N, written over the
-    int64 counts' storage a block at a time.  Each binomial takes words
-    from the stream in turn, so the blocks take the words one call over all
-    the counts would, and each value is that call's c * (2.0 K - N)."""
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    out = counts.view(np.float64)
-    for start in range(0, counts.shape[0], _BLOCK):
-        block = counts[start:start + _BLOCK]
-        walk = 2.0 * rng.binomial(block, 0.5)
-        walk -= block
-        walk *= c
-        out[start:start + _BLOCK] = walk
-    return out
+    int64 counts' storage.  Each binomial takes words from the stream in
+    turn, so the blocks take the words one call over all the counts would,
+    and each value is that call's c * (2.0 K - N)."""
+    def walk(block):
+        out = 2.0 * rng.binomial(block, 0.5)
+        out -= block
+        out *= c
+        return out
+
+    return _over_counts(counts, walk)
 
 
 def _scaled_sqrt_uniform(rng, n, c):
@@ -171,12 +170,12 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         # np.median(..., axis=1) returns, without its partition copy.  Rows
         # are drawn a block at a time; a (m, 3) draw takes 3m values in row
         # order, so the blocks hold the rows of one (n, 3) draw
-        out = np.empty(n)
-        for start in range(0, n, _BLOCK):
-            block = out[start:start + _BLOCK]
+        def median(block):
             a, b, d = rng.uniform(-1.0, 1.0, (block.shape[0], 3)).T
-            np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), d),
-                       out=block)
+            return np.maximum(np.minimum(a, b),
+                              np.minimum(np.maximum(a, b), d), out=block)
+
+        out = _map_blocks(median, np.empty(n))
         out *= c
         return out
 
@@ -239,7 +238,7 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
         # difference of two Gamma(n, b) variables.  The second gamma is
         # drawn over the float shapes (each value reads its shape before it
         # is written): the bits of b * (g1 - g2) beside one new array
-        shape = _counts_as_floats(counts)
+        shape = _over_counts(counts)
         g = rng.standard_gamma(shape)
         rng.standard_gamma(shape, out=shape)
         g -= shape
@@ -279,23 +278,15 @@ class MonteCarloEstimate:
 
 def mc_estimate(values) -> MonteCarloEstimate:
     """Mean of a sample with its standard error, with the bits of np.mean
-    and of np.std(ddof=1) / sqrt(n): the same pairwise sums and divisions.
-
-    The squared deviations are formed in the sample's storage, without
-    np.std's n-float temporary: a float64 ``values`` array is overwritten.
-    """
-    arr = np.asarray(values, float)
-    n = arr.size
+    and of np.std(ddof=1) / sqrt(n) (``metrics._mean_sd``), a block at a
+    time: ``values`` is left as it is."""
+    arr = np.asarray(values, float).ravel()
+    n = arr.shape[0]
     if n == 0:
         raise ValueError("cannot estimate from an empty sample")
-    mean = np.add.reduce(arr, axis=None) / n
-    if n == 1:
-        return MonteCarloEstimate(value=float(mean), std_error=math.inf)
-    arr -= mean
-    np.multiply(arr, arr, out=arr)
-    std = np.sqrt(np.add.reduce(arr, axis=None) / (n - 1))
-    return MonteCarloEstimate(value=float(mean),
-                              std_error=float(std / math.sqrt(n)))
+    mean, sd = _mean_sd(n, lambda g: lambda i, j: g(arr[i:j]), lambda v: v)
+    return MonteCarloEstimate(
+        value=mean, std_error=sd / math.sqrt(n) if n > 1 else math.inf)
 
 
 def _transform_stream(src, n, seed, transform):
@@ -357,15 +348,6 @@ def equilibrium_cf(t, src: SourceDistribution):
         out[big] = (1.0 - np.asarray(src.cf(arr[big]), float)) / (
             arr[big] ** 2 * b2)
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def _map_blocks(f, x):
-    """x, overwritten in order a block at a time by f(block) for an
-    elementwise f."""
-    for start in range(0, x.shape[0], _BLOCK):
-        block = x[start:start + _BLOCK]
-        block[...] = f(block)
-    return x
 
 
 def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,

@@ -517,6 +517,17 @@ class TestFlags:
         assert lines[0].startswith("numeric/runtime failure: OverflowError: "
                                    + flag)
 
+    def test_sample_moment_overflow_is_one_line(self, capsys):
+        # the expected E[X_L^4] fits at --c 5e76, but this sample's fourth
+        # moment, scaled back once it is drawn, does not
+        assert run_cli(["transform-check", "--source", "laplace", "--c",
+                        "5e76", "--n", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numeric/runtime failure: OverflowError: --c 5e+76 overflows a "
+            "moment"]
+
 
 # the degree in x of each transform-check quantity; the others are
 # dimensionless

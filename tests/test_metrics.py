@@ -595,13 +595,6 @@ LENGTHS = st.sampled_from([1, 7, 8, 15, 16, 17, 127, 128, 129, 255, 256, 257,
                            1 << 16, (1 << 16) + 1, LONGEST]) \
     | st.integers(min_value=1, max_value=LONGEST)
 BLOCKS = st.sampled_from([1, 7, 64, 128, 1 << 16])
-# (block, n), n capped at 64 * block + 129 below 2^16-value blocks: a capped
-# case still crosses 64 carries between blocks, in at most 193 blocks of the
-# smallest size rather than 2e5
-CAPPED_LENGTHS = BLOCKS.flatmap(lambda block: st.tuples(
-    st.just(block),
-    LENGTHS.map(lambda n: n if block >= 1 << 16
-                else min(n, 64 * block + 129))))
 
 
 def rounding_values(n, seed):
@@ -615,8 +608,8 @@ def rounding_values(n, seed):
 
 class TestBlockedSumsBits:
     """Sums built from blocks keep numpy's bits: ``_tree_sum`` np.sum's
-    pairwise tree, ``_prefix_sums`` np.cumsum's running sums, at any block
-    size (below 128 values numpy does not split, so neither may the tree)."""
+    pairwise tree, at any block size (below 128 values numpy does not
+    split, so neither may the tree)."""
 
     @given(n=LENGTHS, block=BLOCKS, seed=st.integers(0, 2 ** 32 - 1))
     @example(n=LONGEST, block=1, seed=0)
@@ -628,16 +621,25 @@ class TestBlockedSumsBits:
             got = _tree_sum(n, lambda i, j: x[i:j])
         assert same_bits(np.float64(got), np.sum(x))
 
-    @given(block_n=CAPPED_LENGTHS, seed=st.integers(0, 2 ** 32 - 1),
-           picks=st.lists(st.integers(0, LONGEST), max_size=20))
-    @example(block_n=(64, LONGEST), seed=0, picks=[1, 7, 8, 1 << 16])
-    def test_prefix_sums_equal_np_cumsum(self, block_n, seed, picks):
-        block, n = block_n  # (64, LONGEST) crosses 3072 carries
+
+class TestPrefixSums:
+    """The screen's prefix sums need a sound error bound, not given bits."""
+
+    @given(n=st.integers(min_value=1, max_value=5000),
+           seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.integers(0, 5000), max_size=20))
+    @example(n=LONGEST, seed=0, picks=[1, 7, 8, 9, 1 << 16])
+    def test_within_rounding_budget(self, n, seed, picks):
+        # cuts at 0, at n and adjacent ones (0, 1 and the picks); a term of
+        # p[k], m = at[k], meets at most m - 1 roundings in the sums and 1
+        # in its square (``_data_interval``), and math.fsum is within u of
+        # the exact sum, so gamma_(m+3) of the sum of |terms| covers both
         x = rounding_values(n, seed)
         at = np.unique(np.clip(np.asarray(picks + [0, 1, n], dtype=np.intp),
                                0, n))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_BLOCK", block)
-            p1, p2 = _prefix_sums(x, at)
-        assert same_bits(p1, np.concatenate([[0.0], np.cumsum(x)])[at])
-        assert same_bits(p2, np.concatenate([[0.0], np.cumsum(x * x)])[at])
+        p1, p2 = _prefix_sums(x, at)
+        for k, m in enumerate(at.tolist()):
+            for got, terms in ((p1[k], x[:m]), (p2[k], x[:m] * x[:m])):
+                budget = math.fsum(np.abs(terms).tolist())
+                assert abs(got - math.fsum(terms.tolist())) \
+                    <= stein._gamma(m + 3) * budget

@@ -130,16 +130,16 @@ class TestSummands:
     def test_total_variance_closed_forms(self):
         # i.i.d. geometric
         spec = RandomSumSpec(GeometricIndex(0.1), Summands(RAD))
-        assert spec.sigma2_total() == pytest.approx(2.0 / 0.1, rel=1e-14)
+        assert spec.sigma2_total == pytest.approx(2.0 / 0.1, rel=1e-14)
         # cyclic + geometric vs direct series
         sm = Summands(tr.rademacher(1.0), scales=(1.0, 2.0))
         spec = RandomSumSpec(GeometricIndex(0.3), sm)
         m = np.arange(1, 400)
         series = float(np.sum(0.7 ** (m - 1) * atom_moments(sm, m)[0]))
-        assert spec.sigma2_total() == pytest.approx(series, rel=1e-13)
+        assert spec.sigma2_total == pytest.approx(series, rel=1e-13)
         # explicit index, exact finite sum
         spec = RandomSumSpec(fixed_index(2), sm)
-        assert spec.sigma2_total() == pytest.approx(1.0 + 4.0, rel=1e-14)
+        assert spec.sigma2_total == pytest.approx(1.0 + 4.0, rel=1e-14)
 
 
 class TestMDistribution:
@@ -176,7 +176,7 @@ class TestMDistribution:
         # sigma_1^2 / sigma^2 == p bit for bit at the bounds-deep p values,
         # so P{M = m} and P{N = m} are the same product p (1-p)^(m-1)
         spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
-        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
+        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
             == p
         md = m_distribution(spec)
         assert md.index_pmf is md.pmf
@@ -187,7 +187,7 @@ class TestMDistribution:
     def test_unequal_pmfs_stay_two_arrays(self):
         # at p = 0.123 the weight sigma_1^2 / sigma^2 is p give or take an ulp
         spec = RandomSumSpec(GeometricIndex(0.123), Summands(RAD))
-        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total() \
+        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
             != 0.123
         md = m_distribution(spec)
         assert md.index_pmf is not md.pmf
@@ -226,7 +226,7 @@ class TestTruncationRule:
         general_sum_bound(spec)
         md = m_distribution(spec)
         k, k0 = md.pmf.shape[0], spec.index.truncation_for(1e-24)
-        ratio = spec.summands.sup_sigma ** 2 / spec.sigma2_total()
+        ratio = spec.summands.sup_sigma ** 2 / spec.sigma2_total
         assert md.tail_bound <= 1e-10 * (1.0 + 8 * 2.0 ** -52)
         if ratio * spec.index.tail(k0) / p <= 1e-10:
             assert k == k0
@@ -540,7 +540,7 @@ def per_atom_bounds(spec, coupling, k):
     min(k, L) atoms and divides by 1 - q^L; an explicit index's, all k."""
     sm, index = spec.summands, spec.index
     m = np.arange(1, k + 1)
-    sigma2 = spec.sigma2_total()
+    sigma2 = spec.sigma2_total
     sigma2_m, abs_mean_m, abs_third_m = atom_moments(sm, m)
     pmf = sigma2_m / sigma2 * atom_survival(index, m)
     if isinstance(index, ExplicitIndex):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from laplace_stein.laplace import LaplaceParams, cdf, char_fn, quantile
 from laplace_stein.metrics import EmpiricalSample, dkw_band, kolmogorov_empirical
 from laplace_stein.seeding import derive_seed, substream
-from laplace_stein import transforms as tr
+from laplace_stein import metrics, transforms as tr
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -400,11 +401,13 @@ class TestInPlaceBits:
                            min_size=1, max_size=300))
     def test_mc_estimate_equals_np_mean_and_std(self, values):
         arr = np.array(values)
-        est = tr.mc_estimate(arr.copy())
+        before = arr.copy()
+        est = tr.mc_estimate(arr)
         assert est.value == float(np.mean(arr))
         want = (float(np.std(arr, ddof=1) / math.sqrt(arr.size))
                 if arr.size > 1 else math.inf)
         assert est.std_error == want
+        assert arr.tobytes() == before.tobytes()
 
     @given(n=st.integers(min_value=2, max_value=200),
            block=st.sampled_from([1, 7, 1 << 16]),
@@ -414,7 +417,8 @@ class TestInPlaceBits:
                                                         f_dd):
         src = tr.uniform_symmetric(SQRT6)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tr, "_BLOCK", block)
+            mp.setattr(tr, "_BLOCK", block)  # the maps
+            mp.setattr(metrics, "_BLOCK", block)  # the estimates' sums
             got = tr.verify_zero_bias_relation(src, f_dd, n, seed)
         lhs = 0.5 * f_dd(tr.sym_equilibrium_sample(src, n, seed).values)
         xz = tr.zero_bias_sample(src, n, derive_seed(seed,
@@ -425,6 +429,39 @@ class TestInPlaceBits:
         assert got.std_error == math.hypot(
             float(np.std(lhs, ddof=1) / math.sqrt(n)),
             float(np.std(rhs, ddof=1) / math.sqrt(n)))
+
+
+class TestMcEstimate:
+    """mc_estimate sums a block at a time (``metrics._tree_sum``) with the
+    bits of np.mean and np.std(ddof=1) / sqrt(n), and leaves its input as
+    it is."""
+
+    @given(block=st.sampled_from([1, 7, 1 << 16]),
+           extra=st.integers(min_value=0, max_value=300),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_equals_np_mean_and_std_across_blocks(self, block, extra, seed):
+        # the tree's leaves hold up to max(_BLOCK, 128) values: three or more
+        n = 3 * max(block, 128) + extra
+        rng = np.random.default_rng(seed)
+        x = rng.standard_cauchy(n) * 10.0 ** rng.integers(-4, 4, n)
+        before = x.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            est = tr.mc_estimate(x)
+        assert est.value == float(np.mean(x))
+        assert est.std_error == float(np.std(x, ddof=1) / math.sqrt(n))
+        assert x.tobytes() == before.tobytes()
+
+    def test_allocates_at_most_two_blocks(self):
+        x = np.random.default_rng(5).random(10 ** 6)
+        tracemalloc.start()
+        try:
+            est = tr.mc_estimate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.value == float(np.mean(x))
+        assert peak <= 2 * metrics._BLOCK * x.itemsize
 
 
 class TestZeroBiasRelation:
