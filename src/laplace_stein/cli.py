@@ -67,10 +67,6 @@ ZERO_BIAS_F_DD = (("one", np.ones_like, 0), ("square", np.square, 2),
                   ("cos", np.cos, 0))
 
 
-class UsageError(Exception):
-    pass
-
-
 def _positive(text):
     """argparse type of --c, --tol and --b (each value of stein-check's
     list): a finite positive number."""
@@ -106,9 +102,10 @@ def _scaled(factory, flag, value):
         raise OverflowError(f"{flag} {value:g} overflows a moment") from None
 
 
-def _source(args):
-    """The --source law at --c, unless its moments over- or underflow."""
-    src = _scaled(SOURCES[args.source], "--c", args.c)
+def _source(factory, flag, value):
+    """factory(value), the law at ``flag``, unless its moments over- or
+    underflow."""
+    src = _scaled(factory, flag, value)
     if not src.sigma2 >= sys.float_info.min:
         raise FloatingPointError(
             f"the variance of {src.label} underflows to {src.sigma2!r}")
@@ -205,7 +202,7 @@ def emit_report(results, fmt: str) -> bytes:
             writer.writerow([v if isinstance(v, str) else _fmt_float(v)
                              for v in row])
         return buf.getvalue().encode()
-    raise UsageError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
@@ -319,9 +316,9 @@ def cmd_transform_check(args):
     source rescaled by the power of two 2^e nearest its Laplace scale, and
     a number of degree d in x is reported times 2^(d e)."""
     if args.n < 2:
-        raise UsageError("--n must be at least 2: the 4-standard-error checks "
+        raise ValueError("--n must be at least 2: the 4-standard-error checks "
                          "need a standard error, which one draw does not have")
-    src = _source(args)
+    src = _source(SOURCES[args.source], "--c", args.c)
     e = round(math.log2(src.b_equiv))
     unit = SOURCES[args.source](math.ldexp(args.c, -e))
     # the largest number reported, E[X_L^4], scaled back before any draw
@@ -348,9 +345,9 @@ def cmd_transform_check(args):
 def cmd_fixed_point(args):
     band = args.tol * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
     if band >= 1.0:
-        raise UsageError(f"--n {args.n} gives a band of {band:g}, and every "
+        raise ValueError(f"--n {args.n} gives a band of {band:g}, and every "
                          "Kolmogorov distance is at most 1; raise --n")
-    src = _scaled(transforms.laplace_source, "--b", args.b)
+    src = _source(transforms.laplace_source, "--b", args.b)
     sample = sym_equilibrium_sample(src, args.n, derive_seed(args.seed, "fp"))
     d_k = kolmogorov_empirical(EmpiricalSample.from_values(sample.values),
                                LaplaceParams(0.0, args.b))
@@ -373,16 +370,18 @@ def _sweep_row(pt) -> list:
 
 def cmd_sweep(args):
     if args.tol >= 1.0:
-        raise UsageError("--tol, the DKW level alpha, must be below 1")
+        raise ValueError("--tol, the DKW level alpha, must be below 1")
     band = dkw_band(args.n, args.tol) if args.n >= 2 else math.inf
     if band >= 1.0:
-        raise UsageError(f"--n {args.n} gives a DKW band of {band:g}, and "
+        raise ValueError(f"--n {args.n} gives a DKW band of {band:g}, and "
                          "every Kolmogorov distance is at most 1; raise --n")
-    src = _source(args)
-    if abs(src.sigma2 - 2.0 * args.b ** 2) > 1e-9 * max(1.0, src.sigma2):
-        raise UsageError(
+    src = _source(SOURCES[args.source], "--c", args.c)
+    target = 2.0 * args.b ** 2
+    # relative to the larger side; a 2b^2 that overflows gives nan, refused
+    if not abs(src.sigma2 - target) / max(src.sigma2, target) <= 1e-9:
+        raise ValueError(
             f"source variance {src.sigma2:g} does not match 2*b^2 = "
-            f"{2 * args.b ** 2:g}; adjust --c or --b")
+            f"{target:g}; adjust --c or --b")
     result = convergence_sweep(src, args.p, args.n, args.seed,
                                alpha=args.tol)
     rows = [_sweep_row(pt) for pt in result.points]
@@ -406,7 +405,7 @@ def _bound_entry(rep) -> dict:
 
 
 def cmd_bounds(args):
-    src = _source(args)
+    src = _source(SOURCES[args.source], "--c", args.c)
     fixed = args.index == "fixed"
     reports = []
     for p in (None,) if fixed else args.p:
@@ -442,7 +441,7 @@ def main(argv=None) -> int:
         return 0 if passed else 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, TruncationError, OSError, MemoryError,

@@ -253,10 +253,10 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
     """
     n = x.size
     cuts = [np.searchsorted(x, h.knots) for h in data]
-    at = np.unique(np.concatenate(cuts + [[n]]))
-    p1, p2 = (dict(zip(at.tolist(), p.tolist())) for p in _prefix_sums(x, at))
-    # it feeds only the pads; summed without an n-length |x|
-    abs_sum = _tree_sum(n, lambda i, j: np.abs(x[i:j]))
+    # a cut at 0 leaves every stretch one-signed, for sum |x|
+    at = np.unique(np.concatenate(cuts + [[np.searchsorted(x, 0.0), n]]))
+    p1, p2, abs_sum = _prefix_sums(x, at)
+    p1, p2 = (dict(zip(at.tolist(), p.tolist())) for p in (p1, p2))
     boxes = [_data_interval(h, cut.tolist(), n, p1, p2, abs_sum,
                             *wh_enclosure(h, b))
              for h, cut in zip(data, cuts)]
@@ -268,21 +268,22 @@ def _screen(x: np.ndarray, data, b: float, exact) -> list:
 
 
 def _prefix_sums(x: np.ndarray, at: np.ndarray) -> tuple:
-    """(p1, p2): p1[k] = sum x[:m] and p2[k] = sum x[:m]**2 for m = at[k]
-    (0.0 at m = 0), for a sorted ``at`` that ends at n = x.size.
+    """(p1, p2, a1): p1[k] = sum x[:m] and p2[k] = sum x[:m]**2 for
+    m = at[k] (0.0 at m = 0), for a sorted ``at`` that ends at n = x.size,
+    and a1 = sum |x| when every stretch of x between cuts is one-signed.
 
     The stretches between consecutive cuts, the first from 0, are summed
     by one numpy reduction each (np.add.reduceat for x, np.einsum for x**2,
     so no n-length temporary and no BLAS call), and the stretch sums are
     added in sequence.  reduceat gives x[i] for an empty stretch at i, which
-    is zeroed.
+    is zeroed.  a1 sums the stretch sums' absolute values.
     """
     starts = np.concatenate([[0], at[:-1]])
     s1 = np.add.reduceat(x, starts)
     s1[starts == at] = 0.0
     s2 = np.array([np.einsum("i,i->", x[i:j], x[i:j])
                    for i, j in zip(starts.tolist(), at.tolist())])
-    return np.cumsum(s1), np.cumsum(s2)
+    return np.cumsum(s1), np.cumsum(s2), float(np.sum(np.abs(s1)))
 
 
 def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
@@ -311,8 +312,10 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
     both prefixes).  t1, t2 and A1 are themselves computed, from
     nonnegative terms, so they are low by at most a factor
     (1 - gamma_(n+m+12))**2; taking gamma of twice the count covers that:
-    E = gamma_(2(n+m+12)) t.  A1 is summed pairwise, so a term meets at
-    most n - 1 roundings, within the count above.
+    E = gamma_(2(n+m+12)) t.  A1 sums the absolute values of the stretch
+    sums of x, each stretch one-signed (a cut at 0 is among the cuts): a
+    sum of the |x_i| in which a term meets at most n - 1 roundings (an
+    empty stretch adds an exact 0.0), within the count above.
 
     Mean.  np.mean(v) sums pairwise, within gamma_(n-1) sum |v_i|, then
     divides: it is within mu = gamma_n (sup + e) of the exact mean of v,

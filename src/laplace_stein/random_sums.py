@@ -241,14 +241,11 @@ class RandomSumSpec:
 
 @dataclass(frozen=True)
 class MDistribution:
-    """Truncated pmf of the auxiliary index M, with certified tail mass, its
-    mean, and the index N's pmf on the same support (the coupling term
-    needs both).  Both arrays are read-only, and where the two pmfs are
-    equal bit for bit ``index_pmf`` may be ``pmf`` itself."""
+    """Truncated pmf of the auxiliary index M, read-only, with certified tail
+    mass and its mean."""
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
-    index_pmf: np.ndarray  # index_pmf[i] = P{N = i+1}
     mean: float  # sum_m m P{M = m}, as np.dot of the support and the pmf
 
 
@@ -267,11 +264,8 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     truncation, grown where M's certified tail there, (sup_i sigma_i^2 /
     sigma^2) (1-p)^k / p, is above 1e-10 to the k where it is not.
 
-    Every k-length array is built in its own storage, and the mean is taken
-    before N's pmf is built, so at most two are alive at once.  On a
-    geometric index whose weights sigma_r^2 / sigma^2 all equal p bit for
-    bit (i.i.d. summands, as a rule), P{M = m} and P{N = m} are the same
-    product p (1-p)^(m-1), and ``index_pmf`` is ``pmf``: one array for both.
+    The pmf is the survival weighted in place, and the float support of its
+    mean the one other k-length array built.
     """
     sigma2, index = spec.sigma2_total, spec.index
     if isinstance(index, ExplicitIndex):
@@ -292,13 +286,8 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
         pmf[r::weight.shape[0]] *= w
     # a float support: np.dot would cast an integer one to a float copy
     mean = float(np.dot(np.arange(1.0, pmf.shape[0] + 1.0), pmf))
-    if isinstance(index, GeometricIndex) and np.all(weight == index.p):
-        index_pmf = pmf
-    else:
-        index_pmf = index.pmf_atoms(k)
-    pmf.flags.writeable = index_pmf.flags.writeable = False
-    return MDistribution(pmf=pmf, tail_bound=float(tail),
-                         index_pmf=index_pmf, mean=mean)
+    pmf.flags.writeable = False
+    return MDistribution(pmf=pmf, tail_bound=float(tail), mean=mean)
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -369,7 +358,9 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
     by L: the gap is the merge of the first min(k, L) atoms over 1 - q^L =
     -expm1(L log1p(-p)).  An explicit index is the same merge over all its
     atoms and mass 1; the independent coupling is the exact double sum over
-    the truncated supports.
+    the truncated supports.  N's atoms come from the index, only those the
+    gap reads; on a geometric index with i.i.d. summands M has N's law, and
+    the M-pmf stands for both.
 
     The slack keeps the result a certified upper bound: the mass beyond the
     truncation k is covered via Cauchy-Schwarz (E[sqrt|N-M|; tail] <=
@@ -378,16 +369,20 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
     k*eps*sqrt(2k).  It over-covers the periodic gap, which is truncated
     only when L > k and sums L atoms, not k.
     """
-    k = m_dist.pmf.shape[0]
-    pn, pm = m_dist.index_pmf, m_dist.pmf
+    pm, index = m_dist.pmf, spec.index
+    k = pm.shape[0]
+    geometric = isinstance(index, GeometricIndex)
+    same_law = geometric and spec.summands.is_iid
     if coupling == "comonotone":
         atoms, mass, period = k, 1.0, len(spec.summands.scales)
-        if isinstance(spec.index, GeometricIndex) and spec.index.p < 1.0:
+        if geometric and index.p < 1.0:
             atoms = min(k, period)
-            mass = -math.expm1(period * math.log1p(-spec.index.p))
-        gap = _comonotone_sqrt_gap(pn[:atoms], pm[:atoms]) / mass
+            mass = -math.expm1(period * math.log1p(-index.p))
+        pn = pm[:atoms] if same_law else index.pmf_atoms(atoms)
+        gap = _comonotone_sqrt_gap(pn, pm[:atoms]) / mass
     elif coupling == "independent":
-        gap = _independent_sqrt_gap(pn, pm)
+        gap = _independent_sqrt_gap(pm if same_law else index.pmf_atoms(k),
+                                    pm)
     else:
         raise ValueError(f"unknown coupling rule {coupling!r}")
     slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)

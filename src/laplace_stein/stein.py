@@ -330,22 +330,10 @@ class SteinSolution:
         object.__setattr__(self, "_last", (key, prof))
         return prof
 
-    def _eval(self, x, of: Callable):
-        """of(profile) at x in any order: profile sorted x, then unsort."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        order = np.argsort(arr, kind="stable")
-        out = np.empty_like(arr)
-        out[order] = of(self.profile(arr[order]))
-        return float(out[0]) if np.ndim(x) == 0 else out
-
     def g(self, x):
-        return self._eval(x, lambda prof: prof.g)
-
-    def g1(self, x):
-        return self._eval(x, lambda prof: prof.g1)
-
-    def g2(self, x):
-        return self._eval(x, lambda prof: prof.g2)
+        """g at a scalar x, or on an array x sorted ascending."""
+        prof = self.profile(np.atleast_1d(x))
+        return float(prof.g[0]) if np.ndim(x) == 0 else prof.g
 
 
 def solve(h: TestFunction, b: float) -> SteinSolution:
@@ -357,9 +345,10 @@ def solve(h: TestFunction, b: float) -> SteinSolution:
 
 
 def residual(sol: SteinSolution, x):
-    """g(x) - b^2 g''(x) - ht(x); vanishes wherever the solver is consistent."""
-    return sol._eval(x, lambda prof: prof.g - sol.b ** 2 * prof.g2
-                     - sol.centered(prof.x))
+    """g(x) - b^2 g''(x) - ht(x) on x sorted ascending; vanishes wherever the
+    solver is consistent."""
+    prof = sol.profile(x)
+    return prof.g - sol.b ** 2 * prof.g2 - sol.centered(prof.x)
 
 
 def standard_grid(b: float) -> np.ndarray:

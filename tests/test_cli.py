@@ -114,6 +114,13 @@ class TestSweepCommand:
                         "--seed", "1"]) == 2
         assert "variance" in capsys.readouterr().err
 
+    def test_mismatch_below_unit_variance_is_usage_error(self, capsys):
+        # variance 1e-20 against 2 b^2 = 2e-12: the tolerance is relative
+        # to the larger side, not to max(1, sigma^2)
+        assert run_cli(["sweep", "--c", "1e-10", "--b", "1e-6", "--n", "200",
+                        "--p", "0.1,0.01", "--format", "json"]) == 2
+        assert "does not match" in capsys.readouterr().err
+
     def test_unknown_source_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--source", "cauchy", "--p", "0.1"]) == 2
 
@@ -454,7 +461,9 @@ class TestFlags:
         (["bounds", "--scales", "1e-170"], "sigma^2 underflows to 0 at "
          "scales 1e-170"),
         (["bounds", "--scales", "0,1e-170", "--p", "0.5"], "underflows to 0 "
-         "at scales 0, 1e-170")])
+         "at scales 0, 1e-170"),
+        (["fixed-point", "--b", "5e-324", "--n", "20000"],
+         "variance of laplace(4.94066e-324)")])
     def test_underflow_is_one_line(self, argv, name):
         # refused up front: no numpy warning, division by zero or
         # misleading usage error
@@ -643,7 +652,7 @@ class TestEmitReport:
         assert text.splitlines()[1] == '1.5,"va,l""ue"'
 
     def test_unknown_format(self):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             cli.emit_report({}, "xml")
 
 

@@ -623,23 +623,28 @@ class TestBlockedSumsBits:
 
 
 class TestPrefixSums:
-    """The screen's prefix sums need a sound error bound, not given bits."""
+    """The screen's prefix sums and sum |x| need a sound error bound, not
+    given bits."""
 
     @given(n=st.integers(min_value=1, max_value=5000),
            seed=st.integers(0, 2 ** 32 - 1),
            picks=st.lists(st.integers(0, 5000), max_size=20))
     @example(n=LONGEST, seed=0, picks=[1, 7, 8, 9, 1 << 16])
     def test_within_rounding_budget(self, n, seed, picks):
-        # cuts at 0, at n and adjacent ones (0, 1 and the picks); a term of
-        # p[k], m = at[k], meets at most m - 1 roundings in the sums and 1
-        # in its square (``_data_interval``), and math.fsum is within u of
-        # the exact sum, so gamma_(m+3) of the sum of |terms| covers both
-        x = rounding_values(n, seed)
-        at = np.unique(np.clip(np.asarray(picks + [0, 1, n], dtype=np.intp),
-                               0, n))
-        p1, p2 = _prefix_sums(x, at)
+        # a sorted mixed-sign sample, cut as the screen cuts it: at 0, at n,
+        # where its sign changes and at adjacent ones (0, 1 and the picks).
+        # A term of p[k], m = at[k], meets at most m - 1 roundings in the
+        # sums and 1 in its square, a term of sum |x| at most n - 1
+        # (``_data_interval``), and math.fsum is within u of the exact sum,
+        # so gamma_(m+3) and gamma_(n+3) of the sum of |terms| cover both
+        x = np.sort(rounding_values(n, seed))
+        at = np.unique(np.clip(np.asarray(
+            picks + [0, 1, n, np.searchsorted(x, 0.0)], dtype=np.intp), 0, n))
+        p1, p2, a1 = _prefix_sums(x, at)
         for k, m in enumerate(at.tolist()):
             for got, terms in ((p1[k], x[:m]), (p2[k], x[:m] * x[:m])):
                 budget = math.fsum(np.abs(terms).tolist())
                 assert abs(got - math.fsum(terms.tolist())) \
                     <= stein._gamma(m + 3) * budget
+        budget = math.fsum(np.abs(x).tolist())
+        assert abs(a1 - budget) <= stein._gamma(n + 3) * budget

@@ -171,36 +171,29 @@ class TestMDistribution:
         md = m_distribution(spec)
         assert abs(float(md.pmf.sum()) + md.tail_bound - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
-    def test_equal_pmfs_share_one_read_only_array(self, p):
-        # sigma_1^2 / sigma^2 == p bit for bit at the bounds-deep p values,
-        # so P{M = m} and P{N = m} are the same product p (1-p)^(m-1)
-        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD))
-        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
-            == p
-        md = m_distribution(spec)
-        assert md.index_pmf is md.pmf
+    @pytest.mark.parametrize("index", [
+        GeometricIndex(1e-4), GeometricIndex(0.123),
+        ExplicitIndex((0.2, 0.0, 0.8))], ids=["p1e-4", "p0.123", "explicit"])
+    def test_builds_no_index_pmf(self, index, monkeypatch):
+        # M's law alone, read-only; the gap takes N's atoms from the index
+        def refused(self, k):
+            raise AssertionError("m_distribution built N's pmf")
+
+        monkeypatch.setattr(type(index), "pmf_atoms", refused)
+        md = m_distribution(RandomSumSpec(index, Summands(RAD, (1.0, 2.0))))
+        assert [f.name for f in dataclasses.fields(md)] \
+            == ["pmf", "tail_bound", "mean"]
         assert not md.pmf.flags.writeable
         with pytest.raises(ValueError):
             md.pmf[0] = 0.0
-
-    def test_unequal_pmfs_stay_two_arrays(self):
-        # at p = 0.123 the weight sigma_1^2 / sigma^2 is p give or take an ulp
-        spec = RandomSumSpec(GeometricIndex(0.123), Summands(RAD))
-        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
-            != 0.123
-        md = m_distribution(spec)
-        assert md.index_pmf is not md.pmf
-        assert np.array_equal(md.index_pmf,
-                              spec.index.pmf_atoms(md.pmf.shape[0]))
-        assert not md.index_pmf.flags.writeable
 
     def test_explicit_index_takes_its_whole_support(self):
         spec = RandomSumSpec(ExplicitIndex((0.2, 0.0, 0.8, 0.0)),
                              Summands(RAD, (1.0, 2.0)))
         md = m_distribution(spec)
         assert md.pmf.shape[0] == 4 and md.tail_bound == 0.0
-        assert md.index_pmf.base is spec.index.probs  # a view, not a copy
+        # the gap's N atoms: a view, not a copy
+        assert spec.index.pmf_atoms(4).base is spec.index.probs
 
 
 class TestTruncationRule:
@@ -535,9 +528,10 @@ def quantile_merge_gap(pn, pm):
 def per_atom_bounds(spec, coupling, k):
     """(M-pmf, gap, i.i.d. components or None, general components) at the
     truncation k, each atom's moments and survival evaluated on the full
-    index array m = 1..k: the reference for the per-residue tables and the
-    shared index pmf.  A geometric comonotone gap merges the first
-    min(k, L) atoms and divides by 1 - q^L; an explicit index's, all k."""
+    index array m = 1..k: the reference for the per-residue tables.  N's
+    pmf is the M-pmf on a geometric index with i.i.d. summands, where M has
+    N's law.  A geometric comonotone gap merges the first min(k, L) atoms
+    and divides by 1 - q^L; an explicit index's, all k."""
     sm, index = spec.summands, spec.index
     m = np.arange(1, k + 1)
     sigma2 = spec.sigma2_total
@@ -547,7 +541,10 @@ def per_atom_bounds(spec, coupling, k):
         tail = 0.0
     else:
         tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
-    pn = np.asarray(atom_pmf(index, m), dtype=float)
+    if isinstance(index, GeometricIndex) and sm.is_iid:
+        pn = pmf
+    else:
+        pn = np.asarray(atom_pmf(index, m), dtype=float)
     if coupling == "independent":
         gap = _independent_sqrt_gap(pn, pmf)
     elif isinstance(index, ExplicitIndex):
@@ -630,8 +627,8 @@ class TestBoundBits:
         k = md.pmf.shape[0]
         pmf, gap, iid, general = per_atom_bounds(spec, coupling, k)
         assert np.array_equal(md.pmf, pmf)
-        assert np.array_equal(md.index_pmf, atom_pmf(index, np.arange(1,
-                                                                      k + 1)))
+        assert np.array_equal(index.pmf_atoms(k),
+                              atom_pmf(index, np.arange(1, k + 1)))
         assert md.mean == float(np.dot(np.arange(1.0, k + 1.0), pmf))
         assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
         if iid is not None:
@@ -689,15 +686,15 @@ class TestBoundMemory:
 
     @pytest.mark.parametrize("bound", [iid_sum_bound, general_sum_bound])
     def test_peak_allocation(self, bound):
-        # N's and M's pmfs are one array here, and the M-moments are summed
-        # a block at a time: the pmf and the float support of its mean
+        # the M-pmf stands for N's here, and the M-moments are summed a
+        # block at a time: the pmf and the float support of its mean
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
         k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(bound, spec, "comonotone")
         assert peak <= 2.4 * 8 * k
 
     def test_shared_pmf_gap_allocates_no_array(self):
-        # N and M share one pmf, and its mean was taken with it: the
+        # the M-pmf stands for N's, and its mean was taken with it: the
         # comonotone gap and its slack need no k-length array
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
         md = m_distribution(spec)
@@ -715,12 +712,25 @@ class TestBoundMemory:
         assert peak <= 0.1 * 8 * md.pmf.shape[0]
 
     def test_cyclic_general_bound(self):
-        # the M-pmf, N's pmf and the float support of the mean: 2.9
-        # k-float arrays at the peak
+        # the M-pmf and the float support of its mean: N's pmf is read at
+        # the first L atoms alone
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
         k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(general_sum_bound, spec, "comonotone")
-        assert peak <= 3 * 8 * k
+        assert peak <= 2.05 * 8 * k
+
+    def test_iid_independent_gap_allocates_no_second_pmf(self):
+        # at p = 1.1e-4 the weight sigma_1^2 / sigma^2 is p give or take an
+        # ulp, yet M has N's law: the M-pmf stands for N's, and the gap
+        # allocates what the double sum of the M-pmf with itself does
+        spec = RandomSumSpec(GeometricIndex(1.1e-4), Summands(RAD))
+        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
+            != 1.1e-4
+        md = m_distribution(spec)
+        _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
+                              "independent")
+        _, double_sum = traced_peak(_independent_sqrt_gap, md.pmf, md.pmf)
+        assert peak <= double_sum + 0.1 * 8 * md.pmf.shape[0]
 
     def test_independent_gap_in_place(self):
         # the spectra are multiplied and the weights built in place: about
@@ -728,7 +738,8 @@ class TestBoundMemory:
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
         md = m_distribution(spec)
         k = md.pmf.shape[0]
-        gap, peak = traced_peak(_independent_sqrt_gap, md.index_pmf, md.pmf)
+        gap, peak = traced_peak(_independent_sqrt_gap,
+                                spec.index.pmf_atoms(k), md.pmf)
         assert gap == 88.62045605121263
         assert peak <= 5 * 8 * k
 

@@ -221,10 +221,9 @@ class TestClosedForms:
         assert np.max(np.abs(sol.g(xs) - want)) <= 1e-10
 
     def test_constant_gives_zero_solution(self):
-        sol = solve(constant_fn(0.8), 1.0)
-        xs = np.linspace(-20, 20, 101)
-        assert np.max(np.abs(sol.g(xs))) <= 1e-12
-        assert np.max(np.abs(sol.g2(xs))) <= 1e-12
+        prof = solve(constant_fn(0.8), 1.0).profile(np.linspace(-20, 20, 101))
+        assert np.max(np.abs(prof.g)) <= 1e-12
+        assert np.max(np.abs(prof.g2)) <= 1e-12
 
     def test_derivative_formulas_for_sine(self):
         sol = solve(sin_fn(), 1.0)
@@ -264,15 +263,22 @@ class TestSolutionContract:
                                    lo, hi, epsabs=1e-13, limit=300)[0]
                     for lo, hi in ((0.0, 0.5), (0.5, 80.0))) / (2 * b)
         assert sol.g(x) == pytest.approx(a_val + b_val, abs=1e-9)
-        assert residual(sol, x) == pytest.approx(0.0, abs=1e-6)
+        assert residual(sol, [x])[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_scalar_and_array_evaluation_agree(self):
         sol = solve(tanh_fn(), 0.5)
-        xs = np.array([1.7, -0.4, 0.0, 3.2])
+        xs = np.array([-0.4, 0.0, 1.7, 3.2])
         arr = sol.g(xs)
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert sol.g(float(x)) == pytest.approx(v, abs=1e-12)
+
+    def test_unsorted_points_are_refused(self):
+        sol = solve(tanh_fn(), 0.5)
+        xs = np.array([1.7, -0.4, 0.0, 3.2])
+        for evaluate in (sol.g, sol.profile, lambda x: residual(sol, x)):
+            with pytest.raises(ValueError, match="sorted"):
+                evaluate(xs)
 
     @given(member=st.integers(0, len(stein_family()) - 1),
            b=st.floats(0.25, 64.0),
@@ -282,10 +288,12 @@ class TestSolutionContract:
         # wide, however far apart the points of one call are, and the
         # 10-point rule is at rounding level on every such panel
         sol = solve(stein_family()[member], b)
-        for of in (sol.g, sol.g1, sol.g2):
-            pair = of(np.array([x, y]))
-            assert abs(pair[0] - of(x)) <= 1e-12
-            assert abs(pair[1] - of(y)) <= 1e-12
+        pair = sol.profile(sorted((x, y)))
+        for i, point in enumerate(pair.x):
+            alone = sol.profile([point])
+            for name in ("g", "g1", "g2"):
+                assert abs(getattr(pair, name)[i]
+                           - getattr(alone, name)[0]) <= 1e-12
 
     def test_finite_difference_consistency(self):
         # central differences of g and g' reproduce g' and g'' to 1e-5
@@ -302,8 +310,9 @@ class TestSolutionContract:
                         axis=1)
                     xs = xs[keep]
                 prof = sol.profile(xs)
-                fd_g1 = (sol.g(xs + delta) - sol.g(xs - delta)) / (2 * delta)
-                fd_g2 = (sol.g1(xs + delta) - sol.g1(xs - delta)) / (2 * delta)
+                up, down = sol.profile(xs + delta), sol.profile(xs - delta)
+                fd_g1 = (up.g - down.g) / (2 * delta)
+                fd_g2 = (up.g1 - down.g1) / (2 * delta)
                 assert np.max(np.abs(fd_g1 - prof.g1)) <= 1e-5
                 assert np.max(np.abs(fd_g2 - prof.g2)) <= 1e-5
 

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` replaces each ``(module, attribute)`` in its
 ``PATCHES`` table with a timing wrapper, and its counters read attributes of
 the results (``family_size``, ``n``, ``pmf``).  A renamed or removed function
-or field would otherwise show up only in the slow benchmark smoke test.
+or field would otherwise show up only in the slow benchmark smoke test, and
+so would a sampling-path rule of the tracer's that drifts from the package's.
 """
 
 import importlib
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from laplace_stein import cli
+from laplace_stein import cli, random_sums, transforms
+from laplace_stein.random_sums import GeometricIndex, RandomSumSpec, Summands
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RADC = "1.4142135623730951"
@@ -70,3 +72,16 @@ def test_counters_read_fields_that_exist(workload, capsys):
     for counter, value in _reference_counts()[workload].items():
         if value:
             assert tracer.counts[counter] > 0, counter
+
+
+@pytest.mark.parametrize("source", transforms.builtin_sources(1.0),
+                         ids=lambda source: source.label)
+def test_sample_path_names_the_sampler_that_ran(source, monkeypatch):
+    ran = []
+    chunked = random_sums._chunked_sums
+    monkeypatch.setattr(random_sums, "_chunked_sums",
+                        lambda *args: ran.append(args) or chunked(*args))
+    args = (RandomSumSpec(GeometricIndex(0.1), Summands(source)), 50, 7)
+    random_sums.random_sum_sample(*args)
+    path = _tracing()._sample_path(args)
+    assert (path == "random_sums.sample_chunked") == bool(ran), path
