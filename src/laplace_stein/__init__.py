@@ -12,8 +12,7 @@ from .random_sums import (BoundReport, ExplicitIndex, GeometricIndex,
                           recompute_bound)
 from .stein import (BoundCertificate, SteinSolution, TestFunction,
                     certify_bounds, dense_bl_family, residual, solve,
-                    standard_grid, stein_family, target_expectation,
-                    verify_characterization, verify_first_order)
+                    standard_grid, stein_family, target_expectation)
 from .transforms import (SourceDistribution, TransformSample, builtin_sources,
                          equilibrium_cf, equilibrium_moment, laplace_source,
                          rademacher, sgn_bias_sample, sym_equilibrium_sample,

@@ -20,7 +20,8 @@ division by zero, I/O, memory).
 Every option, its type and its default is declared once, in the argparse
 parser, and shown by --help.  An argument @FILE stands for the lines of FILE,
 one flag such as --n=500 per line; flags after it on the command line win.
-A bare-filename --out resolves against $LAPLACE_STEIN_OUT when that is set.
+The limits a verdict is judged by are constants, not flags: stein-check's
+residual tolerance, fixed-point's band factor and sweep's DKW level.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -53,7 +53,6 @@ from .transforms import (mc_estimate, sgn_bias_sample, sym_equilibrium_sample,
                          verify_zero_bias_relation)
 
 SCHEMA_VERSION = "1"
-ENV_OUT_DIR = "LAPLACE_STEIN_OUT"
 
 SWEEP_COLUMNS = ("p", "d_K", "d_K_band", "d_BL_lower", "d_W_upper",
                  "thm7_bound", "prop1_bound", "verdict")
@@ -68,8 +67,8 @@ ZERO_BIAS_F_DD = (("one", np.ones_like, 0), ("square", np.square, 2),
 
 
 def _positive(text):
-    """argparse type of --c, --tol and --b (each value of stein-check's
-    list): a finite positive number."""
+    """argparse type of --c and --b (each value of stein-check's list): a
+    finite positive number."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite and positive")
@@ -120,20 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
         fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, sampled=True, tol=None):
+    def command(name, handler, summary, sampled=True):
         p = sub.add_parser(
             name, help=summary,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(handler=handler)
-        p.add_argument("--out", help="output path, stdout if absent; a bare "
-                       f"file name resolves against ${ENV_OUT_DIR}")
+        p.add_argument("--out", help="output path, stdout if absent")
         if sampled:
             p.add_argument("--seed", type=int, default=7, help="master seed")
             p.add_argument("--n", type=int, default=100_000,
                            help="samples per estimate")
-        if tol is not None:
-            p.add_argument("--tol", type=_positive, default=tol[1],
-                           help=tol[0])
         return p
 
     def source(p, what):
@@ -144,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stein-check", cmd_stein_check,
                 "equation residuals and derivative certificates",
-                sampled=False, tol=("residual tolerance", 1e-6))
+                sampled=False)
     p.add_argument("--b", type=_comma_list(_positive), default="0.5,1,2",
                    help="comma list of scales")
 
@@ -153,12 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     source(p, "source family")
 
     p = command("fixed-point", cmd_fixed_point,
-                "Kolmogorov test of the Laplace fixed point",
-                tol=("factor on the 1.36/sqrt(n) band", 1.5))
+                "Kolmogorov test of the Laplace fixed point")
     p.add_argument("--b", type=_positive, default=1.0, help="target scale")
 
-    p = command("sweep", cmd_sweep, "geometric-sum convergence sweep",
-                tol=("DKW band level alpha", 0.05))
+    p = command("sweep", cmd_sweep, "geometric-sum convergence sweep")
     source(p, "summand family")
     p.add_argument("--b", type=_positive, default=1.0,
                    help="target scale; must match the source variance")
@@ -205,19 +198,15 @@ def emit_report(results, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _resolve_out(path: Optional[str]) -> Optional[str]:
-    base = os.environ.get(ENV_OUT_DIR)
-    if path and base and os.path.dirname(path) == "":
-        return os.path.join(base, path)
-    return path
-
-
 def _write(data: bytes, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(data.decode())
     else:
         with open(out, "wb") as fh:
             fh.write(data)
+
+
+RESIDUAL_TOLERANCE = 1e-6
 
 
 def cmd_stein_check(args):
@@ -238,7 +227,7 @@ def cmd_stein_check(args):
             res_max = float(np.max(np.abs(residual(sol, grid))))
             cert = certify_bounds(sol, grid)
             at_zero = sol.g(0.0)
-            ok = bool(res_max <= args.tol and cert.passed
+            ok = bool(res_max <= RESIDUAL_TOLERANCE and cert.passed
                       and abs(at_zero) <= 1e-10)
             checks.append({
                 "label": h.label, "b": b, "target_mean": sol.target_mean,
@@ -248,7 +237,7 @@ def cmd_stein_check(args):
                 "pass": ok,
             })
     all_pass = all(c["pass"] for c in checks)
-    report = {"b_grid": list(args.b), "residual_tolerance": args.tol,
+    report = {"b_grid": list(args.b), "residual_tolerance": RESIDUAL_TOLERANCE,
               "family_size": len(family), "checks": checks,
               "all_pass": all_pass}
     return report, all_pass
@@ -342,8 +331,11 @@ def cmd_transform_check(args):
     return report, all_pass
 
 
+BAND_FACTOR = 1.5
+
+
 def cmd_fixed_point(args):
-    band = args.tol * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
+    band = BAND_FACTOR * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
     if band >= 1.0:
         raise ValueError(f"--n {args.n} gives a band of {band:g}, and every "
                          "Kolmogorov distance is at most 1; raise --n")
@@ -353,7 +345,7 @@ def cmd_fixed_point(args):
                                LaplaceParams(0.0, args.b))
     ok = d_k.value <= band
     report = {"b": args.b, "n": args.n, "seed": args.seed, "d_K": d_k.value,
-              "band": band, "band_factor": args.tol,
+              "band": band, "band_factor": BAND_FACTOR,
               "verdict": "PASS" if ok else "FAIL"}
     return report, ok
 
@@ -369,21 +361,18 @@ def _sweep_row(pt) -> list:
 
 
 def cmd_sweep(args):
-    if args.tol >= 1.0:
-        raise ValueError("--tol, the DKW level alpha, must be below 1")
-    band = dkw_band(args.n, args.tol) if args.n >= 2 else math.inf
+    band = dkw_band(args.n) if args.n >= 2 else math.inf
     if band >= 1.0:
         raise ValueError(f"--n {args.n} gives a DKW band of {band:g}, and "
                          "every Kolmogorov distance is at most 1; raise --n")
     src = _source(SOURCES[args.source], "--c", args.c)
-    target = 2.0 * args.b ** 2
-    # relative to the larger side; a 2b^2 that overflows gives nan, refused
+    target = _scaled(lambda b: 2.0 * b ** 2, "--b", args.b)
+    # relative to the larger side; a 2b^2 rounded to inf gives nan, refused
     if not abs(src.sigma2 - target) / max(src.sigma2, target) <= 1e-9:
         raise ValueError(
             f"source variance {src.sigma2:g} does not match 2*b^2 = "
             f"{target:g}; adjust --c or --b")
-    result = convergence_sweep(src, args.p, args.n, args.seed,
-                               alpha=args.tol)
+    result = convergence_sweep(src, args.p, args.n, args.seed)
     rows = [_sweep_row(pt) for pt in result.points]
     if args.format == "csv":
         report = {"columns": list(SWEEP_COLUMNS), "rows": rows}
@@ -437,7 +426,7 @@ def main(argv=None) -> int:
         if fmt == "json":
             payload = {"schema_version": SCHEMA_VERSION,
                        "command": args.command, **payload}
-        _write(emit_report(payload, fmt), _resolve_out(args.out))
+        _write(emit_report(payload, fmt), args.out)
         return 0 if passed else 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2

@@ -649,7 +649,7 @@ def _point_sample(source: SourceDistribution, p: float, n: int,
 
 
 def _certify_point(s: EmpiricalSample, source: SourceDistribution, p: float,
-                   family: tuple, alpha: float) -> SweepPoint:
+                   family: tuple) -> SweepPoint:
     """d_K, d_BL, d_W, bound and verdict of one sweep point's sample."""
     n = s.n
     b = source.b_equiv
@@ -657,7 +657,7 @@ def _certify_point(s: EmpiricalSample, source: SourceDistribution, p: float,
     d_k = kolmogorov_empirical(s, target)
     d_bl = bl_lower_bound(s, target, family)
     d_w = wasserstein_empirical(s, target)
-    band = dkw_band(n, alpha)
+    band = dkw_band(n)
     report = geometric_sum_bound(p, b, source.abs_third)
     conversion = kolmogorov_from_bl(report.value, 1.0 / (2.0 * b))
     verdict = (within_four_se(d_bl.value, report.value, d_bl.std_error)
@@ -672,20 +672,21 @@ def _certify_point(s: EmpiricalSample, source: SourceDistribution, p: float,
 
 
 def _sweep_point(source: SourceDistribution, p: float, n: int, seed: int,
-                 family: tuple, alpha: float) -> SweepPoint:
+                 family: tuple) -> SweepPoint:
     """One sweep point: its sample, certified."""
     return _certify_point(_point_sample(source, p, n, seed), source, p,
-                          family, alpha)
+                          family)
 
 
-def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
-                      alpha: float = 0.05) -> SweepResult:
+def convergence_sweep(source: SourceDistribution, p_grid, n: int,
+                      seed: int) -> SweepResult:
     """Sample geometric sums of the source on a p grid and certify the bounds.
 
-    Per point: exact Kolmogorov statistic with its DKW band, the
-    bounded-Lipschitz bracket (family lower bound, Wasserstein upper proxy),
-    the geometric-sum bound, and its Kolmogorov conversion.  The verdict is
-    PASS when the lower estimates sit below the bounds within noise bands.
+    Per point: exact Kolmogorov statistic with its DKW band at level 0.05,
+    the bounded-Lipschitz bracket (family lower bound, Wasserstein upper
+    proxy), the geometric-sum bound, and its Kolmogorov conversion.  The
+    verdict is PASS when the lower estimates sit below the bounds within
+    noise bands.
     The lower bound runs over ``dense_bl_family()``.
 
     Every point draws from its own substream, so points may run in any
@@ -699,7 +700,7 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
     seeds = [derive_seed(seed, "sweep", i) for i in range(len(p_grid))]
     if source.sum_sampler is not None:
         points = seeding.run_all(
-            partial(_sweep_point, source, p, n, point_seed, family, alpha)
+            partial(_sweep_point, source, p, n, point_seed, family)
             for p, point_seed in zip(p_grid, seeds))
     else:
         points = []
@@ -709,7 +710,7 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int, seed: int,
             # its pages in again (about 4k minor faults, 5% of a 5-point
             # Uniform sweep at n = 1e5)
             s = _point_sample(source, p, n, point_seed)
-            points.append(_certify_point(s, source, p, family, alpha))
+            points.append(_certify_point(s, source, p, family))
     slope = float("nan")
     if len({pt.p for pt in points}) >= 2:
         xs = np.log([pt.p for pt in points])

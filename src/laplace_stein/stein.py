@@ -21,9 +21,9 @@ B' = -B/b + ht/(2b), hence
 
 The solution satisfies |g| <= 2, |g'| <= 2/b, |g''| <= 4/b**2, and g'' is
 Lipschitz with constant (b+2)/b**3; ``certify_bounds`` audits all four on a
-grid.  Two quadrature-free identities back the solver up in the tests: the
-second-order identity E[g(W)] - g(0) = b**2 E[g''(W)] and the first-order
-(density-method) identity E[g'(W)] = (1/b) E[sgn(W) g(W)].
+grid.  Two quadrature-free identities back the solver up in the tests'
+oracles: the second-order identity E[g(W)] - g(0) = b**2 E[g''(W)] and the
+first-order (density-method) identity E[g'(W)] = (1/b) E[sgn(W) g(W)].
 """
 
 from __future__ import annotations
@@ -405,17 +405,3 @@ def certify_bounds(sol: SteinSolution, grid) -> BoundCertificate:
                  for k in values)
     return BoundCertificate(values=values, limits=limits, passed=passed)
 
-
-def verify_characterization(g, g_dd, b: float, kinks=()) -> float:
-    """E[g(W)] - g(0) - b^2 E[g''(W)]; zero for any admissible g."""
-    eg = laplace_expectation(g, b, kinks=kinks)
-    egdd = laplace_expectation(g_dd, b, kinks=kinks)
-    return eg - float(g(np.asarray(0.0))) - b ** 2 * egdd
-
-
-def verify_first_order(g, g_d, b: float, kinks=()) -> float:
-    """E[g'(W)] - (1/b) E[sgn(W) g(W)]; zero for any admissible g."""
-    egd = laplace_expectation(g_d, b, kinks=kinks)
-    esg = laplace_expectation(lambda w: np.sign(w) * g(w), b,
-                              kinks=tuple(kinks) + (0.0,))
-    return egd - esg / b

@@ -17,9 +17,9 @@ from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
                                        Summands, convergence_sweep,
                                        m_distribution, fixed_index)
 from laplace_stein.stein import (certify_bounds, cos_fn, residual, sin_fn,
-                                 solve, standard_grid, stein_family,
-                                 verify_characterization, verify_first_order)
+                                 solve, standard_grid, stein_family)
 from laplace_stein import transforms as tr
+from stein_oracles import verify_characterization, verify_first_order
 
 SCALES = (0.5, 1.0, 2.0)
 SQRT2 = math.sqrt(2.0)

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -305,9 +307,9 @@ class TestTinySamples:
         ["transform-check", "--n", "1"], ["transform-check", "--n", "0"],
         ["fixed-point", "--n", "1"], ["fixed-point", "--n", "4"],
         ["fixed-point", "--n", "0"],
-        ["fixed-point", "--n", "8", "--tol", "3"],
+        ["fixed-point", "--n", "-3"],
         ["sweep", "--n", "1", "--p", "0.1,0.01"], ["sweep", "--n", "0"],
-        ["sweep", "--n", "2", "--tol", "0.01"]])
+        ["sweep", "--n", "-2", "--p", "0.1"]])
     def test_usage_error_before_sampling(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli(argv + ["--out", str(out)]) == 2
@@ -318,10 +320,9 @@ class TestTinySamples:
 
     @pytest.mark.parametrize("argv", [
         ["transform-check", "--n", "2"], ["fixed-point", "--n", "5"],
-        ["fixed-point", "--n", "2", "--tol", "0.5"],
+        ["transform-check", "--n", "2", "--source", "laplace"],
         ["sweep", "--n", "2", "--p", "0.1,0.01", "--format", "json"],
-        ["sweep", "--n", "3", "--p", "0.1", "--tol", "0.01",
-         "--format", "json"]])
+        ["sweep", "--n", "2", "--p", "0.1", "--format", "json"]])
     def test_smallest_sizes_write_valid_json(self, argv, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli(argv + ["--out", str(out)]) in (0, 1)
@@ -335,12 +336,37 @@ class TestFlags:
         assert run_cli([command, "--format", "csv"]) == 2
         assert "--format" in capsys.readouterr().err
 
+    def test_readme_flag_table_matches_parser(self):
+        # each row of README's flag table lists exactly the flags the
+        # parser gives that command, besides --out and --help
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| command | flags |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            _, command, flags, _ = line.split("|")
+            rows[command.strip().strip("`")] = set(
+                re.findall(r"`(--[a-z-]+)", flags))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {o for a in p._actions for o in a.option_strings
+                         if o.startswith("--")} - {"--out", "--help"}
+                  for name, p in sub.choices.items()}
+        assert rows == parsed
+
     @pytest.mark.parametrize("argv", [
         ["stein-check", "--seed", "1"], ["stein-check", "--n", "10"],
         ["bounds", "--seed", "1"], ["bounds", "--n", "10"],
-        ["transform-check", "--tol", "1"], ["bounds", "--tol", "1"]])
-    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+        ["transform-check", "--tol", "1"], ["bounds", "--tol", "1"],
+        ["stein-check", "--tol", "1e-3"], ["fixed-point", "--tol", "3"],
+        ["sweep", "--tol", "0.01"]])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        # the verdict limits are constants: no command takes --tol
         assert run_cli(argv) == 2
+        assert (f"unrecognized arguments: {argv[1]}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["stein-check", "--tol", "residual=1e-3"],
@@ -351,16 +377,16 @@ class TestFlags:
     def test_foreign_or_malformed_tolerance_is_usage_error(self, argv,
                                                            capsys):
         assert run_cli(argv) == 2
-        assert "--tol" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--c", "inf"], ["bounds", "--c", "nan"],
         ["bounds", "--c", "0"], ["transform-check", "--c", "inf"],
         ["transform-check", "--c", "-1"], ["sweep", "--c", "inf"],
-        ["stein-check", "--tol", "inf"], ["stein-check", "--tol", "0"],
-        ["fixed-point", "--tol", "nan"], ["fixed-point", "--tol", "-1"],
-        ["sweep", "--tol", "0"], ["sweep", "--tol", "1"],
-        ["sweep", "--tol", "1.5"], ["sweep", "--tol", "inf"],
+        ["sweep", "--c", "nan"], ["sweep", "--c", "0"],
+        ["transform-check", "--c", "nan"], ["transform-check", "--c", "0"],
+        ["sweep", "--b", "inf"], ["sweep", "--b", "0"],
+        ["fixed-point", "--b", "-1"], ["stein-check", "--b", "0"],
         ["sweep", "--b", "nan"], ["sweep", "--b", "-1"],
         ["stein-check", "--b", "inf"], ["stein-check", "--b", "0.5,nan"],
         ["stein-check", "--b", "1,-2"], ["stein-check", "--b", ","],
@@ -376,12 +402,6 @@ class TestFlags:
                                                              capsys):
         assert run_cli(argv) == 2
         assert argv[1] in capsys.readouterr().err
-
-    def test_tolerance_flag_takes_effect(self, tmp_path):
-        out = tmp_path / "fp.json"
-        assert run_cli(["fixed-point", "--n", "2000", "--seed", "3",
-                        "--tol", "3", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["band_factor"] == 3.0
 
     def test_memory_error_is_runtime_failure(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -507,7 +527,8 @@ class TestFlags:
          "--c 1e+200"),
         (["transform-check", "--source", "laplace", "--c", "1e77"],
          "--c 1e+77"),
-        (["fixed-point", "--b", "1e150"], "--b 1e+150")])
+        (["fixed-point", "--b", "1e150"], "--b 1e+150"),
+        (["sweep", "--b", "1e200"], "--b 1e+200")])
     def test_huge_scale_is_one_line_before_sampling(self, argv, flag,
                                                     monkeypatch, capsys):
         # E|X|^3 (or, for transform-check, E[X_L^4] scaled back) overflows:
@@ -607,14 +628,14 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert "No such file" in err and "absent.cfg" in err
 
-    def test_config_tolerance_line_takes_effect(self, tmp_path):
-        cfg = tmp_path / "stein.cfg"
-        cfg.write_text("--b=1\n--tol=1e-3\n")
-        out = tmp_path / "stein.json"
-        assert run_cli(["stein-check", f"@{cfg}", "--out", str(out)]) == 0
+    def test_config_value_lines_take_effect(self, tmp_path):
+        cfg = tmp_path / "fp.cfg"
+        cfg.write_text("--b=2\n--n=3000\n")
+        out = tmp_path / "fp.json"
+        assert run_cli(["fixed-point", f"@{cfg}", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert rep["residual_tolerance"] == 1e-3
-        assert rep["b_grid"] == [1.0]
+        assert (rep["b"], rep["n"]) == (2.0, 3000)
+        assert rep["band_factor"] == 1.5
 
     @pytest.mark.parametrize("command,line", [
         ("sweep", "p_grid=0.1"), ("sweep", "fmt=json"),
@@ -627,11 +648,18 @@ class TestConfigResolution:
         assert run_cli([command, f"@{cfg}"]) == 2
         assert f"unrecognized arguments: --{line}" in capsys.readouterr().err
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
+    def test_environment_does_not_redirect_out(self, tmp_path,
+                                               monkeypatch):
+        # --out is the one output setting: a bare file name is relative to
+        # the working directory, whatever the environment holds
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("LAPLACE_STEIN_OUT", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
         assert run_cli(["fixed-point", "--b", "1", "--n", "5000",
                         "--seed", "3", "--out", "fp.json"]) == 0
         assert (tmp_path / "fp.json").exists()
+        assert not (elsewhere / "fp.json").exists()
 
     def test_unwritable_out_is_runtime_failure(self, capsys):
         assert run_cli(["fixed-point", "--b", "1", "--n", "2000",

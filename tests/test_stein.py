@@ -16,8 +16,8 @@ from laplace_stein.stein import (certify_bounds, clamp_fn,
                                  constant_fn, cos_fn, dense_bl_family,
                                  residual, sin_fn, smoothed_indicator, solve,
                                  standard_grid, stein_family, tanh_fn,
-                                 target_expectation, verify_characterization,
-                                 verify_first_order, wh_enclosure)
+                                 target_expectation, wh_enclosure)
+from stein_oracles import verify_characterization, verify_first_order
 
 SCALES = (0.5, 1.0, 2.0)
 
