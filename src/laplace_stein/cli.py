@@ -352,12 +352,9 @@ def cmd_fixed_point(args):
 
 def _sweep_row(pt) -> list:
     """One sweep point in SWEEP_COLUMNS order."""
-    rep = pt.report
-    return [pt.p, rep.empirical["d_K"].value,
-            rep.components["dkw_band"], rep.empirical["d_BL_lower"].value,
-            rep.empirical["d_W_upper"].value, rep.value,
-            rep.components["dk_conversion"],
-            "PASS" if rep.verdict else "FAIL"]
+    return [pt.p, pt.d_K.value, pt.dkw_band, pt.d_BL_lower.value,
+            pt.d_W_upper.value, pt.report.value, pt.dk_conversion,
+            "PASS" if pt.verdict else "FAIL"]
 
 
 def cmd_sweep(args):
@@ -382,10 +379,13 @@ def cmd_sweep(args):
         slope = result.slope if math.isfinite(result.slope) else None
         report = {"source": src.label, "b": args.b, "n": args.n,
                   "seed": args.seed, "slope": slope,
-                  "family_size": result.family_size,
+                  "family_size": result.points[0].d_BL_lower.family_size,
                   "points": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
-                  "components": [pt.report.components for pt in result.points]}
-    all_pass = all(pt.report.verdict for pt in result.points)
+                  "components": [dict(pt.report.components,
+                                      dk_conversion=pt.dk_conversion,
+                                      dkw_band=pt.dkw_band)
+                                 for pt in result.points]}
+    all_pass = all(pt.verdict for pt in result.points)
     return report, all_pass
 
 

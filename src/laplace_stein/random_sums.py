@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import TruncationError
 from .laplace import LaplaceParams
-from .metrics import (EmpiricalSample, bl_lower_bound, dkw_band,
-                      kolmogorov_empirical, kolmogorov_from_bl,
+from .metrics import (DistanceEstimate, EmpiricalSample, bl_lower_bound,
+                      dkw_band, kolmogorov_empirical, kolmogorov_from_bl,
                       wasserstein_empirical, within_four_se)
 from . import metrics, seeding
 from .seeding import derive_seed, substream
@@ -393,18 +393,12 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified distance bound with its itemized terms.
-
-    ``value`` always equals ``recompute_bound(kind, components)``; empirical
-    distance estimates and the certification verdict are attached by the
-    sweep driver.
-    """
+    """A certified distance bound with its itemized terms; ``value`` always
+    equals ``recompute_bound(kind, components)``."""
 
     kind: str  # "geometric_sum" | "iid_sum" | "general_sum"
     value: float
     components: dict
-    empirical: Optional[dict] = None
-    verdict: Optional[bool] = None
 
 
 def recompute_bound(kind: str, components: dict) -> float:
@@ -555,10 +549,11 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     runs take at most ``_DRAW_BLOCK`` draws (2 MiB, a core's L2 cache).  A
     smaller run pays more per-call overhead, and its frees raise glibc's
     dynamic mmap threshold less, so more of the metrics' n-length
-    temporaries fault in fresh pages (on a Uniform sweep at n = 1e5: about
-    14k minor faults per 5-point pass at 2^16 draws, 3.3k at 2^18, none at
-    2^19).  A larger run overflows L2 and costs memory per thread.  The
-    caller's generator is left as it was.
+    temporaries fault in fresh pages (warm 5-point Uniform sweeps at
+    n = 1e5 on 2 CPUs: about 9.3k minor faults per pass at 2^16 draws; at
+    2^18, 70-150 on the first warm pass and 1-10 on later ones).  A larger
+    run overflows L2 and costs memory per thread.  The caller's generator
+    is left as it was.
     """
     out = np.empty(counts.shape[0])
     ends = np.cumsum(counts)
@@ -625,33 +620,36 @@ def random_sum_sample(spec: RandomSumSpec, n: int, seed: int) -> EmpiricalSample
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One certified sweep point: the geometric-sum bound, the sample's
+    distances to the Laplace target, the DKW band and the bound's
+    Kolmogorov conversion, and the verdict."""
+
     p: float
     report: BoundReport
+    d_K: DistanceEstimate
+    d_BL_lower: DistanceEstimate
+    d_W_upper: DistanceEstimate
+    dkw_band: float
+    dk_conversion: float
+    verdict: bool
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-p certification reports plus the fitted decay rate of the
-    Wasserstein proxy (log-log slope of d_W against p; NaN unless at least
-    two distinct p values were swept)."""
+    """Per-p certified points plus the fitted decay rate of the Wasserstein
+    proxy (log-log slope of d_W against p; NaN unless at least two distinct
+    p values were swept)."""
 
     points: tuple
     slope: float
-    n: int
-    family_size: int
 
 
-def _point_sample(source: SourceDistribution, p: float, n: int,
-                  seed: int) -> EmpiricalSample:
-    """The sample of one sweep point: geometric sums of ``source``."""
-    spec = RandomSumSpec(GeometricIndex(p), Summands(source))
-    return random_sum_sample(spec, n, seed)
-
-
-def _certify_point(s: EmpiricalSample, source: SourceDistribution, p: float,
-                   family: tuple) -> SweepPoint:
-    """d_K, d_BL, d_W, bound and verdict of one sweep point's sample."""
-    n = s.n
+def _sweep_point(source: SourceDistribution, p: float, n: int, seed: int,
+                 family: tuple) -> SweepPoint:
+    """One sweep point: n geometric sums of ``source``, their d_K, d_BL and
+    d_W, the bound and the verdict."""
+    s = random_sum_sample(RandomSumSpec(GeometricIndex(p), Summands(source)),
+                          n, seed)
     b = source.b_equiv
     target = LaplaceParams(0.0, b)
     d_k = kolmogorov_empirical(s, target)
@@ -662,20 +660,9 @@ def _certify_point(s: EmpiricalSample, source: SourceDistribution, p: float,
     conversion = kolmogorov_from_bl(report.value, 1.0 / (2.0 * b))
     verdict = (within_four_se(d_bl.value, report.value, d_bl.std_error)
                and d_k.value <= conversion + band)
-    report = replace(
-        report,
-        components=dict(report.components, dk_conversion=conversion,
-                        dkw_band=band),
-        empirical={"d_K": d_k, "d_BL_lower": d_bl, "d_W_upper": d_w},
-        verdict=verdict)
-    return SweepPoint(p=p, report=report)
-
-
-def _sweep_point(source: SourceDistribution, p: float, n: int, seed: int,
-                 family: tuple) -> SweepPoint:
-    """One sweep point: its sample, certified."""
-    return _certify_point(_point_sample(source, p, n, seed), source, p,
-                          family)
+    return SweepPoint(p=p, report=report, d_K=d_k, d_BL_lower=d_bl,
+                      d_W_upper=d_w, dkw_band=band, dk_conversion=conversion,
+                      verdict=verdict)
 
 
 def convergence_sweep(source: SourceDistribution, p_grid, n: int,
@@ -696,25 +683,16 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int,
     (the smallest p holds most of the draws).
     """
     family = dense_bl_family()
-    p_grid = [float(p) for p in p_grid]
-    seeds = [derive_seed(seed, "sweep", i) for i in range(len(p_grid))]
+    calls = [partial(_sweep_point, source, float(p), n,
+                     derive_seed(seed, "sweep", i), family)
+             for i, p in enumerate(p_grid)]
     if source.sum_sampler is not None:
-        points = seeding.run_all(
-            partial(_sweep_point, source, p, n, point_seed, family)
-            for p, point_seed in zip(p_grid, seeds))
+        points = seeding.run_all(calls)
     else:
-        points = []
-        for p, point_seed in zip(p_grid, seeds):
-            # each sample is dropped only once the next one is drawn: freed
-            # first, it lets malloc trim the heap, and the next point faults
-            # its pages in again (about 4k minor faults, 5% of a 5-point
-            # Uniform sweep at n = 1e5)
-            s = _point_sample(source, p, n, point_seed)
-            points.append(_certify_point(s, source, p, family))
+        points = [call() for call in calls]
     slope = float("nan")
     if len({pt.p for pt in points}) >= 2:
         xs = np.log([pt.p for pt in points])
-        ys = np.log([pt.report.empirical["d_W_upper"].value for pt in points])
+        ys = np.log([pt.d_W_upper.value for pt in points])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return SweepResult(points=tuple(points), slope=slope, n=n,
-                       family_size=len(family))
+    return SweepResult(points=tuple(points), slope=slope)

@@ -89,21 +89,26 @@ def run_all(calls) -> list:
     With more than one CPU the calls run on the pool, no more at once than
     it has threads, started in the order given (so list the longest first);
     with one, or when called from a pool thread, they run in turn on the
-    calling thread.  Every call has ended
-    before this returns or raises.  A call's exception is re-raised (the
-    first in their order), and the calls not yet started when it was raised
-    are not started.
+    calling thread.  Every call has ended before this returns or raises.  A
+    call's exception is re-raised (the first in their order), and the calls
+    not yet started when it was raised are not started: each pool call
+    first checks an event that the first failure sets.
     """
     calls = list(calls)
     if len(calls) < 2 or _parallelism() < 2:
         return [call() for call in calls]
-    from concurrent.futures import FIRST_EXCEPTION, wait
+    from concurrent.futures import wait
 
-    futures = [_pool().submit(call) for call in calls]
-    _, pending = wait(futures, return_when=FIRST_EXCEPTION)
-    if pending:  # a call raised; the pool starts calls in order, so every
-        # one started, the raiser too, comes before every one cancelled
-        for future in pending:
-            future.cancel()
-        wait(pending)
+    failed = threading.Event()
+
+    def guarded(call):
+        if not failed.is_set():
+            try:
+                return call()
+            except BaseException:
+                failed.set()
+                raise
+
+    futures = [_pool().submit(guarded, call) for call in calls]
+    wait(futures)
     return [future.result() for future in futures]

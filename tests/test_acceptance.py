@@ -49,12 +49,15 @@ def equation_suite():
     return rows, time.perf_counter() - t0
 
 
+CERTIFICATION_N = 10 ** 5
+
+
 @pytest.fixture(scope="module")
 def certification_sweep():
     """n = 1e5 sweep on the pinned p grid (certification inequalities)."""
     t0 = time.perf_counter()
     res = convergence_sweep(tr.rademacher(SQRT2), (0.1, 0.01, 0.001),
-                            10 ** 5, seed=7)
+                            CERTIFICATION_N, seed=7)
     return res, time.perf_counter() - t0
 
 
@@ -154,19 +157,16 @@ def test_criterion_06_transform_identities():
 
 def test_criterion_07_geometric_sum_certification(certification_sweep):
     res, elapsed = certification_sweep
-    n = res.n
-    band = 1.36 / math.sqrt(n)
+    band = 1.36 / math.sqrt(CERTIFICATION_N)
     ok = elapsed < 60.0
     details = []
     for pt in res.points:
         cap = min(2.0, 5.65685 * math.sqrt(pt.p))
-        emp = pt.report.empirical
-        bl_ok = emp["d_BL_lower"].value <= cap + \
-            4.0 * emp["d_BL_lower"].std_error
-        dk_ok = emp["d_K"].value <= 1.25 * math.sqrt(cap) + band
-        ok = ok and bl_ok and dk_ok and pt.report.verdict
-        details.append(f"p={pt.p:g}: d_BL {emp['d_BL_lower'].value:.4f}"
-                       f"<={cap:.3f}, d_K {emp['d_K'].value:.4f}"
+        bl_ok = pt.d_BL_lower.value <= cap + 4.0 * pt.d_BL_lower.std_error
+        dk_ok = pt.d_K.value <= 1.25 * math.sqrt(cap) + band
+        ok = ok and bl_ok and dk_ok and pt.verdict
+        details.append(f"p={pt.p:g}: d_BL {pt.d_BL_lower.value:.4f}"
+                       f"<={cap:.3f}, d_K {pt.d_K.value:.4f}"
                        f"<={1.25 * math.sqrt(cap) + band:.3f}")
     report("criterion 7 (geometric-sum bound certification)",
            ok, "; ".join(details) + f"; {elapsed:.1f}s (< 60s)")
@@ -174,7 +174,7 @@ def test_criterion_07_geometric_sum_certification(certification_sweep):
 
 def test_criterion_08_decay_rate(rate_sweep):
     res = rate_sweep
-    dws = [pt.report.empirical["d_W_upper"].value for pt in res.points]
+    dws = [pt.d_W_upper.value for pt in res.points]
     report("criterion 8 (transport-distance decay rate)",
            res.slope >= 0.45,
            f"log-log slope {res.slope:.3f} >= 0.45 over p grid "

@@ -793,6 +793,14 @@ class TestKernelMemory:
         _, peak = traced_peak(convergence_sweep, RAD,
                               (0.1, 0.03, 0.01, 0.003, 0.001), self.N, 7)
         assert peak <= 3.3 * 8 * self.N
+        # chunked: one point at a time, its draws split over the two
+        # threads; the peak is one point's counts, their cumulative sum and
+        # its sums, with a run of draws and its offsets per thread, and no
+        # sample of an earlier point
+        uniform = tr.uniform_symmetric(math.sqrt(6.0))
+        _, peak = traced_peak(convergence_sweep, uniform, (0.1, 0.05),
+                              self.N, 7)
+        assert peak <= 3 * 8 * self.N + 3 * 8 * random_sums._DRAW_BLOCK
 
 
 def send_sample(conn, spec, n, seed):
@@ -1104,39 +1112,43 @@ class TestConvergenceSweep:
     def test_structure_and_certification(self):
         res = convergence_sweep(RAD, (0.5, 0.1), 5000, 7)
         assert len(res.points) == 2
-        assert res.family_size >= 100
         for pt in res.points:
+            assert pt.d_BL_lower.family_size >= 100
             rep = pt.report
-            assert rep.verdict is True
-            assert set(rep.empirical) == {"d_K", "d_BL_lower", "d_W_upper"}
+            assert pt.verdict is True
+            assert [f.name for f in dataclasses.fields(pt)] == [
+                "p", "report", "d_K", "d_BL_lower", "d_W_upper", "dkw_band",
+                "dk_conversion", "verdict"]
+            assert [f.name for f in dataclasses.fields(rep)] == [
+                "kind", "value", "components"]
             assert recompute_bound(rep.kind, rep.components) == rep.value
             # certified chain: d_K below the converted bound plus noise band
             conv = kolmogorov_from_bl(rep.value, 0.5)
-            assert rep.empirical["d_K"].value <= conv + \
-                rep.components["dkw_band"]
-            assert rep.components["dk_conversion"] == pytest.approx(conv)
+            assert pt.d_K.value <= conv + pt.dkw_band
+            assert pt.dk_conversion == pytest.approx(conv)
         assert math.isfinite(res.slope)
 
     def test_deterministic(self):
         a = convergence_sweep(RAD, (0.3,), 2000, 9)
         b = convergence_sweep(RAD, (0.3,), 2000, 9)
-        assert a.points[0].report.empirical["d_K"].value == \
-            b.points[0].report.empirical["d_K"].value
+        assert a.points[0].d_K.value == b.points[0].d_K.value
         assert a.slope is not a.points  # smoke: slope is nan for single point
 
     def test_points_do_not_depend_on_their_neighbours(self):
         # point i draws from its own (seed, i) stream, so changing the other
         # p values leaves it bit-for-bit unchanged
-        a = convergence_sweep(RAD, (0.3, 0.1), 5000, 11).points[1].report
-        b = convergence_sweep(RAD, (0.5, 0.1), 5000, 11).points[1].report
-        assert a.empirical == b.empirical
-        assert a.components == b.components
-        assert a.value == b.value and a.verdict == b.verdict
+        a = convergence_sweep(RAD, (0.3, 0.1), 5000, 11).points[1]
+        b = convergence_sweep(RAD, (0.5, 0.1), 5000, 11).points[1]
+        assert (a.d_K, a.d_BL_lower, a.d_W_upper) == \
+            (b.d_K, b.d_BL_lower, b.d_W_upper)
+        assert (a.report.components, a.dkw_band, a.dk_conversion) == \
+            (b.report.components, b.dkw_band, b.dk_conversion)
+        assert a.report.value == b.report.value and a.verdict == b.verdict
 
     def test_bracket_ordering(self):
         res = convergence_sweep(RAD, (0.2,), 20000, 21)
-        emp = res.points[0].report.empirical
-        assert emp["d_BL_lower"].value <= emp["d_W_upper"].value + 1e-9
+        pt = res.points[0]
+        assert pt.d_BL_lower.value <= pt.d_W_upper.value + 1e-9
 
     def test_degenerate_point_against_two_atom_law(self):
         # at p = 1 the scaled sum is X_1 itself; the distance of the exact

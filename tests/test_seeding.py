@@ -1,7 +1,10 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from laplace_stein import seeding
 
@@ -53,3 +56,23 @@ def test_pool_work_started_on_the_pool_returns():
     done = subprocess.run([sys.executable, "-c", NESTED_CHILD], env=env,
                           capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_calls_queued_behind_a_failure_are_not_started(workers):
+    # the second call raises once all four are queued, and its thread takes
+    # the next queued call at once; that call, and the one after it, must
+    # not run
+    workers(2)
+    ran = []
+
+    def slow():
+        time.sleep(0.3)
+
+    def raises():
+        time.sleep(0.05)
+        raise RuntimeError("the second call fails")
+
+    with pytest.raises(RuntimeError, match="second call"):
+        seeding.run_all([slow, raises, lambda: ran.append(2),
+                         lambda: ran.append(3)])
+    assert ran == []
