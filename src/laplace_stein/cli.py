@@ -42,7 +42,6 @@ from .errors import QuadratureError, TruncationError
 from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
                       within_four_se)
-from .quadrature import check_tail_panels
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
@@ -164,12 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bounds", cmd_bounds,
                 "bound reports for one random-sum spec", sampled=False)
     source(p, "summand family")
-    p.add_argument("--index", choices=("geometric", "fixed"),
-                   default="geometric", help="index law")
-    p.add_argument("--p", type=_comma_list(_probability),
-                   default="0.1,0.01,0.001",
-                   help="geometric success probabilities")
-    p.add_argument("--k", type=int, default=5, help="fixed index value")
+    index = p.add_mutually_exclusive_group()
+    index.add_argument("--p", type=_comma_list(_probability),
+                       default="0.1,0.01,0.001",
+                       help="geometric index: success probabilities")
+    index.add_argument("--k", type=int, help="fixed index N = K")
     p.add_argument("--scales", type=_comma_list(float), default="1",
                    help="cyclic per-index scale factors")
     p.add_argument("--coupling", choices=("comonotone", "independent"),
@@ -214,11 +212,7 @@ def cmd_stein_check(args):
     # a b the tail rule refuses exits before any quadrature; solve computes
     # Wh, so every quadrature failure exits before the first tail pass; each
     # solution is dropped, with its profile, after its checks
-    grids = []
-    for b in args.b:
-        grids.append(standard_grid(b))
-        for h in family:
-            check_tail_panels(b, grids[-1], h.kinks)
+    grids = [standard_grid(b) for b in args.b]
     pending = collections.deque(solve(h, b) for b in args.b for h in family)
     checks = []
     for b, grid in zip(args.b, grids):
@@ -395,13 +389,14 @@ def _bound_entry(rep) -> dict:
 
 def cmd_bounds(args):
     src = _source(SOURCES[args.source], "--c", args.c)
-    fixed = args.index == "fixed"
+    fixed = args.k is not None
     reports = []
     for p in (None,) if fixed else args.p:
         index = fixed_index(args.k) if fixed else GeometricIndex(p)
         spec = RandomSumSpec(index, Summands(src, args.scales))
-        entry = {"index": args.index, "p": p, "k": args.k if fixed else None,
-                 "scales": list(args.scales), "coupling": args.coupling}
+        entry = {"index": "fixed" if fixed else "geometric", "p": p,
+                 "k": args.k, "scales": list(args.scales),
+                 "coupling": args.coupling}
         if spec.summands.is_iid:
             entry["iid_sum"] = _bound_entry(
                 iid_sum_bound(spec, coupling=args.coupling))

@@ -547,13 +547,8 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     one too, runs through ``seeding.run_all`` from a copy of the generator
     advanced, in O(log k) steps, to the part's first draw.  Within a part,
     runs take at most ``_DRAW_BLOCK`` draws (2 MiB, a core's L2 cache).  A
-    smaller run pays more per-call overhead, and its frees raise glibc's
-    dynamic mmap threshold less, so more of the metrics' n-length
-    temporaries fault in fresh pages (warm 5-point Uniform sweeps at
-    n = 1e5 on 2 CPUs: about 9.3k minor faults per pass at 2^16 draws; at
-    2^18, 70-150 on the first warm pass and 1-10 on later ones).  A larger
-    run overflows L2 and costs memory per thread.  The caller's generator
-    is left as it was.
+    smaller run pays more per-call overhead; a larger run overflows L2 and
+    costs memory per thread.  The caller's generator is left as it was.
     """
     out = np.empty(counts.shape[0])
     ends = np.cumsum(counts)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError, QuadratureError
-from .quadrature import (EXPECTATION_SPAN, EXPECTATION_TOL,
+from .quadrature import (EXPECTATION_SPAN, EXPECTATION_TOL, check_tail_panels,
                          exp_weighted_right_tail, laplace_expectation)
 
 _HBL_SLACK = 1e-12
@@ -353,12 +353,16 @@ def residual(sol: SteinSolution, x):
 
 def standard_grid(b: float) -> np.ndarray:
     """Default certification grid: [-40b, 40b] in steps of b/20, refused
-    where it overflows or where b^3, in the limit (b+2)/b^3, underflows."""
+    where it overflows, where b^3, in the limit (b+2)/b^3, underflows, or
+    where a tail pass needs more than MAX_PANELS panels (a member's kinks,
+    at most 2 more, are counted inside ``exp_weighted_right_tail``)."""
     if not 40.0 * b < math.inf:
         raise OverflowError(f"the grid [-40b, 40b] at b={b:g} overflows")
     if not b * b * b >= sys.float_info.min:
         raise FloatingPointError(f"b^3 at b={b:g} underflows")
-    return np.linspace(-40.0 * b, 40.0 * b, 1601)
+    grid = np.linspace(-40.0 * b, 40.0 * b, 1601)
+    check_tail_panels(b, grid)
+    return grid
 
 
 @dataclass(frozen=True)

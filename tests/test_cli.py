@@ -219,7 +219,7 @@ class TestOtherCommands:
     def test_bounds_rederivable(self, tmp_path):
         out = tmp_path / "bounds.json"
         assert run_cli(["bounds", "--source", "rademacher", "--c", "1",
-                        "--index", "fixed", "--k", "3", "--scales", "1,2",
+                        "--k", "3", "--scales", "1,2",
                         "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         for entry in rep["reports"]:
@@ -329,6 +329,47 @@ class TestTinySamples:
         json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
+# each command at a tiny size, and a second valid value for every flag it
+# takes besides --out
+BASE_ARGV = {"stein-check": ["--b", "1"],
+             "transform-check": ["--n", "200"],
+             "fixed-point": ["--n", "200"],
+             "sweep": ["--n", "200", "--p", "0.5"],
+             "bounds": ["--p", "0.1"]}
+SECOND_VALUES = [
+    ("stein-check", "--b", "2"),
+    ("transform-check", "--source", "uniform"),
+    ("transform-check", "--c", "1"),
+    ("transform-check", "--seed", "8"),
+    ("transform-check", "--n", "300"),
+    ("fixed-point", "--b", "2"),
+    ("fixed-point", "--seed", "8"),
+    ("fixed-point", "--n", "300"),
+    ("sweep", "--source", "laplace"),
+    ("sweep", "--c", "2"),
+    ("sweep", "--b", "2"),
+    ("sweep", "--p", "0.25"),
+    ("sweep", "--seed", "8"),
+    ("sweep", "--n", "300"),
+    ("sweep", "--format", "json"),
+    ("bounds", "--source", "uniform"),
+    ("bounds", "--c", "1"),
+    ("bounds", "--p", "0.2"),
+    ("bounds", "--k", "3"),
+    ("bounds", "--scales", "1,2"),
+    ("bounds", "--coupling", "independent")]
+
+
+def command_flags():
+    """Each command's flags, besides --out and --help, as the parser gives
+    them."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--")} - {"--out", "--help"}
+            for name, p in sub.choices.items()}
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", ["stein-check", "transform-check",
                                          "fixed-point", "bounds"])
@@ -349,12 +390,24 @@ class TestFlags:
             _, command, flags, _ = line.split("|")
             rows[command.strip().strip("`")] = set(
                 re.findall(r"`(--[a-z-]+)", flags))
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        parsed = {name: {o for a in p._actions for o in a.option_strings
-                         if o.startswith("--")} - {"--out", "--help"}
-                  for name, p in sub.choices.items()}
-        assert rows == parsed
+        assert rows == command_flags()
+
+    def test_flag_table_covers_every_flag(self):
+        assert ({(command, flag) for command, flags in command_flags().items()
+                 for flag in flags}
+                == {(command, flag) for command, flag, _ in SECOND_VALUES})
+
+    @pytest.mark.parametrize("command, flag, value", SECOND_VALUES)
+    def test_every_accepted_flag_is_read(self, command, flag, value,
+                                         tmp_path):
+        # a second valid value moves the report or is refused: a flag the
+        # command accepts and then drops would print the base bytes
+        base, moved = tmp_path / "base", tmp_path / "moved"
+        argv = [command, *BASE_ARGV[command]]
+        assert run_cli(argv + ["--out", str(base)]) == 0
+        status = run_cli(argv + [flag, value, "--out", str(moved)])
+        assert status == 2 or (
+            status in (0, 1) and moved.read_bytes() != base.read_bytes())
 
     @pytest.mark.parametrize("argv", [
         ["stein-check", "--seed", "1"], ["stein-check", "--n", "10"],
@@ -445,7 +498,7 @@ class TestFlags:
     @pytest.mark.parametrize("argv, where", [
         (["bounds", "--p", "1e-300"], "at p = 1e-300"),
         (["bounds", "--p", "1e-12"], "at p = 1e-12"),
-        (["bounds", "--index", "fixed", "--k", "100000000000"],
+        (["bounds", "--k", "100000000000"],
          "at fixed index 100000000000")])
     def test_truncation_beyond_memory_is_refused(self, argv, where):
         # refused before any array is built: one line naming k, where a
@@ -511,7 +564,7 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--scales", "0"],
         ["bounds", "--scales", "0,0", "--p", "0.5"],
-        ["bounds", "--index", "fixed", "--k", "1", "--scales", "0,1"]])
+        ["bounds", "--k", "1", "--scales", "0,1"]])
     def test_no_atom_with_variance_is_usage_error(self, argv):
         # no atom N reaches has a positive scale: nothing underflowed
         run = cli_subprocess(argv)
@@ -619,7 +672,7 @@ class TestConfigResolution:
 
     def test_config_values_are_validated(self, tmp_path, capsys):
         cfg = tmp_path / "bounds.cfg"
-        cfg.write_text("--index=bogus\n")
+        cfg.write_text("--coupling=bogus\n")
         assert run_cli(["bounds", f"@{cfg}"]) == 2
         assert "bogus" in capsys.readouterr().err
 
@@ -687,7 +740,7 @@ class TestEmitReport:
 NUMPY_ONLY_COMMANDS = [
     ["bounds", "--p", "1e-2", "--coupling", "comonotone"],
     ["bounds", "--scales", "1,2", "--coupling", "independent", "--p", "1e-2"],
-    ["bounds", "--index", "fixed", "--k", "1", "--coupling", "independent"],
+    ["bounds", "--k", "1", "--coupling", "independent"],
     ["transform-check", "--source", "rademacher", "--n", "2000"],
     ["transform-check", "--source", "uniform", "--n", "2000"],
     ["transform-check", "--source", "laplace", "--n", "2000"],

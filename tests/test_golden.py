@@ -51,8 +51,8 @@ GOLDEN = {
          "--p", "0.3,0.1", "--n", "2000", "--seed", "3", "--format", "json"],
         "0c37c184747be22853ec2badeb4a32910e013d8804757fa7cc5f970abd8c2f0f"),
     "bounds-fixed": (
-        ["bounds", "--source", "rademacher", "--c", "1", "--index", "fixed",
-         "--k", "3", "--scales", "1,2"],
+        ["bounds", "--source", "rademacher", "--c", "1", "--k", "3",
+         "--scales", "1,2"],
         "4af0e1023062e8df98f329b4a03823f84a1b219706b06c521b2c9f0d0df66ab0"),
     "bounds-geometric": (
         ["bounds", "--source", "laplace", "--c", "1", "--p", "0.2,0.05",
@@ -60,8 +60,7 @@ GOLDEN = {
         "a621c2b280221cd9abee731db6b07ca6f12a553f9527da26e2f66391c47124ff"),
     # k = 1: the index-gap correlation is a plain product, not an FFT
     "bounds-fixed-k1": (
-        ["bounds", "--index", "fixed", "--k", "1", "--coupling",
-         "independent"],
+        ["bounds", "--k", "1", "--coupling", "independent"],
         "76e7e00a58b96cd62f8adf50ec6b274112648f86f73bc0ea9bed10d23f41592f"),
     # p = 0.2: the N- and M-pmfs are bitwise equal; p = 0.03: they differ
     # in the last bits; on one atom of the period both gaps are exactly 0

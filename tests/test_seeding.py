@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -42,6 +43,28 @@ assert seeding.run_all([lambda s=s: sums(s) for s in range(2)]) == want
 """
 
 
+# Eight blocks of 8 MB allocated on two pool threads, then glibc's
+# per-arena statistics on stderr
+ARENA_CHILD = """
+import ctypes
+import numpy as np
+from laplace_stein import seeding
+
+seeding._workers = lambda: 2
+blocks = [seeding._pool().submit(np.ones, 1 << 20) for _ in range(8)]
+assert all(block.result().sum() == 1 << 20 for block in blocks)
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+def _child(code):
+    src = str(Path(seeding.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=60)
+
+
 def test_parallelism_is_one_on_a_pool_thread(workers):
     workers(2)
     assert seeding._parallelism() == 2
@@ -50,12 +73,18 @@ def test_parallelism_is_one_on_a_pool_thread(workers):
 
 def test_pool_work_started_on_the_pool_returns():
     # in a child process, so that a deadlock ends in a timeout, not a hang
-    src = str(Path(seeding.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NESTED_CHILD], env=env,
-                          capture_output=True, timeout=60)
+    done = _child(NESTED_CHILD)
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc arenas are glibc's")
+def test_pool_threads_allocate_from_the_main_arena():
+    # in a fresh process, whose only threads besides the main one are the
+    # pool's: one arena, where a thread of its own would have added one
+    done = _child(ARENA_CHILD)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr.decode().count("Arena ") == 1
 
 
 def test_calls_queued_behind_a_failure_are_not_started(workers):

@@ -468,6 +468,12 @@ class TestCertificates:
         with pytest.raises(ValueError):
             certify_bounds(sol, np.linspace(-40, 40, 201))  # step too big
 
+    def test_grid_past_the_tail_panel_limit_is_refused(self):
+        # at b = 2e4 a tail pass over [-40b, 40b] needs 2.4e6 panels, past
+        # MAX_PANELS: the grid is refused before any member is solved
+        with pytest.raises(QuadratureError, match=r"2\.4e\+06 panels"):
+            standard_grid(2e4)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("b", SCALES)
