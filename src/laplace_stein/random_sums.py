@@ -66,6 +66,14 @@ def _check_fits(k: float, where: str) -> None:
                               f"{memory:.3g} bytes of physical memory")
 
 
+def _support_mean(pmf: np.ndarray) -> float:
+    """sum_m m pmf[m-1]: np.sum of the support 1..k times the pmf, bit for
+    bit, taken a block at a time by ``metrics._tree_sum``, so no k-length
+    support is built and no BLAS call splits the sum across threads."""
+    return metrics._tree_sum(
+        pmf.shape[0], lambda i, j: np.arange(i + 1.0, j + 1.0) * pmf[i:j])
+
+
 @dataclass(frozen=True)
 class GeometricIndex:
     """N ~ Geometric(p) on {1, 2, ...}: P{N = m} = p (1-p)^(m-1)."""
@@ -123,8 +131,7 @@ class ExplicitIndex:
             raise ValueError("pmf must sum to 1 within 1e-12")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "mean", float(
-            np.dot(np.arange(1.0, arr.shape[0] + 1.0), arr)))
+        object.__setattr__(self, "mean", _support_mean(arr))
 
     def survival_atoms(self, k: int) -> np.ndarray:
         """P{N >= m}, m = 1..min(k, len(probs)): N has no atom beyond."""
@@ -143,7 +150,9 @@ def fixed_index(k: int) -> ExplicitIndex:
     if k < 1:
         raise ValueError("index value must be at least 1")
     _check_fits(k, f"fixed index {k}")
-    return ExplicitIndex(np.arange(1.0, k + 1.0) == k)
+    probs = np.zeros(k)
+    probs[-1] = 1.0
+    return ExplicitIndex(probs)
 
 
 Index = Union[GeometricIndex, ExplicitIndex]
@@ -246,7 +255,7 @@ class MDistribution:
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
-    mean: float  # sum_m m P{M = m}, as np.dot of the support and the pmf
+    mean: float  # sum_m m P{M = m}, as ``_support_mean`` of the pmf
 
 
 def _over_atoms(i: int, j: int, *tables) -> tuple:
@@ -264,8 +273,7 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     truncation, grown where M's certified tail there, (sup_i sigma_i^2 /
     sigma^2) (1-p)^k / p, is above 1e-10 to the k where it is not.
 
-    The pmf is the survival weighted in place, and the float support of its
-    mean the one other k-length array built.
+    The pmf is the survival weighted in place, the one k-length array built.
     """
     sigma2, index = spec.sigma2_total, spec.index
     if isinstance(index, ExplicitIndex):
@@ -284,10 +292,9 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     pmf = index.survival_atoms(k)
     for r, w in enumerate(weight):  # the survival weighted in place
         pmf[r::weight.shape[0]] *= w
-    # a float support: np.dot would cast an integer one to a float copy
-    mean = float(np.dot(np.arange(1.0, pmf.shape[0] + 1.0), pmf))
     pmf.flags.writeable = False
-    return MDistribution(pmf=pmf, tail_bound=float(tail), mean=mean)
+    return MDistribution(pmf=pmf, tail_bound=float(tail),
+                         mean=_support_mean(pmf))
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:

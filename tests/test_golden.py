@@ -71,7 +71,7 @@ GOLDEN = {
     "bounds-cyclic-comonotone": (
         ["bounds", "--source", "rademacher", "--c", RADC, "--scales", "1,2",
          "--p", "0.2,0.05"],
-        "12caabee1422e9b2a7ac062dd0ca7eec48817d3df00c95cc04c82bbd0882e289"),
+        "c1e7ad06ea364ef6d3cfff39865bfc261bb565f9d4b163d8f69b0230244498da"),
     # the second scale's variance underflows to 0: its atoms carry no
     # M-mass, and the first scale keeps the total variance positive
     "bounds-underflowing-scale": (
@@ -213,11 +213,17 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def child_env(**extra):
+    """The environment, plus ``extra``, for a child that imports this
+    checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def pinned_digest(argv, tmp_path):
     """SHA-256 of the report a child pinned to one CPU writes."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     out = tmp_path / "report.json"
     cpu = min(os.sched_getaffinity(0))
     done = subprocess.run(
@@ -244,3 +250,39 @@ def test_exact_sweep_same_bytes_on_one_cpu(source, tmp_path):
     # a child pinned to one CPU runs every point in turn on its one thread
     argv, digest = EXACT_SWEEPS[source]
     assert pinned_digest(argv, tmp_path) == digest
+
+
+ONE_BLAS_THREAD_CHILD = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from laplace_stein import cli
+from laplace_stein.random_sums import ExplicitIndex
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+w = np.random.default_rng(29).random(200000)
+w /= w.sum()
+want = float(np.sum(np.arange(1.0, w.shape[0] + 1.0) * w))
+print(json.dumps([digests, ExplicitIndex(w).mean.hex(), want.hex()]))
+"""
+
+
+def test_bounds_bytes_at_one_blas_thread():
+    # a BLAS dot splits a long sum across its threads, so its last bits
+    # depend on how many there are; the bound layer's means are np.sum's
+    # pairwise sums, the same at any BLAS thread count
+    keys = [key for key in sorted(BENCHMARK_OPS) if key.startswith("bounds")]
+    assert len(keys) == 2
+    argv, digest = GOLDEN["bounds-cyclic-comonotone"]
+    cases = [key.split() for key in keys] + [argv]
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_BLAS_THREAD_CHILD, json.dumps(cases)],
+        env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    digests, mean, want = json.loads(done.stdout)
+    assert digests == [BENCHMARK_OPS[key] for key in keys] + [digest]
+    assert mean == want

@@ -559,7 +559,7 @@ def per_atom_bounds(spec, coupling, k):
     tail_mass = index.tail(k) + tail
     if tail_mass > 0.0:
         slack += (math.sqrt(index.mean)
-                  + math.sqrt(float(np.dot(m, pmf)) + 1.0)) \
+                  + math.sqrt(float(np.sum(m * pmf)) + 1.0)) \
             * math.sqrt(tail_mass)
     mu = index.mean
     common = {"e_sqrt_gap": gap, "gap_tail_slack": slack, "mu": mu,
@@ -629,7 +629,7 @@ class TestBoundBits:
         assert np.array_equal(md.pmf, pmf)
         assert np.array_equal(index.pmf_atoms(k),
                               atom_pmf(index, np.arange(1, k + 1)))
-        assert md.mean == float(np.dot(np.arange(1.0, k + 1.0), pmf))
+        assert md.mean == float(np.sum(np.arange(1.0, k + 1.0) * pmf))
         assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
         if iid is not None:
             assert iid_sum_bound(spec, coupling).components == iid
@@ -686,12 +686,12 @@ class TestBoundMemory:
 
     @pytest.mark.parametrize("bound", [iid_sum_bound, general_sum_bound])
     def test_peak_allocation(self, bound):
-        # the M-pmf stands for N's here, and the M-moments are summed a
-        # block at a time: the pmf and the float support of its mean
+        # the M-pmf stands for N's here, and M's mean and moments are summed
+        # a block at a time: the pmf alone
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD))
         k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(bound, spec, "comonotone")
-        assert peak <= 2.4 * 8 * k
+        assert peak <= 1.2 * 8 * k
 
     def test_shared_pmf_gap_allocates_no_array(self):
         # the M-pmf stands for N's, and its mean was taken with it: the
@@ -712,12 +712,11 @@ class TestBoundMemory:
         assert peak <= 0.1 * 8 * md.pmf.shape[0]
 
     def test_cyclic_general_bound(self):
-        # the M-pmf and the float support of its mean: N's pmf is read at
-        # the first L atoms alone
+        # the M-pmf alone: N's pmf is read at the first L atoms alone
         spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, (1.0, 2.0)))
         k = spec.index.truncation_for(1e-24)
         _, peak = traced_peak(general_sum_bound, spec, "comonotone")
-        assert peak <= 2.05 * 8 * k
+        assert peak <= 1.35 * 8 * k
 
     def test_iid_independent_gap_allocates_no_second_pmf(self):
         # at p = 1.1e-4 the weight sigma_1^2 / sigma^2 is p give or take an
