@@ -65,21 +65,22 @@ ZERO_BIAS_F_DD = (("one", np.ones_like, 0), ("square", np.square, 2),
                   ("cos", np.cos, 0))
 
 
-def _positive(text):
-    """argparse type of --c and --b (each value of stein-check's list): a
-    finite positive number."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite and positive")
-    return value
+def _in(convert, low, high=math.inf, closed=False):
+    """argparse type: a number read by ``convert`` in (low, high), or in
+    [low, high) when ``closed``."""
+    def number(text):
+        value = convert(text)
+        if not (low <= value < high and (closed or value != low)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not in {'[' if closed else '('}{low:g}, "
+                f"{high:g})")
+        return value
+    number.__name__ = convert.__name__  # argparse's "invalid int value"
+    return number
 
 
-def _probability(text):
-    """argparse type of each --p value: a probability in (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{value!r} is not in (0, 1)")
-    return value
+_positive = _in(float, 0.0)  # --c and --b
+_probability = _in(float, 0.0, 1.0)  # each --p value
 
 
 def _comma_list(item):
@@ -125,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="output path, stdout if absent")
         if sampled:
-            p.add_argument("--seed", type=int, default=7, help="master seed")
+            p.add_argument("--seed", type=_in(int, 0, closed=True), default=7,
+                           help="master seed")
             p.add_argument("--n", type=int, default=100_000,
                            help="samples per estimate")
         return p
@@ -167,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--p", type=_comma_list(_probability),
                        default="0.1,0.01,0.001",
                        help="geometric index: success probabilities")
-    index.add_argument("--k", type=int, help="fixed index N = K")
-    p.add_argument("--scales", type=_comma_list(float), default="1",
+    index.add_argument("--k", type=_in(int, 0), help="fixed index N = K")
+    p.add_argument("--scales", type=_comma_list(_in(float, 0.0, closed=True)),
+                   default="1",
                    help="cyclic per-index scale factors")
     p.add_argument("--coupling", choices=("comonotone", "independent"),
                    default="comonotone",

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace import LaplaceParams, cdf
-from .stein import _U, _cached_wh, _gamma, require_hbl, wh_enclosure
+from .stein import _U, _cached_wh, _gamma, wh_enclosure
 
 # values per block of the n-length kernels, here and in ``transforms``: their
 # temporaries are arrays of 512 KiB, a few at a time, however large the
@@ -81,6 +81,8 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
+    """An estimate, its standard error and a family supremum's size."""
+
     value: float
     std_error: float = 0.0
     family_size: int = 0
@@ -188,8 +190,6 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty (sup over the empty set)")
-    for h in family:
-        require_hbl(h)
     if target.a != 0.0:
         raise ValueError("target expectations are implemented for a=0")
     b = target.b

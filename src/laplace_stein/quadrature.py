@@ -102,8 +102,8 @@ def laplace_expectation(f, b: float, kinks=()) -> float:
             "quad at b=%g: %d subintervals, error estimate %.3e: %s",
             b, info["last"], err, " ".join(message[0].split()))
     if err / (2.0 * b) > EXPECTATION_TOL:
-        raise QuadratureError("expectation quadrature did not converge",
-                              residual=err / (2.0 * b))
+        raise QuadratureError(f"expectation quadrature did not converge "
+                              f"(error estimate {err / (2.0 * b):.3e})")
     return val / (2.0 * b)
 
 

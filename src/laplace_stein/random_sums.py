@@ -400,12 +400,18 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified distance bound with its itemized terms; ``value`` always
-    equals ``recompute_bound(kind, components)``."""
+    """A certified distance bound with its itemized terms, to which building
+    it adds the cap 2; ``value`` is ``recompute_bound(kind, components)``."""
 
     kind: str  # "geometric_sum" | "iid_sum" | "general_sum"
-    value: float
+    value: float = field(init=False)
     components: dict
+
+    def __post_init__(self):
+        components = dict(self.components, cap=2.0)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "value",
+                           recompute_bound(self.kind, components))
 
 
 def recompute_bound(kind: str, components: dict) -> float:
@@ -425,12 +431,6 @@ def recompute_bound(kind: str, components: dict) -> float:
     return min(c["cap"], raw)
 
 
-def _report(kind: str, components: dict) -> BoundReport:
-    components = dict(components, cap=2.0)
-    return BoundReport(kind=kind, value=recompute_bound(kind, components),
-                       components=components)
-
-
 def geometric_sum_bound(p: float, b: float, rho: float) -> BoundReport:
     """Distance bound sqrt(p) (b+2)/b (b sqrt(2) + rho/(6 b^2)) for geometric
     sums of common-variance summands (E[X_i^2] = 2 b^2, E|X_i|^3 <= rho),
@@ -441,7 +441,7 @@ def geometric_sum_bound(p: float, b: float, rho: float) -> BoundReport:
         raise ValueError("scale must be positive")
     if rho < 0:
         raise ValueError("third absolute moment must be nonnegative")
-    return _report("geometric_sum", {
+    return BoundReport("geometric_sum", {
         "sqrt_p": math.sqrt(p),
         "prefactor": (b + 2.0) / b,
         "sigma_term": b * math.sqrt(2.0),
@@ -460,7 +460,7 @@ def iid_sum_bound(spec: RandomSumSpec,
     b = math.sqrt(sigma2[0] / 2.0)
     m_dist = m_distribution(spec)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
-    return _report("iid_sum", {
+    return BoundReport("iid_sum", {
         "prefactor": (b + 2.0) / (b * math.sqrt(mu)),
         "abs_mean": float(abs_mean[0]),
         "third_moment_term": float(abs_third[0]) / (6.0 * b ** 2),
@@ -506,7 +506,7 @@ def general_sum_bound(spec: RandomSumSpec,
     m_dist = m_distribution(spec)
     abs_mean_m, third_m = _moments_under_m(sm, m_dist.pmf)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
-    return _report("general_sum", {
+    return BoundReport("general_sum", {
         "mu_inv_sqrt": 1.0 / math.sqrt(mu),
         "sqrt8_over_sigma": math.sqrt(8.0) / sigma,
         "abs_mean_m": abs_mean_m,
@@ -638,12 +638,20 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-p certified points plus the fitted decay rate of the Wasserstein
-    proxy (log-log slope of d_W against p; NaN unless at least two distinct
-    p values were swept)."""
+    """Per-p certified points and, derived from them, the fitted decay rate
+    of the Wasserstein proxy (log-log slope of d_W against p; NaN unless at
+    least two distinct p values were swept)."""
 
     points: tuple
-    slope: float
+    slope: float = field(init=False)
+
+    def __post_init__(self):
+        slope = float("nan")
+        if len({pt.p for pt in self.points}) >= 2:
+            xs = np.log([pt.p for pt in self.points])
+            ys = np.log([pt.d_W_upper.value for pt in self.points])
+            slope = float(np.polyfit(xs, ys, 1)[0])
+        object.__setattr__(self, "slope", slope)
 
 
 def _sweep_point(source: SourceDistribution, p: float, n: int, seed: int,
@@ -692,9 +700,4 @@ def convergence_sweep(source: SourceDistribution, p_grid, n: int,
         points = seeding.run_all(calls)
     else:
         points = [call() for call in calls]
-    slope = float("nan")
-    if len({pt.p for pt in points}) >= 2:
-        xs = np.log([pt.p for pt in points])
-        ys = np.log([pt.d_W_upper.value for pt in points])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return SweepResult(points=tuple(points), slope=slope)
+    return SweepResult(points=tuple(points))

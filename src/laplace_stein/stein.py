@@ -51,45 +51,60 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku) if ku < 0.25 else math.inf
 
 
+def _slopes(knots, values) -> list:
+    """Slopes of the interpolant of (knots, values), 0.0 beyond the ends."""
+    return [0.0] + [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(
+        knots, knots[1:], values, values[1:])] + [0.0]
+
+
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """A test function with certified sup-norm and Lipschitz constants.
+    """A test function in the bounded-Lipschitz ball: building one whose sup
+    norm or Lipschitz constant is above 1, or NaN, raises CertificationError.
 
-    ``fn`` must accept ndarray input.  ``kinks`` lists the points where fn or
-    its derivative jumps; quadrature rules split there.  A piecewise-linear
-    member also carries its shape as data: it is the interpolant of
-    ``values`` at the sorted ``knots``, constant beyond the ends (see
-    :meth:`piecewise_linear`); smooth members leave both empty.
+    ``fn`` must accept ndarray input.  A piecewise-linear member also
+    carries its shape as data: it is the interpolant of ``values`` at the
+    sorted ``knots``, constant beyond the ends (see :meth:`piecewise_linear`);
+    smooth members leave both empty.  ``kinks``, derived from the data, lists
+    the knots where the slope changes; quadrature rules split there.
     """
 
     fn: Callable
     lip_const: float
     sup_bound: float
     label: str
-    kinks: tuple = ()
     knots: tuple = ()
     values: tuple = ()
+    kinks: tuple = field(init=False)
+
+    def __post_init__(self):
+        if not (self.sup_bound <= 1.0 + _HBL_SLACK
+                and self.lip_const <= 1.0 + _HBL_SLACK):
+            raise CertificationError(
+                f"{self.label}: not in the bounded-Lipschitz ball "
+                f"(sup={self.sup_bound:g}, lip={self.lip_const:g})")
+        slopes = _slopes(self.knots, self.values)
+        object.__setattr__(self, "kinks", tuple(
+            k for k, left, right in zip(self.knots, slopes, slopes[1:])
+            if left != right))
 
     @classmethod
     def piecewise_linear(cls, knots, values, fn, label: str) -> "TestFunction":
         """The interpolant of (knots, values), constant beyond the ends.
 
-        ``fn`` evaluates it in closed form; the kinks (knots where the slope
-        changes), the Lipschitz constant (largest absolute slope) and the sup
-        norm (largest absolute value) come from the data.
+        ``fn`` evaluates it in closed form; the Lipschitz constant (largest
+        absolute slope) and the sup norm (largest absolute value) come from
+        the data.
         """
         knots = tuple(float(k) for k in knots)
         values = tuple(float(v) for v in values)
         if len(knots) != len(values) or not knots or any(
                 k1 <= k0 for k0, k1 in zip(knots, knots[1:])):
             raise ValueError("knots must be increasing and match the values")
-        slopes = [0.0] + [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(
-            knots, knots[1:], values, values[1:])] + [0.0]
-        kinks = tuple(k for k, left, right in zip(knots, slopes, slopes[1:])
-                      if left != right)
-        return cls(fn=fn, lip_const=max(abs(s) for s in slopes),
+        return cls(fn=fn,
+                   lip_const=max(abs(s) for s in _slopes(knots, values)),
                    sup_bound=max(abs(v) for v in values), label=label,
-                   kinks=kinks, knots=knots, values=values)
+                   knots=knots, values=values)
 
     @property
     def interp_error(self) -> float:
@@ -108,18 +123,6 @@ class TestFunction:
         widths = [k1 - k0 for k0, k1 in zip(self.knots, self.knots[1:])]
         reach = max(abs(k) for k in self.knots) / min(widths) if widths else 0.0
         return 4.0 * _U * self.sup_bound * (1.0 + reach)
-
-    @property
-    def in_hbl(self) -> bool:
-        return (self.sup_bound <= 1.0 + _HBL_SLACK
-                and self.lip_const <= 1.0 + _HBL_SLACK)
-
-
-def require_hbl(h: TestFunction) -> None:
-    if not h.in_hbl:
-        raise CertificationError(
-            f"{h.label}: not in the bounded-Lipschitz ball "
-            f"(sup={h.sup_bound:g}, lip={h.lip_const:g})")
 
 
 def constant_fn(c: float) -> TestFunction:
@@ -197,14 +200,13 @@ def target_expectation(h: TestFunction, b: float) -> float:
     :func:`wh_enclosure`, and one outside it raises QuadratureError: the
     d_BL screening relies on the enclosure.
     """
-    require_hbl(h)
     wh = laplace_expectation(h.fn, b, kinks=h.kinks)
     if h.knots:
         centre, radius = wh_enclosure(h, b)
         if not abs(wh - centre) <= radius:
             raise QuadratureError(
                 f"{h.label}: Wh at b={b:g} is outside its closed-form "
-                f"enclosure", residual=abs(wh - centre))
+                f"enclosure (error estimate {abs(wh - centre):.3e})")
     return wh
 
 
@@ -338,7 +340,6 @@ class SteinSolution:
 
 def solve(h: TestFunction, b: float) -> SteinSolution:
     """Construct the bounded solution for test function h at scale b."""
-    require_hbl(h)
     if b <= 0:
         raise ValueError("scale b must be positive")
     return SteinSolution(h=h, b=b, target_mean=_cached_wh(h, float(b)))
@@ -370,11 +371,16 @@ class BoundCertificate:
     """Grid maxima of |g|, |g'|, |g''| and the finite-difference slope of g''
     against their analytic limits 2, 2/b, 4/b^2, (b+2)/b^3."""
 
-    values: dict = field(default_factory=dict)
-    limits: dict = field(default_factory=dict)
-    passed: bool = False
+    values: dict
+    limits: dict
+    passed: bool = field(init=False)
 
     TOLERANCE = 1e-9
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(
+            self.values[k] <= self.limits[k] + self.TOLERANCE
+            for k in self.values))
 
 
 def certify_bounds(sol: SteinSolution, grid) -> BoundCertificate:
@@ -405,7 +411,5 @@ def certify_bounds(sol: SteinSolution, grid) -> BoundCertificate:
         "max_abs_g2": 4.0 / b ** 2,
         "max_g2_slope": (b + 2.0) / b ** 3,
     }
-    passed = all(values[k] <= limits[k] + BoundCertificate.TOLERANCE
-                 for k in values)
-    return BoundCertificate(values=values, limits=limits, passed=passed)
+    return BoundCertificate(values=values, limits=limits)
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import laplace
-from .metrics import _BLOCK, _mean_sd
+from .metrics import _BLOCK, DistanceEstimate, _mean_sd
 from .seeding import derive_seed, substream
 
 
@@ -270,13 +270,7 @@ class TransformSample:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    value: float
-    std_error: float
-
-
-def mc_estimate(values) -> MonteCarloEstimate:
+def mc_estimate(values) -> DistanceEstimate:
     """Mean of a sample with its standard error, with the bits of np.mean
     and of np.std(ddof=1) / sqrt(n) (``metrics._mean_sd``), a block at a
     time: ``values`` is left as it is."""
@@ -285,7 +279,7 @@ def mc_estimate(values) -> MonteCarloEstimate:
     if n == 0:
         raise ValueError("cannot estimate from an empty sample")
     mean, sd = _mean_sd(n, lambda g: lambda i, j: g(arr[i:j]), lambda v: v)
-    return MonteCarloEstimate(
+    return DistanceEstimate(
         value=mean, std_error=sd / math.sqrt(n) if n > 1 else math.inf)
 
 
@@ -351,7 +345,7 @@ def equilibrium_cf(t, src: SourceDistribution):
 
 
 def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,
-                              seed: int) -> MonteCarloEstimate:
+                              seed: int) -> DistanceEstimate:
     """Monte Carlo check of (1/2) E[f''(X_L)] = E[U f''(U X_z)].
 
     Both sides are estimated on independent substreams; the returned estimate
@@ -373,7 +367,7 @@ def verify_zero_bias_relation(src: SourceDistribution, f_dd, n: int,
 
     xz = zero_bias_sample(src, n, derive_seed(seed, "zero-bias-relation"))
     rhs = mc_estimate(_map_blocks(right, xz.values))
-    return MonteCarloEstimate(
+    return DistanceEstimate(
         value=lhs.value - rhs.value,
         std_error=math.hypot(lhs.std_error, rhs.std_error))
 

@@ -450,7 +450,11 @@ class TestFlags:
         ["sweep", "--p", "0.1,1"], ["bounds", "--p", ","],
         ["bounds", "--p", "0"], ["bounds", "--p", "1"],
         ["bounds", "--p", "nan"], ["bounds", "--p", "-0.1"],
-        ["bounds", "--p", "0.5,inf"], ["bounds", "--scales", ","]])
+        ["bounds", "--p", "0.5,inf"], ["bounds", "--scales", ","],
+        ["transform-check", "--seed", "-1"], ["sweep", "--seed", "-1"],
+        ["fixed-point", "--seed", "-1"], ["bounds", "--k", "0"],
+        ["bounds", "--k", "-3"], ["bounds", "--scales", "-1"],
+        ["bounds", "--scales", "1,inf"], ["bounds", "--scales", "nan"]])
     def test_non_finite_or_out_of_range_value_is_usage_error(self, argv,
                                                              capsys):
         assert run_cli(argv) == 2

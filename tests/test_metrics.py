@@ -128,12 +128,13 @@ class TestBlLowerBound:
             bl_lower_bound(s, UNIT, [])
 
     def test_rejects_uncertified_member(self):
-        from laplace_stein.stein import TestFunction as HBLFunction
-        bad = HBLFunction(fn=lambda x: np.sin(3 * x) / 1.0, lip_const=3.0,
-                          sup_bound=1.0, label="steep-sine")
+        # the ball is checked when the member is built, so no uncertified
+        # member reaches bl_lower_bound
         s = EmpiricalSample.from_values([0.0, 1.0])
-        with pytest.raises(CertificationError):
-            bl_lower_bound(s, UNIT, [bad])
+        with pytest.raises(CertificationError, match="steep-sine"):
+            bl_lower_bound(s, UNIT, [stein.TestFunction(
+                fn=lambda x: np.sin(3 * x), lip_const=3.0, sup_bound=1.0,
+                label="steep-sine")])
 
     def test_reports_worst_member_standard_error(self):
         s = EmpiricalSample.from_values(sample(500, UNIT, seed=3))

@@ -1118,13 +1118,15 @@ class TestConvergenceSweep:
             assert [f.name for f in dataclasses.fields(pt)] == [
                 "p", "report", "d_K", "d_BL_lower", "d_W_upper", "dkw_band",
                 "dk_conversion", "verdict"]
-            assert [f.name for f in dataclasses.fields(rep)] == [
-                "kind", "value", "components"]
+            assert [f.name for f in dataclasses.fields(rep) if f.init] == [
+                "kind", "components"]
             assert recompute_bound(rep.kind, rep.components) == rep.value
             # certified chain: d_K below the converted bound plus noise band
             conv = kolmogorov_from_bl(rep.value, 0.5)
             assert pt.d_K.value <= conv + pt.dkw_band
             assert pt.dk_conversion == pytest.approx(conv)
+        assert [f.name for f in dataclasses.fields(res) if f.init] == [
+            "points"]
         assert math.isfinite(res.slope)
 
     def test_deterministic(self):

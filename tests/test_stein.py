@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import weakref
@@ -12,7 +13,7 @@ from laplace_stein import cli, stein
 from laplace_stein.errors import CertificationError, QuadratureError
 from laplace_stein.quadrature import EXPECTATION_TOL, laplace_expectation
 from laplace_stein.stein import _HBL_SLACK, TestFunction as HBLFunction
-from laplace_stein.stein import (certify_bounds, clamp_fn,
+from laplace_stein.stein import (BoundCertificate, certify_bounds, clamp_fn,
                                  constant_fn, cos_fn, dense_bl_family,
                                  residual, sin_fn, smoothed_indicator, solve,
                                  standard_grid, stein_family, tanh_fn,
@@ -22,16 +23,27 @@ from stein_oracles import verify_characterization, verify_first_order
 SCALES = (0.5, 1.0, 2.0)
 
 
+# members outside the bounded-Lipschitz ball, which cannot be built
+OUT_OF_BALL = {
+    "lip-above-1": lambda: HBLFunction.piecewise_linear(
+        (0.0, 0.1), (1.0, 0.0), label="raw-ramp",
+        fn=lambda z: np.clip((0.1 - z) / 0.1, 0.0, 1.0)),
+    "sup-above-1": lambda: HBLFunction.piecewise_linear(
+        (-3.0, 3.0), (-3.0, 3.0), fn=lambda z: np.clip(z, -3.0, 3.0),
+        label="wide-clamp"),
+    "nan": lambda: HBLFunction(fn=np.sin, lip_const=math.nan, sup_bound=1.0,
+                               label="nan-sine"),
+}
+
+
 class TestFamilies:
+    # building a member certifies it, so building the families is the check
     def test_stein_family_certified(self):
-        family = stein_family()
-        assert len(family) == 21
-        assert all(h.in_hbl for h in family)
+        assert len(stein_family()) == 21
 
     def test_dense_family_is_large_superset(self):
         dense = dense_bl_family()
         assert len(dense) >= 100
-        assert all(h.in_hbl for h in dense)
         labels = [h.label for h in dense]
         assert len(set(labels)) == len(labels)
         assert {h.label for h in stein_family()} <= set(labels)
@@ -42,13 +54,26 @@ class TestFamilies:
         wide = smoothed_indicator(0.0, 2.0)
         assert wide.lip_const == 0.5 and wide.sup_bound == 1.0
 
+    @pytest.mark.parametrize("build", OUT_OF_BALL.values(), ids=OUT_OF_BALL)
+    def test_out_of_ball_member_is_refused_when_built(self, build):
+        with pytest.raises(CertificationError, match="bounded-Lipschitz ball"):
+            build()
+
     def test_uncertified_member_rejected(self):
-        raw = HBLFunction(fn=lambda z: np.clip((0.1 - z) / 0.1, 0.0, 1.0),
-                           lip_const=10.0, sup_bound=1.0, label="raw-ramp")
-        with pytest.raises(CertificationError):
-            solve(raw, 1.0)
-        with pytest.raises(CertificationError):
-            target_expectation(raw, 1.0)
+        # the ball is checked when the member is built, so an uncertified
+        # member never reaches solve or target_expectation
+        def raw():
+            return HBLFunction(fn=lambda z: np.clip((0.1 - z) / 0.1, 0.0, 1.0),
+                               lip_const=10.0, sup_bound=1.0, label="raw-ramp")
+        with pytest.raises(CertificationError, match="raw-ramp"):
+            solve(raw(), 1.0)
+        with pytest.raises(CertificationError, match="raw-ramp"):
+            target_expectation(raw(), 1.0)
+
+    def test_init_fields(self):
+        # kinks are derived from the data, never set
+        assert [f.name for f in dataclasses.fields(HBLFunction) if f.init] \
+            == ["fn", "lip_const", "sup_bound", "label", "knots", "values"]
 
 
 def hand_typed_constants():
@@ -148,8 +173,11 @@ class TestTargetExpectation:
 
 
 def clamp_member(lo: float, hi: float) -> HBLFunction:
+    """clip(x, lo, hi), divided by its sup norm where that exceeds 1, so it
+    lies in the ball."""
+    s = max(1.0, abs(lo), abs(hi))
     return HBLFunction.piecewise_linear(
-        (lo, hi), (lo, hi), fn=lambda x: np.clip(x, lo, hi),
+        (lo, hi), (lo / s, hi / s), fn=lambda x: np.clip(x, lo, hi) / s,
         label=f"clamp({lo:g},{hi:g})")
 
 
@@ -443,6 +471,15 @@ class TestProfileReuse:
 
 
 class TestCertificates:
+    def test_verdict_is_derived(self):
+        assert [f.name for f in dataclasses.fields(BoundCertificate)
+                if f.init] == ["values", "limits"]
+        limits = {"max_abs_g": 2.0, "max_abs_g1": 1.0}
+        within = {"max_abs_g": 2.0 + 5e-10, "max_abs_g1": 0.5}
+        assert BoundCertificate(within, limits).passed is True
+        above = dict(within, max_abs_g1=1.0 + 2e-9)
+        assert BoundCertificate(above, limits).passed is False
+
     def test_sine_maxima(self):
         cert = certify_bounds(solve(sin_fn(), 1.0), standard_grid(1.0))
         assert cert.passed
