@@ -16,10 +16,10 @@ bounds           bound reports (with itemized components) for one random-sum
 Reports are byte-identical for identical (config, seed).  Exit status: 0 when
 every certified inequality passes, 1 on any FAIL verdict, 2 on usage errors,
 3 on numeric or resource failures (quadrature, truncation, overflow or
-division by zero, I/O, memory).
+division by zero, I/O, memory) and on any other exception.
 Every option, its type and its default is declared once, in the argparse
 parser, and shown by --help.  An argument @FILE stands for the lines of FILE,
-one flag such as --n=500 per line; flags after it on the command line win.
+one flag such as --n=500 per line, never @FILE itself; later flags win.
 The limits a verdict is judged by are constants, not flags: stein-check's
 residual tolerance, fixed-point's band factor and sweep's DKW level.
 """
@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureError, TruncationError
 from .laplace import LaplaceParams
 from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
                       within_four_se)
@@ -90,6 +89,7 @@ def _comma_list(item):
         if not values:
             raise argparse.ArgumentTypeError(f"{text!r} lists no value")
         return values
+    comma_list.__name__ = item.__name__  # argparse's "invalid float value"
     return comma_list
 
 
@@ -416,9 +416,12 @@ def cmd_bounds(args):
 def main(argv=None) -> int:
     """Run one command and return its exit status.  Every command handler
     returns (report, passed); a JSON report also gets the schema version and
-    the command name."""
+    the command name.  No exception exits 1, the FAIL status."""
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except RecursionError:  # from argparse's @FILE expansion alone
+            raise ValueError("an @FILE argument includes itself") from None
         payload, passed = args.handler(args)
         fmt = getattr(args, "format", "json")
         if fmt == "json":
@@ -431,8 +434,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, TruncationError, OSError, MemoryError,
-            ArithmeticError) as exc:
+    except Exception as exc:
         print(f"numeric/runtime failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -1,8 +1,7 @@
-"""The symmetric Laplace(a, b) law: density, CDF, quantile, sampling, moments.
+"""The centred Laplace(0, b) law: density, CDF, quantile, sampling, moments.
 
-Conventions: density (1/(2b)) exp(-|w-a|/b), variance 2*b**2.  The moment and
-characteristic-function helpers are defined for the centered case a = 0 only,
-which is the regime the rest of the package works in.
+Conventions: density (1/(2b)) exp(-|w|/b), variance 2*b**2.  Random sums of
+mean-zero summands are approximated by this law, so it has no location.
 """
 
 from __future__ import annotations
@@ -17,16 +16,16 @@ from .seeding import substream
 
 @dataclass(frozen=True)
 class LaplaceParams:
-    """Location/scale pair for a Laplace law."""
+    """The scale b of a centred Laplace law; its location a must be 0."""
 
     a: float = 0.0
     b: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("Laplace parameters must be finite")
-        if self.b <= 0:
-            raise ValueError(f"scale must be positive, got b={self.b}")
+        if self.a != 0.0:  # nan included
+            raise ValueError(f"location a must be 0, got a={self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"scale must be in (0, inf), got b={self.b}")
 
 
 def _as_finite_array(w):
@@ -41,20 +40,20 @@ def _maybe_scalar(arr, like):
 
 
 def pdf(w, params: LaplaceParams):
-    """Density at w; maximum 1/(2b), attained at w = a."""
+    """Density at w; maximum 1/(2b), attained at w = 0."""
     arr = _as_finite_array(w)
-    out = np.exp(-np.abs(arr - params.a) / params.b) / (2.0 * params.b)
+    out = np.exp(-np.abs(arr) / params.b) / (2.0 * params.b)
     return _maybe_scalar(out, w)
 
 
 def cdf(w, params: LaplaceParams):
-    """Distribution function; the two exponential branches meet at cdf(a) = 1/2.
+    """Distribution function; the two exponential branches meet at cdf(0) = 1/2.
 
     Both branches are read off one exp(-|z|): it is exp(z) for z <= 0 and
     exp(-z) for z > 0.
     """
     arr = _as_finite_array(w)
-    z = (arr - params.a) / params.b
+    z = arr / params.b
     half = 0.5 * np.exp(-np.abs(z))
     out = np.where(z <= 0, half, 1.0 - half)
     return _maybe_scalar(out, w)
@@ -62,14 +61,14 @@ def cdf(w, params: LaplaceParams):
 
 def _quantile_in_place(levels, params: LaplaceParams):
     """``levels``, a float array in (0, 1), overwritten by their quantiles:
-    a + b log(2q) below 1/2, a - b log(2(1 - q)) from 1/2 on."""
+    b log(2q) below 1/2, -b log(2(1 - q)) from 1/2 on."""
     upper = levels >= 0.5
     np.subtract(1.0, levels, out=levels, where=upper)
     levels *= 2.0
     np.log(levels, out=levels)
     levels *= params.b
     np.negative(levels, out=levels, where=upper)
-    levels += params.a
+    levels += 0.0  # the -0.0 at q = 1/2 becomes 0.0
     return levels
 
 
@@ -84,9 +83,8 @@ def quantile(q, params: LaplaceParams):
 def draw(rng, n: int, params: LaplaceParams) -> np.ndarray:
     """n draws from rng by inverse transform, formed in the uniforms' storage.
 
-    The uniforms are drawn independently of (a, b), so with a = 0 the same
-    stream at scale c*b yields exactly c times the values (the quantile is
-    linear in b).
+    The uniforms are drawn independently of b, so the same stream at scale
+    c*b yields exactly c times the values (the quantile is linear in b).
     """
     u = rng.random(n)
     np.maximum(u, 2.0 ** -53, out=u)  # quantile(0) = -inf
@@ -101,9 +99,7 @@ def sample(n: int, params: LaplaceParams, seed: int):
 
 
 def moment(k: int, params: LaplaceParams) -> float:
-    """Central moment E[W^k] for a = 0: zero for odd k, b^k * k! for even k."""
-    if params.a != 0.0:
-        raise ValueError("moments are implemented for the centered case a=0 only")
+    """Moment E[W^k]: zero for odd k, b^k * k! for even k."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     if k % 2 == 1:
@@ -112,9 +108,7 @@ def moment(k: int, params: LaplaceParams) -> float:
 
 
 def char_fn(t, params: LaplaceParams):
-    """Characteristic function 1/(1 + b^2 t^2) of the centered law (real-valued)."""
-    if params.a != 0.0:
-        raise ValueError("characteristic function is implemented for a=0 only")
+    """Characteristic function 1/(1 + b^2 t^2) (real-valued)."""
     arr = np.asarray(t, dtype=float)
     out = 1.0 / (1.0 + (params.b * arr) ** 2)
     return _maybe_scalar(out, t)

@@ -190,8 +190,6 @@ def bl_lower_bound(s: EmpiricalSample, target: LaplaceParams,
     family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty (sup over the empty set)")
-    if target.a != 0.0:
-        raise ValueError("target expectations are implemented for a=0")
     b = target.b
     stats = {h: _member_stats(h, s, b) for h in family if not h.knots}
     data = [h for h in family if h.knots]
@@ -392,15 +390,15 @@ def _data_interval(h, cut: list, n: int, p1, p2, abs_sum: float,
 
 def _quantile_antiderivative(u, params: LaplaceParams):
     """P(u) = int_0^u Q(t) dt in closed form (Q = target quantile), for
-    sorted u in [0, 1]: a u + b (v log(2v) - v), v = u up to 1/2 and
-    1 - u above, so the two branches are slices of u."""
+    sorted u in [0, 1]: b (v log(2v) - v), v = u up to 1/2 and 1 - u
+    above, so the two branches are slices of u."""
     u = np.asarray(u, dtype=float)
     v = u.copy()
     upper = v[np.searchsorted(u, 0.5, side="right"):]
     np.subtract(1.0, upper, out=upper)
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.where(v > 0, v * np.log(2.0 * v) - v, 0.0)
-    return params.a * u + params.b * tail
+    return params.b * tail
 
 
 def wasserstein_empirical(s: EmpiricalSample,

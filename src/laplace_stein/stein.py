@@ -369,7 +369,7 @@ def standard_grid(b: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BoundCertificate:
     """Grid maxima of |g|, |g'|, |g''| and the finite-difference slope of g''
-    against their analytic limits 2, 2/b, 4/b^2, (b+2)/b^3."""
+    against their limits 2, 2/b, 4/b^2, (b+2)/b^3, up to TOLERANCE of each."""
 
     values: dict
     limits: dict
@@ -379,23 +379,23 @@ class BoundCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "passed", all(
-            self.values[k] <= self.limits[k] + self.TOLERANCE
+            self.values[k] <= self.limits[k] * (1.0 + self.TOLERANCE)
             for k in self.values))
 
 
 def certify_bounds(sol: SteinSolution, grid) -> BoundCertificate:
     """Audit the four derivative bounds of the bounded solution on a grid.
 
-    The grid must span at least [-40b, 40b] with spacing <= b/10.  The
-    Lipschitz bound for g'' is checked through finite differences of g''
-    (well-defined even where h' fails to exist).
+    The grid must span at least [-40b, 40b] with spacing <= b/10, both up
+    to 1e-12 of their size.  The Lipschitz bound for g'' is checked through
+    finite differences of g'' (well-defined even where h' fails to exist).
     """
     xs = np.asarray(grid, dtype=float)
     b = sol.b
-    if xs[0] > -40.0 * b + 1e-9 or xs[-1] < 40.0 * b - 1e-9:
+    if min(-xs[0], xs[-1]) < 40.0 * b * (1.0 - 1e-12):
         raise ValueError("grid must span [-40b, 40b]")
     steps = np.diff(xs)
-    if np.any(steps <= 0) or np.max(steps) > b / 10.0 + 1e-12:
+    if np.any(steps <= 0) or np.max(steps) > b / 10.0 * (1.0 + 1e-12):
         raise ValueError("grid step must be positive and at most b/10")
 
     prof = sol.profile(xs)

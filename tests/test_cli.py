@@ -460,6 +460,26 @@ class TestFlags:
         assert run_cli(argv) == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p", "abc"], ["bounds", "--scales", "x"],
+        ["stein-check", "--b", "x"]])
+    def test_comma_list_names_its_item_type(self, argv, capsys):
+        # as a scalar flag does: "invalid float value", not "comma_list"
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: invalid float value: '{argv[2]}'" in err
+
+    def test_any_exception_is_runtime_failure(self, monkeypatch, capsys):
+        # exit 1 means a FAIL verdict, so no exception may reach it
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setattr(cli, "general_sum_bound", broken)
+        assert run_cli(["bounds", "--p", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "RuntimeError: broken handler" in err
+        assert "Traceback" not in err
+
     def test_memory_error_is_runtime_failure(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -684,6 +704,17 @@ class TestConfigResolution:
         assert run_cli(["sweep", f"@{tmp_path / 'absent.cfg'}"]) == 2
         err = capsys.readouterr().err
         assert "No such file" in err and "absent.cfg" in err
+
+    @pytest.mark.parametrize("chain", [["a.cfg"], ["a.cfg", "b.cfg"]])
+    def test_self_including_file_is_usage_error(self, chain, tmp_path,
+                                                capsys):
+        # each file includes the next and the last the first
+        for name, nxt in zip(chain, chain[1:] + chain[:1]):
+            (tmp_path / name).write_text(f"@{tmp_path / nxt}\n")
+        assert run_cli(["bounds", f"@{tmp_path / chain[0]}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "includes itself" in err
+        assert "Traceback" not in err
 
     def test_config_value_lines_take_effect(self, tmp_path):
         cfg = tmp_path / "fp.cfg"

@@ -505,6 +505,28 @@ class TestCertificates:
         with pytest.raises(ValueError):
             certify_bounds(sol, np.linspace(-40, 40, 201))  # step too big
 
+    def test_span_is_relative_to_b(self):
+        # at b = 1e-11 an absolute 1e-9 slack took [0, 40b] for the span
+        b = 1e-11
+        with pytest.raises(ValueError, match="span"):
+            certify_bounds(solve(sin_fn(), b), np.linspace(0.0, 40 * b, 801))
+
+    def test_step_is_relative_to_b(self):
+        # at b = 1e-13 an absolute 1e-12 slack took a step of 2b
+        b = 1e-13
+        with pytest.raises(ValueError, match="step"):
+            certify_bounds(solve(sin_fn(), b),
+                           np.linspace(-40 * b, 40 * b, 41))
+
+    def test_tolerance_is_relative_to_the_limit(self):
+        # at b = 8700 the slope limit (b+2)/b^3 is 1.3e-8, so an absolute
+        # 1e-9 passed 1.07 times it
+        limit = {"max_g2_slope": (8700.0 + 2.0) / 8700.0 ** 3}
+        assert not BoundCertificate({"max_g2_slope": 1.07 * limit[
+            "max_g2_slope"]}, limit).passed
+        assert BoundCertificate({"max_g2_slope": (1.0 + 5e-10) * limit[
+            "max_g2_slope"]}, limit).passed
+
     def test_grid_past_the_tail_panel_limit_is_refused(self):
         # at b = 2e4 a tail pass over [-40b, 40b] needs 2.4e6 panels, past
         # MAX_PANELS: the grid is refused before any member is solved
