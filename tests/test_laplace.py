@@ -28,8 +28,7 @@ class TestParams:
     @pytest.mark.parametrize("a", [1.0, -2.0, 5e-324, math.nan, math.inf,
                                    -math.inf])
     def test_refuses_a_location(self, a):
-        # the law is centred, so a location is refused when it is built,
-        # not later by moment, char_fn or bl_lower_bound
+        # the law is centred, so a location is refused when it is built
         with pytest.raises(ValueError, match=r"a must be 0, got a="):
             LaplaceParams(a, 1.0)
         with pytest.raises(ValueError, match=r"a must be 0"):
@@ -179,6 +178,11 @@ class TestMoment:
             assert moment(k, params) == b ** 2 * k * (k - 1) * moment(k - 2,
                                                                       params)
 
+    def test_requires_centered(self):
+        # a located law cannot reach moment: it is refused when built
+        with pytest.raises(ValueError, match=r"a must be 0"):
+            moment(2, LaplaceParams(1.0, 1.0))
+
 
 class TestCharFn:
     def test_at_zero(self):
@@ -191,6 +195,11 @@ class TestCharFn:
     def test_even(self):
         ts = np.linspace(0.1, 5, 20)
         assert np.array_equal(char_fn(ts, UNIT), char_fn(-ts, UNIT))
+
+    def test_requires_centered(self):
+        # a located law cannot reach char_fn: it is refused when built
+        with pytest.raises(ValueError, match=r"a must be 0"):
+            char_fn(1.0, LaplaceParams(1.0, 1.0))
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_empirical_cf_matches(self, t):
