@@ -39,8 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace import LaplaceParams
-from .metrics import (EmpiricalSample, dkw_band, kolmogorov_empirical,
-                      within_four_se)
+from .metrics import EmpiricalSample, kolmogorov_empirical, within_four_se
 from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
                           convergence_sweep, fixed_index, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
@@ -128,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sampled:
             p.add_argument("--seed", type=_in(int, 0, closed=True), default=7,
                            help="master seed")
-            p.add_argument("--n", type=int, default=100_000,
-                           help="samples per estimate")
+            p.add_argument("--n", type=_in(int, 2, closed=True),
+                           default=100_000, help="samples per estimate")
         return p
 
     def source(p, what):
@@ -301,9 +300,6 @@ def cmd_transform_check(args):
     samplers exactly so under a power of two, so the checks run on the
     source rescaled by the power of two 2^e nearest its Laplace scale, and
     a number of degree d in x is reported times 2^(d e)."""
-    if args.n < 2:
-        raise ValueError("--n must be at least 2: the 4-standard-error checks "
-                         "need a standard error, which one draw does not have")
     src = _source(SOURCES[args.source], "--c", args.c)
     e = round(math.log2(src.b_equiv))
     unit = SOURCES[args.source](math.ldexp(args.c, -e))
@@ -332,7 +328,7 @@ BAND_FACTOR = 1.5
 
 
 def cmd_fixed_point(args):
-    band = BAND_FACTOR * 1.36 / math.sqrt(args.n) if args.n > 0 else math.inf
+    band = BAND_FACTOR * 1.36 / math.sqrt(args.n)
     if band >= 1.0:
         raise ValueError(f"--n {args.n} gives a band of {band:g}, and every "
                          "Kolmogorov distance is at most 1; raise --n")
@@ -355,10 +351,6 @@ def _sweep_row(pt) -> list:
 
 
 def cmd_sweep(args):
-    band = dkw_band(args.n) if args.n >= 2 else math.inf
-    if band >= 1.0:
-        raise ValueError(f"--n {args.n} gives a DKW band of {band:g}, and "
-                         "every Kolmogorov distance is at most 1; raise --n")
     src = _source(SOURCES[args.source], "--c", args.c)
     target = _scaled(lambda b: 2.0 * b ** 2, "--b", args.b)
     # relative to the larger side; a 2b^2 rounded to inf gives nan, refused

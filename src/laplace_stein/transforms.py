@@ -27,7 +27,7 @@ magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -42,10 +42,12 @@ from .seeding import derive_seed, substream
 class SourceDistribution:
     """A mean-zero, sign-balanced summand law with its transform recipes.
 
-    ``sigma2``, ``abs_mean`` and ``abs_third`` are E[X^2], E|X| and E|X|^3.
-    The five transform recipes are required: ``y_sampler``, ``z_sampler``
+    ``abs_moment`` (k -> E|X|^k) is the one moment recipe: ``sigma2``,
+    ``abs_mean`` and ``abs_third`` (E[X^2], E|X| and E|X|^3) are read from
+    it when the source is built, and E[X^k] is it at even k, 0 at odd k.
+    The four transform recipes are required: ``y_sampler``, ``z_sampler``
     and ``zero_bias_sampler`` (callables (rng, n) -> ndarray, like
-    ``sampler``), ``cf`` (t -> E[cos(tX)]) and ``moment`` (k -> E[X^k]).
+    ``sampler``) and ``cf`` (t -> E[cos(tX)]).
     ``sum_sampler`` is the one optional recipe: it takes (rng, counts) and
     returns one row sum per count, used as an exact fast path for random
     sums; it may write the sums over the storage of int64 ``counts``, which
@@ -57,17 +59,21 @@ class SourceDistribution:
     """
 
     label: str
-    sigma2: float
-    abs_mean: float
-    abs_third: float
+    abs_moment: Callable
     sampler: Callable
     y_sampler: Callable
     z_sampler: Callable
     zero_bias_sampler: Callable
     cf: Callable
-    moment: Callable
     sum_sampler: Optional[Callable] = None
     one_word_draws: bool = False
+    sigma2: float = field(init=False)
+    abs_mean: float = field(init=False)
+    abs_third: float = field(init=False)
+
+    def __post_init__(self):
+        for k, name in ((2, "sigma2"), (1, "abs_mean"), (3, "abs_third")):
+            object.__setattr__(self, name, self.abs_moment(k))
 
     @property
     def b_equiv(self) -> float:
@@ -136,14 +142,13 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
 
     return SourceDistribution(
         label=f"rademacher({c:g})",
-        sigma2=c ** 2, abs_mean=c, abs_third=c ** 3,
+        abs_moment=lambda k, c=c: c ** k,
         sampler=atoms,
         y_sampler=atoms,
         z_sampler=lambda rng, n, c=c: _signed(
             rng, _scaled_sqrt_uniform(rng, n, c)),
         zero_bias_sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
-        moment=lambda k, c=c: c ** k if k % 2 == 0 else 0.0,
         sum_sampler=lambda rng, counts, c=c: _binomial_walks(rng, counts, c),
     )
 
@@ -185,9 +190,6 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         r *= c
         return r
 
-    def moment(k, c=c):
-        return c ** k / (k + 1.0) if k % 2 == 0 else 0.0
-
     def draw(rng, n, c=c):
         # rng.uniform(-c, c, n) forms -c + (c - -c) * u from u = rng.random()
         # value by value; the same two roundings over the whole array give
@@ -199,14 +201,13 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
 
     return SourceDistribution(
         label=f"uniform({c:g})",
-        sigma2=c ** 2 / 3.0, abs_mean=c / 2.0, abs_third=c ** 3 / 4.0,
+        abs_moment=lambda k, c=c: c ** k / (k + 1.0),
         sampler=draw,
         y_sampler=lambda rng, n, c=c: _signed(
             rng, _scaled_sqrt_uniform(rng, n, c)),
         z_sampler=lambda rng, n: _signed(rng, z_magnitude(rng, n)),
         zero_bias_sampler=zero_bias,
         cf=lambda t, c=c: np.sinc(c * np.asarray(t, float) / np.pi),
-        moment=moment,
         one_word_draws=True,  # draw: one rng.random per value
     )
 
@@ -247,13 +248,12 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
 
     return SourceDistribution(
         label=f"laplace({b:g})",
-        sigma2=2.0 * b ** 2, abs_mean=b, abs_third=6.0 * b ** 3,
+        abs_moment=lambda k, b=b: b ** k * math.factorial(k),
         sampler=lambda rng, n, params=params: laplace.draw(rng, n, params),
         y_sampler=gamma2,
         z_sampler=gamma2,
         zero_bias_sampler=zero_bias,
         cf=lambda t, params=params: laplace.char_fn(t, params),
-        moment=lambda k, params=params: laplace.moment(k, params),
         sum_sampler=sum_sampler,
         one_word_draws=True,  # laplace.draw: one rng.random per value
     )
@@ -316,9 +316,11 @@ def zero_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSam
 
 
 def equilibrium_moment(k: int, src: SourceDistribution) -> float:
-    """E[(X_L)^k] = mu_{k+2} / (b^2 (k+2)(k+1)) with b^2 = E[X^2]/2."""
-    b2 = src.sigma2 / 2.0
-    return src.moment(k + 2) / (b2 * (k + 2.0) * (k + 1.0))
+    """E[(X_L)^k] = mu_{k+2} / (b^2 (k+2)(k+1)) with b^2 = E[X^2]/2: 0.0 at
+    odd k, as X_L is symmetric."""
+    if k % 2:
+        return 0.0
+    return src.abs_moment(k + 2) / (src.sigma2 / 2.0 * (k + 2.0) * (k + 1.0))
 
 
 _CF_SERIES_CUTOFF = 1e-4

@@ -460,6 +460,17 @@ class TestFlags:
         assert run_cli(argv) == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["transform-check", "fixed-point",
+                                         "sweep"])
+    @pytest.mark.parametrize("n", ["1", "0", "-2"])
+    def test_sample_size_floor_is_checked_in_argparse(self, command, n,
+                                                      capsys):
+        # every sampled command's --n is at least 2, refused by the parser
+        # with one line naming the flag, before any handler runs
+        assert run_cli([command, "--n", n]) == 2
+        assert (f"argument --n: '{n}' is not in [2, inf)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--p", "abc"], ["bounds", "--scales", "x"],
         ["stein-check", "--b", "x"]])

@@ -31,6 +31,7 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
 from laplace_stein.seeding import substream
 from laplace_stein.stein import dense_bl_family
 from laplace_stein import metrics, random_sums, seeding, transforms as tr
+from lattice_oracle import exact_kolmogorov, exact_pmf, sample_kolmogorov
 
 SQRT2 = math.sqrt(2.0)
 RAD = tr.rademacher(SQRT2)
@@ -919,6 +920,41 @@ class TestRandomSumSample:
         assert sample(1.0, 1).tobytes() == base.tobytes()
         assert sample(2.0 ** k, workers).tobytes() == \
             (2.0 ** k * base).tobytes()
+
+
+class TestExactLatticeLaw:
+    """The sweep's Rademacher(sqrt 2) sums against their exact law
+    (``lattice_oracle``), not only against Monte Carlo."""
+
+    @pytest.mark.parametrize("p, d_k", [(0.5, 0.2387), (0.1, 0.1084),
+                                        (0.01, 0.03519), (1e-3, 0.01117)])
+    def test_exact_kolmogorov_distance(self, p, d_k):
+        _, pmf = exact_pmf(p)
+        # FFT rounding alone dips below 0: -2.1e-16 at p = 1e-3
+        assert pmf.min() >= -1e-15
+        assert abs(pmf.sum() - 1.0) <= 1e-13
+        assert float(f"{exact_kolmogorov(p):.4g}") == d_k
+
+    P, N = 1e-3, 10 ** 5
+
+    def sample_distance(self, p, c):
+        """d_K of a seed-7 sample at index p and summands +-c from the exact
+        law at P, in DKW bands at N."""
+        spec = RandomSumSpec(GeometricIndex(p), Summands(tr.rademacher(c)))
+        values = random_sum_sample(spec, self.N, 7).values
+        return sample_kolmogorov(values, self.P) / dkw_band(self.N)
+
+    def test_sampler_is_within_the_band(self):
+        # 0.45 bands at seed 7, 0.45-0.95 over seeds 0-7
+        assert self.sample_distance(self.P, SQRT2) <= 1.0
+
+    # bands at seed 7 (over seeds 0-7): 1.54 (1.11-1.95), 5.19 (4.96-5.70)
+    # and 1.56 (1.55-2.14)
+    @pytest.mark.parametrize("p, scale", [(1.05 * P, 1.0), (P, 1.1),
+                                          (P, 1.02)],
+                             ids=["index-1.05p", "scale-1.1", "scale-1.02"])
+    def test_mutants_fall_outside_the_band(self, p, scale):
+        assert self.sample_distance(p, scale * SQRT2) > 1.0
 
 
 def per_row_chunked_sums(rng, sampler, counts, limit):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -59,11 +60,27 @@ class TestSources:
         for src in tr.builtin_sources(1.0):
             assert src.sigma2 == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("make, closed_form", [
+        (tr.rademacher, lambda c: (c ** 2, c, c ** 3)),
+        (tr.uniform_symmetric, lambda c: (c ** 2 / 3.0, c / 2.0,
+                                          c ** 3 / 4.0)),
+        (tr.laplace_source, lambda b: (2.0 * b ** 2, b, 6.0 * b ** 3))])
+    @pytest.mark.parametrize("c", [SQRT2, SQRT6, 0.3, 1e-100, 1e100])
+    def test_moments_come_from_the_recipe(self, make, closed_form, c):
+        # E[X^2], E|X| and E|X|^3 are read from abs_moment when the source
+        # is built, with the bits of each closed form
+        src = make(c)
+        moments = (src.sigma2, src.abs_mean, src.abs_third)
+        assert moments == tuple(src.abs_moment(k) for k in (2, 1, 3))
+        assert moments == closed_form(c)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(src, sigma2=1.0)
+
     def test_recipes_are_required(self):
         # a source without its transform recipes fails when it is built
         with pytest.raises(TypeError):
-            tr.SourceDistribution(label="bare", sigma2=1.0, abs_mean=0.8,
-                                  abs_third=1.0,
+            tr.SourceDistribution(label="bare",
+                                  abs_moment=lambda k: 1.0,
                                   sampler=lambda rng, n: rng.normal(size=n))
 
 
