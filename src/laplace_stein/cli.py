@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", cmd_sweep, "geometric-sum convergence sweep")
     source(p, "summand family")
-    p.add_argument("--b", type=_positive, default=1.0,
-                   help="target scale; must match the source variance")
+    p.add_argument("--b", type=_positive, help="target scale, checked "
+                   "against the source's sqrt(E[X^2]/2); that one if absent")
     p.add_argument("--p", type=_comma_list(_probability),
                    default="0.1,0.01,0.001",
                    help="comma list of success probabilities")
@@ -352,7 +352,8 @@ def _sweep_row(pt) -> list:
 
 def cmd_sweep(args):
     src = _source(SOURCES[args.source], "--c", args.c)
-    target = _scaled(lambda b: 2.0 * b ** 2, "--b", args.b)
+    b = src.b_equiv if args.b is None else args.b
+    target = _scaled(lambda b: 2.0 * b ** 2, "--b", b)
     # relative to the larger side; a 2b^2 rounded to inf gives nan, refused
     if not abs(src.sigma2 - target) / max(src.sigma2, target) <= 1e-9:
         raise ValueError(
@@ -366,7 +367,7 @@ def cmd_sweep(args):
         # no slope is fitted to fewer than two distinct p values; JSON has
         # no NaN
         slope = result.slope if math.isfinite(result.slope) else None
-        report = {"source": src.label, "b": args.b, "n": args.n,
+        report = {"source": src.label, "b": b, "n": args.n,
                   "seed": args.seed, "slope": slope,
                   "family_size": result.points[0].d_BL_lower.family_size,
                   "points": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
@@ -398,7 +399,7 @@ def cmd_bounds(args):
             if p is not None:
                 entry["geometric_sum"] = _bound_entry(geometric_sum_bound(
                     p, spec.b_equiv,
-                    float(spec.summands.residue_moments()[2][0])))
+                    float(spec.summands.residue_moments[2][0])))
         entry["general_sum"] = _bound_entry(
             general_sum_bound(spec, coupling=args.coupling))
         reports.append(entry)

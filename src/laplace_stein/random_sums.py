@@ -164,35 +164,36 @@ class Summands:
 
     ``scales = (1,)`` is the i.i.d. case; otherwise X_i = scales[(i-1) mod L]
     times an independent copy of the base, so sigma_i^2 = scales_i^2 E[X^2].
+    ``residue_moments``, read-only arrays computed once when the summands are
+    built, is (sigma_r^2, E|X_r|, E|X_r|^3) for the residues r = 1..L: the
+    moments of every atom m with (m-1) mod L = r-1, and of no other atom.
     """
 
     base: SourceDistribution
     scales: tuple = (1.0,)
+    residue_moments: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = tuple(float(s) for s in self.scales)
         if not arr or any(not math.isfinite(s) or s < 0 for s in arr):
             raise ValueError("scales must be finite and nonnegative")
         object.__setattr__(self, "scales", arr)
+        s, base = np.asarray(arr), self.base
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(np.stack(self.residue_moments())).all(axis=0)
+            moments = (s ** 2 * base.sigma2, s * base.abs_mean,
+                       s ** 3 * base.abs_third)
+        finite = np.isfinite(np.stack(moments)).all(axis=0)
         if not finite.all():
             raise OverflowError(
                 f"scale {arr[int(np.argmin(finite))]:g} overflows the summand "
                 "moments (sigma^2, E|X|, E|X|^3)")
+        for table in moments:
+            table.flags.writeable = False
+        object.__setattr__(self, "residue_moments", moments)
 
     @property
     def is_iid(self) -> bool:
         return len(set(self.scales)) == 1
-
-    def residue_moments(self) -> tuple:
-        """(sigma_r^2, E|X_r|, E|X_r|^3) for the residues r = 1..L, the
-        moments of every atom m with (m-1) mod L = r-1: numpy array
-        arithmetic on the L scales, the one source of per-index moments."""
-        s = np.asarray(self.scales)
-        base = self.base
-        return (s ** 2 * base.sigma2, s * base.abs_mean,
-                s ** 3 * base.abs_third)
 
     @property
     def sup_sigma(self) -> float:
@@ -217,7 +218,7 @@ class RandomSumSpec:
 
     def __post_init__(self):
         sm, index = self.summands, self.index
-        sigma2 = sm.residue_moments()[0]
+        sigma2 = sm.residue_moments[0]
         # all atoms of an explicit index (tail 0.0); one period of a
         # geometric one, summed as a geometric series
         k = len(sm.scales) if isinstance(index, GeometricIndex) \
@@ -248,14 +249,18 @@ class RandomSumSpec:
         return math.sqrt(self.sigma2_total / (2.0 * self.index.mean))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MDistribution:
-    """Truncated pmf of the auxiliary index M, read-only, with certified tail
-    mass and its mean."""
+    """Truncated pmf of the auxiliary index M with certified tail mass.
+    Building it makes the pmf read-only and derives its mean."""
 
     pmf: np.ndarray  # pmf[i] = P{M = i+1}
     tail_bound: float
-    mean: float  # sum_m m P{M = m}, as ``_support_mean`` of the pmf
+    mean: float = field(init=False)  # sum_m m P{M = m}, ``_support_mean``
+
+    def __post_init__(self):
+        self.pmf.flags.writeable = False
+        object.__setattr__(self, "mean", _support_mean(self.pmf))
 
 
 def _over_atoms(i: int, j: int, *tables) -> tuple:
@@ -269,9 +274,9 @@ def _over_atoms(i: int, j: int, *tables) -> tuple:
 
 def m_distribution(spec: RandomSumSpec) -> MDistribution:
     """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..k.  k is an
-    explicit index's whole support (tail 0.0), or a geometric one's 1e-24
-    truncation, grown where M's certified tail there, (sup_i sigma_i^2 /
-    sigma^2) (1-p)^k / p, is above 1e-10 to the k where it is not.
+    explicit index's whole support (tail 0.0), or a geometric one's least k
+    with N's tail at most 1e-24 and M's certified tail, (sup_i sigma_i^2 /
+    sigma^2) (1-p)^k / p, at most 1e-10: the truncation for the smaller target.
 
     The pmf is the survival weighted in place, the one k-length array built.
     """
@@ -280,21 +285,17 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
         k, tail = len(index.probs), 0.0
     else:
         ratio = spec.summands.sup_sigma ** 2 / sigma2
-        k = index.truncation_for(_GAP_TAIL)
+        target = min(_GAP_TAIL, _TAIL_TOL * index.p / ratio)
+        if not target > 0.0:
+            raise TruncationError(f"sup_i sigma_i^2 / sigma^2 = {ratio:g} "
+                                  "leaves no k certifying M's tail")
+        k = index.truncation_for(target)
         tail = ratio * index.tail(k) / index.p
-        if tail > _TAIL_TOL:
-            if not _TAIL_TOL * index.p / ratio > 0.0:
-                raise TruncationError(f"sup_i sigma_i^2 / sigma^2 = {ratio:g} "
-                                      "leaves no k certifying M's tail")
-            k = index.truncation_for(_TAIL_TOL * index.p / ratio)
-            tail = ratio * index.tail(k) / index.p
-    weight = spec.summands.residue_moments()[0] / sigma2
+    weight = spec.summands.residue_moments[0] / sigma2
     pmf = index.survival_atoms(k)
     for r, w in enumerate(weight):  # the survival weighted in place
         pmf[r::weight.shape[0]] *= w
-    pmf.flags.writeable = False
-    return MDistribution(pmf=pmf, tail_bound=float(tail),
-                         mean=_support_mean(pmf))
+    return MDistribution(pmf=pmf, tail_bound=float(tail))
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -331,21 +332,18 @@ def _next_fast_len(n: int) -> int:
 def _independent_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
     """E|N - M|^(1/2) under the product coupling (exact double sum via FFT).
 
-    The law of N - M is the correlation of the two pmfs, computed the way
-    SciPy's ``signal.fftconvolve(pn, pm[::-1])`` computes it, so the gap
-    keeps its bits: real FFTs zero-padded to the next 5-smooth length, or a
-    plain product when an input has length 1.
+    The law of N - M is the correlation of the two pmfs, of one length k as
+    the bounds pass them, computed the way SciPy's ``signal.fftconvolve(pn,
+    pm[::-1])`` computes it, so the gap keeps its bits: real FFTs
+    zero-padded to the next 5-smooth length (at k = 1, the product's bits).
     """
     rev = pm[::-1]
-    if pn.shape[0] == 1 or rev.shape[0] == 1:
-        full = pn * rev
-    else:
-        size = pn.shape[0] + rev.shape[0] - 1
-        fft_len = _next_fast_len(size)
-        spectrum = np.fft.rfft(pn, fft_len)
-        spectrum *= np.fft.rfft(rev, fft_len)
-        full = np.fft.irfft(spectrum, fft_len)[:size]
-        del spectrum
+    size = pn.shape[0] + rev.shape[0] - 1
+    fft_len = _next_fast_len(size)
+    spectrum = np.fft.rfft(pn, fft_len)
+    spectrum *= np.fft.rfft(rev, fft_len)
+    full = np.fft.irfft(spectrum, fft_len)[:size]
+    del spectrum
     np.clip(full, 0.0, None, out=full)
     # sqrt|d| * P(N - M = d), built in one float array
     weight = np.arange(-(pm.shape[0] - 1), pn.shape[0], dtype=float)
@@ -455,7 +453,7 @@ def iid_sum_bound(spec: RandomSumSpec,
     for i.i.d. summands with E[X_1^2] = 2 b^2."""
     if not spec.summands.is_iid:
         raise ValueError("summands are not i.i.d.; use general_sum_bound")
-    sigma2, abs_mean, abs_third = spec.summands.residue_moments()
+    sigma2, abs_mean, abs_third = spec.summands.residue_moments
     mu = spec.index.mean
     b = math.sqrt(sigma2[0] / 2.0)
     m_dist = m_distribution(spec)
@@ -478,7 +476,7 @@ def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
     ``metrics._tree_sum`` on slices of the atoms.  An atom without variance
     has no M-mass and adds 0.0 to the ratio term.
     """
-    sigma2, abs_mean, abs_third = summands.residue_moments()
+    sigma2, abs_mean, abs_third = summands.residue_moments
 
     def abs_means(i, j):
         return pmf[i:j] * _over_atoms(i, j, abs_mean)[0]

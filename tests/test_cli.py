@@ -123,6 +123,19 @@ class TestSweepCommand:
                         "--p", "0.1,0.01", "--format", "json"]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_absent_b_is_the_source_scale(self, fmt, tmp_path):
+        # Laplace(2) has E[X^2] = 8: without --b the sweep runs at its
+        # scale sqrt(8/2) = 2, with the bytes of --b 2
+        argv = ["sweep", "--source", "laplace", "--c", "2", "--p", "0.1",
+                "--n", "200", "--format", fmt]
+        given, absent = tmp_path / "given", tmp_path / "absent"
+        assert run_cli(argv + ["--out", str(absent)]) == 0
+        assert run_cli(argv + ["--b", "2", "--out", str(given)]) == 0
+        assert absent.read_bytes() == given.read_bytes()
+        if fmt == "json":
+            assert json.loads(absent.read_text())["b"] == 2.0
+
     def test_unknown_source_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--source", "cauchy", "--p", "0.1"]) == 2
 
@@ -587,7 +600,7 @@ class TestFlags:
 
     def test_heavy_last_scale_grows_the_truncation(self, tmp_path):
         # 39 unit scales and one of 1e10 at p = 0.9: M's tail bound at N's
-        # k = 24 is 1e-4, so m_distribution grows k until it is 1e-10
+        # k = 24 would be 1e-4, so m_distribution truncates where it is 1e-10
         out = tmp_path / "bounds.json"
         assert run_cli(["bounds", "--scales", "1," * 39 + "1e10", "--p",
                         "0.9", "--out", str(out)]) == 0

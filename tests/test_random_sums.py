@@ -116,11 +116,29 @@ class TestSummands:
     def test_cyclic_scales(self):
         sm = Summands(tr.rademacher(1.0), scales=(1.0, 2.0))
         assert not sm.is_iid
-        sigma2, abs_mean, abs_third = sm.residue_moments()
+        sigma2, abs_mean, abs_third = sm.residue_moments
         assert np.array_equal(sigma2, [1.0, 4.0])
         assert np.array_equal(abs_mean, [1.0, 2.0])
         assert np.array_equal(abs_third, [1.0, 8.0])
         assert sm.sup_sigma == 2.0
+
+    @pytest.mark.parametrize("source", [RAD, tr.uniform_symmetric(3.0),
+                                        tr.laplace_source(0.7)],
+                             ids=["rademacher", "uniform", "laplace"])
+    def test_residue_moments_are_read_only_fields(self, source):
+        # computed once, when the summands are built, with the bits of the
+        # moments recomputed from the scales
+        scales = (1.0, 0.0, 2.5, 1e-3)
+        sm = Summands(source, scales)
+        s = np.asarray(scales)
+        expected = (s ** 2 * source.sigma2, s * source.abs_mean,
+                    s ** 3 * source.abs_third)
+        assert len(sm.residue_moments) == 3
+        for table, want in zip(sm.residue_moments, expected):
+            assert np.array_equal(table, want)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -197,9 +215,24 @@ class TestMDistribution:
         assert spec.index.pmf_atoms(4).base is spec.index.probs
 
 
+def two_stage_truncation(spec):
+    """The k that m_distribution once took in two stages, the oracle of its
+    one rule: N's 1e-24 truncation, grown where M's certified tail there is
+    above 1e-10 to the k where it is not; None where no k certifies it."""
+    index = spec.index
+    ratio = spec.summands.sup_sigma ** 2 / spec.sigma2_total
+    k = index.truncation_for(1e-24)
+    if ratio * index.tail(k) / index.p > 1e-10:
+        if not 1e-10 * index.p / ratio > 0.0:
+            return None
+        k = index.truncation_for(1e-10 * index.p / ratio)
+    return k
+
+
 class TestTruncationRule:
-    """m_distribution picks k from the spec alone: N's 1e-24 truncation,
-    grown only where M's certified tail there is above 1e-10."""
+    """m_distribution picks k from the spec alone: one truncation, at the
+    smaller of N's tail 1e-24 and the tail that keeps M's certified tail
+    at most 1e-10."""
 
     def test_tail_ratio_past_the_floats_is_refused(self):
         # the one positive scale is on atom 106, whose survival 0.001^105
@@ -228,6 +261,33 @@ class TestTruncationRule:
             # the least k, up to the rounding of its logarithm
             assert k > k0
             assert ratio * spec.index.tail(k - 1) / p > 1e-10 * (1 - 1e-9)
+
+    @given(p=st.floats(min_value=1e-3, max_value=0.99),
+           scales=st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                           max_size=39),
+           large=st.floats(min_value=1.0, max_value=1e10),
+           at=st.integers(min_value=0, max_value=39))
+    @example(p=0.9, scales=[1.0] * 39, large=1e10, at=39)
+    @example(p=0.999, scales=[0.0] * 105, large=1.0, at=105)
+    def test_one_rule_equals_two_stages(self, p, scales, large, at):
+        # cyclic scales with one large scale; the last example's ratio
+        # overflows, and both rules refuse it
+        scales = (*scales[:at], large, *scales[at:])
+        spec = RandomSumSpec(GeometricIndex(p), Summands(RAD, scales))
+        k = two_stage_truncation(spec)
+        if k is None:
+            with pytest.raises(TruncationError, match="leaves no k"):
+                m_distribution(spec)
+        else:
+            assert m_distribution(spec).pmf.shape[0] == k
+
+    def test_readme_example(self):
+        # 39 ones and a last 1e10 at p = 0.9: M's tail grows k from N's 24
+        spec = RandomSumSpec(GeometricIndex(0.9),
+                             Summands(RAD, (1.0,) * 39 + (1e10,)))
+        assert spec.index.truncation_for(1e-24) == 24
+        assert m_distribution(spec).pmf.shape[0] == 30 \
+            == two_stage_truncation(spec)
 
 
 class TestIndexGap:
@@ -357,15 +417,14 @@ class TestIndependentGapBits:
 
     @given(k=st.integers(min_value=1, max_value=3000),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-           zeros=st.sampled_from([0.0, 0.5, 0.95]),
-           atom=st.sampled_from([None, "pn", "pm"]))
-    def test_equals_fftconvolve_bit_for_bit(self, k, seed, zeros, atom):
-        # equal lengths, as the bounds pass them, or one input of length 1,
-        # where fftconvolve multiplies instead of transforming (an FFT there
-        # moves the gap by an ulp in about 2 of 5 draws)
+           zeros=st.sampled_from([0.0, 0.5, 0.95]))
+    @example(k=1, seed=0, zeros=0.0)
+    def test_equals_fftconvolve_bit_for_bit(self, k, seed, zeros):
+        # two inputs of one length k, as the bounds pass them; at k = 1 the
+        # length-1 transforms give fftconvolve's plain product
         rng = np.random.default_rng(seed)
-        pn = rng.random(1 if atom == "pn" else k)
-        pm = rng.random(1 if atom == "pm" else k)
+        pn = rng.random(k)
+        pm = rng.random(k)
         pn[rng.random(pn.shape[0]) < zeros] = 0.0
         pm[rng.random(pm.shape[0]) < zeros] = 0.0
         assert _independent_sqrt_gap(pn, pm) == fftconvolve_gap(pn, pm)
@@ -724,7 +783,7 @@ class TestBoundMemory:
         # ulp, yet M has N's law: the M-pmf stands for N's, and the gap
         # allocates what the double sum of the M-pmf with itself does
         spec = RandomSumSpec(GeometricIndex(1.1e-4), Summands(RAD))
-        assert Summands(RAD).residue_moments()[0][0] / spec.sigma2_total \
+        assert Summands(RAD).residue_moments[0][0] / spec.sigma2_total \
             != 1.1e-4
         md = m_distribution(spec)
         _, peak = traced_peak(expected_sqrt_index_gap, spec, md,
