@@ -54,6 +54,16 @@ from .transforms import SourceDistribution
 
 _TAIL_TOL = 1e-10
 _GAP_TAIL = 1e-24
+_DRAW_BLOCK = 1 << 18  # 2 MiB of float64 draws
+_FILL_BLOCK = 1 << 14  # exponents per np.power call of a survival slice
+
+
+def _parts(total: int) -> int:
+    """The number of parts an elementwise pass over ``total`` values is
+    split into on the package pool: at most one per CPU, and, when there
+    are several, each at least ``_DRAW_BLOCK`` values.  One on a single
+    CPU, on a pool thread, or below 2 ``_DRAW_BLOCK`` values."""
+    return max(1, min(seeding._parallelism(), total // _DRAW_BLOCK))
 
 
 def _check_fits(k: float, where: str) -> None:
@@ -89,9 +99,24 @@ class GeometricIndex:
         return 1.0 / self.p
 
     def survival_atoms(self, k: int) -> np.ndarray:
-        """P{N >= m} = (1-p)^(m-1), m = 1..k, on a float exponent."""
-        out = np.arange(k, dtype=float)
-        np.power(1.0 - self.p, out, out=out)
+        """P{N >= m} = (1-p)^(m-1), m = 1..k, on a float exponent.
+
+        Each atom is np.power(1-p, m-1.0) computed alone, so its bits do not
+        depend on how the atoms are split: one contiguous slice per part
+        (``_parts``) is filled through ``seeding.run_all``, a block of
+        ``_FILL_BLOCK`` exponents at a time.
+        """
+        out = np.empty(k)
+        q, parts = 1.0 - self.p, _parts(k)
+        cuts = [s * k // parts for s in range(parts + 1)]
+
+        def fill(i, j):
+            for a in range(i, j, _FILL_BLOCK):
+                b = min(j, a + _FILL_BLOCK)
+                np.power(q, np.arange(a, b, dtype=float), out=out[a:b])
+
+        seeding.run_all(partial(fill, i, j)
+                        for i, j in zip(cuts[:-1], cuts[1:]))
         return out
 
     def pmf_atoms(self, k: int) -> np.ndarray:
@@ -209,12 +234,15 @@ class RandomSumSpec:
     unusable variance fails before any truncation: OverflowError when it
     is not a finite float, FloatingPointError when it underflows to 0
     although an atom N reaches has a positive scale, and ValueError when no
-    such atom has one.
+    such atom has one.  ``m_distribution`` keeps M's law on the spec, built
+    at its first call, so it lives as long as the spec and no longer.
     """
 
     index: Index
     summands: Summands
     sigma2_total: float = field(init=False, repr=False)
+    _m_law: MDistribution | None = field(init=False, repr=False,
+                                         default=None)
 
     def __post_init__(self):
         sm, index = self.summands, self.index
@@ -279,7 +307,11 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     sigma^2) (1-p)^k / p, at most 1e-10: the truncation for the smaller target.
 
     The pmf is the survival weighted in place, the one k-length array built.
+    It is built at the first call for a spec and held by the spec, so every
+    bound on one spec reads the same law, and the law dies with the spec.
     """
+    if spec._m_law is not None:
+        return spec._m_law
     sigma2, index = spec.sigma2_total, spec.index
     if isinstance(index, ExplicitIndex):
         k, tail = len(index.probs), 0.0
@@ -295,7 +327,9 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     pmf = index.survival_atoms(k)
     for r, w in enumerate(weight):  # the survival weighted in place
         pmf[r::weight.shape[0]] *= w
-    return MDistribution(pmf=pmf, tail_bound=float(tail))
+    object.__setattr__(spec, "_m_law",
+                       MDistribution(pmf=pmf, tail_bound=float(tail)))
+    return spec._m_law
 
 
 def _comonotone_sqrt_gap(pn: np.ndarray, pm: np.ndarray) -> float:
@@ -516,9 +550,6 @@ def general_sum_bound(spec: RandomSumSpec,
     })
 
 
-_DRAW_BLOCK = 1 << 18  # 2 MiB of float64 draws
-
-
 def _sum_rows(rng, sampler, ends: np.ndarray, out: np.ndarray, start: int,
               stop: int) -> None:
     """Row sums of rows start..stop-1 into ``out``, drawn from ``rng`` in
@@ -559,7 +590,7 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     rows = counts.shape[0]
     total = int(ends[-1]) if rows else 0
-    parts = max(1, min(seeding._parallelism(), total // _DRAW_BLOCK))
+    parts = _parts(total)
     # part k: the rows whose draws end after k/parts of the total and by
     # (k+1)/parts of it; a row longer than a part leaves a later one empty
     cuts = [0] + [int(np.searchsorted(ends, k * total // parts, side="right"))

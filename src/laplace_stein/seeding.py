@@ -6,11 +6,13 @@ reproducible across runs and across parallelism levels.  String tags are
 crc32-hashed (builtin hash() is salted per process and would not be stable).
 
 Work on independent substreams may run on the package's one thread pool,
-one thread per CPU this process may use; its results are put together in a
-fixed order, so they never depend on the number of threads.  Work started
-from a pool thread runs on that thread alone (``_parallelism`` is 1 there),
-so no task on the pool ever waits for another.  Under glibc the pool's
-threads allocate from the main thread's heap (``_one_heap``).
+one thread per CPU this process may use, and so may the contiguous slices
+of one elementwise pass (a geometric survival, each atom computed alone);
+results are put together in a fixed order, so they never depend on the
+number of threads.  Work started from a pool thread runs on that thread
+alone (``_parallelism`` is 1 there), so no task on the pool ever waits for
+another.  Under glibc the pool's threads allocate from the main thread's
+heap (``_one_heap``).
 """
 
 from __future__ import annotations

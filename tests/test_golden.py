@@ -253,6 +253,22 @@ def test_exact_sweep_same_bytes_on_one_cpu(source, tmp_path):
     assert pinned_digest(argv, tmp_path) == digest
 
 
+# {name: (argv, SHA-256)}: the benchmark's two bounds reports and the
+# cyclic comonotone one, whose survivals bounds fills one slice per CPU
+BOUNDS_CASES = {key: (key.split(), digest)
+                for key, digest in BENCHMARK_OPS.items()
+                if key.startswith("bounds")}
+BOUNDS_CASES["bounds-cyclic-comonotone"] = GOLDEN["bounds-cyclic-comonotone"]
+
+
+@needs_affinity
+@pytest.mark.parametrize("name", sorted(BOUNDS_CASES))
+def test_bounds_same_bytes_on_one_cpu(name, tmp_path):
+    # a child pinned to one CPU fills every slice in turn on its one thread
+    argv, digest = BOUNDS_CASES[name]
+    assert pinned_digest(argv, tmp_path) == digest
+
+
 ONE_BLAS_THREAD_CHILD = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
@@ -275,15 +291,14 @@ def test_bounds_bytes_at_one_blas_thread():
     # a BLAS dot splits a long sum across its threads, so its last bits
     # depend on how many there are; the bound layer's means are np.sum's
     # pairwise sums, the same at any BLAS thread count
-    keys = [key for key in sorted(BENCHMARK_OPS) if key.startswith("bounds")]
-    assert len(keys) == 2
-    argv, digest = GOLDEN["bounds-cyclic-comonotone"]
-    cases = [key.split() for key in keys] + [argv]
+    assert len(BOUNDS_CASES) == 3
+    cases = [BOUNDS_CASES[name] for name in sorted(BOUNDS_CASES)]
     done = subprocess.run(
-        [sys.executable, "-c", ONE_BLAS_THREAD_CHILD, json.dumps(cases)],
+        [sys.executable, "-c", ONE_BLAS_THREAD_CHILD,
+         json.dumps([argv for argv, _ in cases])],
         env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
         timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     digests, mean, want = json.loads(done.stdout)
-    assert digests == [BENCHMARK_OPS[key] for key in keys] + [digest]
+    assert digests == [digest for _, digest in cases]
     assert mean == want

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import sys
 import tracemalloc
+import weakref
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -10,7 +11,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import (HealthCheck, example, given, reject, settings,
+                        strategies as st)
 
 from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
@@ -30,7 +32,8 @@ from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
                                        random_sum_sample, recompute_bound)
 from laplace_stein.seeding import substream
 from laplace_stein.stein import dense_bl_family
-from laplace_stein import metrics, random_sums, seeding, transforms as tr
+from laplace_stein import (cli, metrics, random_sums, seeding,
+                           transforms as tr)
 from lattice_oracle import exact_kolmogorov, exact_pmf, sample_kolmogorov
 
 SQRT2 = math.sqrt(2.0)
@@ -110,6 +113,54 @@ class TestIndexes:
         assert idx.mean == 4.0
         assert np.array_equal(idx.pmf_atoms(4), [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(idx.survival_atoms(4), [1.0, 1.0, 1.0, 1.0])
+
+
+class TestSurvivalSlices:
+    """A geometric survival is filled one contiguous slice per part, on the
+    pool when there are several, and has the bits of one np.power over the
+    whole exponent range however it is split: on the pool, on one CPU, and
+    from a pool thread, where it runs on that thread alone."""
+
+    BLOCK = random_sums._DRAW_BLOCK
+    # (k, parts on three CPUs): just below two slices' least size, at it,
+    # and well above it, odd
+    SIZES = ((2 * BLOCK - 1, 1), (2 * BLOCK, 2), (3 * BLOCK + 12345, 3))
+
+    @pytest.mark.parametrize("where", ["pool", "one CPU", "pool thread"])
+    @settings(max_examples=8, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(p=st.floats(min_value=1e-7, max_value=1.0))
+    @example(p=1.0)
+    @example(p=1e-7)
+    def test_bits_of_one_power(self, where, p, workers):
+        workers(1 if where == "one CPU" else 3)
+        index = GeometricIndex(p)
+        for k, parts in self.SIZES:
+            want = np.power(1 - p, np.arange(k, dtype=float))
+            if where == "pool thread":
+                run = seeding._pool().submit
+                assert run(random_sums._parts, k).result(60) == 1
+                got = run(index.survival_atoms, k).result(60)
+            else:
+                assert random_sums._parts(k) == (
+                    1 if where == "one CPU" else parts)
+                got = index.survival_atoms(k)
+            assert got.tobytes() == want.tobytes()
+
+    def test_more_threads_than_cores(self, workers):
+        # eight slices on eight threads, switching every microsecond: a
+        # slice written to the wrong place shows
+        workers(8)
+        k = 8 * self.BLOCK + 3
+        want = np.power(0.999, np.arange(k, dtype=float))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = GeometricIndex(0.001).survival_atoms(k)
+        finally:
+            sys.setswitchinterval(interval)
+        assert random_sums._parts(k) == 8
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSummands:
@@ -213,6 +264,50 @@ class TestMDistribution:
         assert md.pmf.shape[0] == 4 and md.tail_bound == 0.0
         # the gap's N atoms: a view, not a copy
         assert spec.index.pmf_atoms(4).base is spec.index.probs
+
+
+class TestMLawOnSpec:
+    """m_distribution builds M's law at its first call for a spec, the
+    spec holds it, and it dies with the spec."""
+
+    def test_one_law_per_spec(self):
+        summands = Summands(RAD, (1.0, 2.0))
+        spec = RandomSumSpec(GeometricIndex(0.01), summands)
+        law = m_distribution(spec)
+        assert m_distribution(spec) is law
+        fresh = m_distribution(RandomSumSpec(GeometricIndex(0.01), summands))
+        assert fresh is not law
+        assert fresh.pmf.tobytes() == law.pmf.tobytes()
+
+    def test_law_dies_with_its_spec(self):
+        spec = RandomSumSpec(GeometricIndex(0.01), Summands(RAD))
+        law = weakref.ref(m_distribution(spec))
+        assert law() is not None
+        del spec
+        assert law() is None
+
+    @pytest.mark.parametrize("scales", [(1.0,), (1.0, 2.0)],
+                             ids=["iid", "cyclic"])
+    def test_second_bound_builds_no_law(self, scales):
+        # the second bound reads the law the first one built: what it
+        # allocates is a few blocks of 2**16 values (about 1 MB), not a
+        # k-float array (44 MB at p = 1e-5)
+        spec = RandomSumSpec(GeometricIndex(1e-5), Summands(RAD, scales))
+        first = iid_sum_bound if len(scales) == 1 else general_sum_bound
+        first(spec)
+        k = m_distribution(spec).pmf.shape[0]
+        _, peak = traced_peak(general_sum_bound, spec, "comonotone")
+        assert peak < 0.1 * 8 * k
+
+    def test_bounds_command_holds_one_law(self, tmp_path):
+        # two reports at one p: each p's law is built once and freed with
+        # its spec before the next p's is built
+        k = GeometricIndex(1e-4).truncation_for(1e-24)
+        argv = ["bounds", "--source", "rademacher", "--c", str(SQRT2),
+                "--p", "1e-4,1e-4", "--out", str(tmp_path / "report.json")]
+        status, peak = traced_peak(cli.main, argv)
+        assert status == 0
+        assert peak <= 1.2 * 8 * k
 
 
 def two_stage_truncation(spec):
