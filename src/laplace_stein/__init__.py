@@ -4,10 +4,10 @@ from .laplace import LaplaceParams, cdf, char_fn, moment, pdf, quantile, sample
 from .metrics import (DistanceEstimate, EmpiricalSample, bl_lower_bound,
                       dkw_band, kolmogorov_empirical, kolmogorov_from_bl,
                       wasserstein_empirical, within_four_se)
-from .random_sums import (BoundReport, ExplicitIndex, GeometricIndex,
+from .random_sums import (BoundReport, FixedIndex, GeometricIndex,
                           MDistribution, RandomSumSpec, Summands,
                           convergence_sweep, expected_sqrt_index_gap,
-                          fixed_index, general_sum_bound, geometric_sum_bound,
+                          general_sum_bound, geometric_sum_bound,
                           iid_sum_bound, m_distribution, random_sum_sample,
                           recompute_bound)
 from .stein import (BoundCertificate, SteinSolution, TestFunction,

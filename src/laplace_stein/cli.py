@@ -40,8 +40,8 @@ import numpy as np
 
 from .laplace import LaplaceParams
 from .metrics import EmpiricalSample, kolmogorov_empirical, within_four_se
-from .random_sums import (GeometricIndex, RandomSumSpec, Summands,
-                          convergence_sweep, fixed_index, general_sum_bound,
+from .random_sums import (FixedIndex, GeometricIndex, RandomSumSpec,
+                          Summands, convergence_sweep, general_sum_bound,
                           geometric_sum_bound, iid_sum_bound)
 from .seeding import derive_seed, run_all, substream
 from .stein import certify_bounds, residual, solve, standard_grid, stein_family
@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cyclic per-index scale factors")
     p.add_argument("--coupling", choices=("comonotone", "independent"),
                    default="comonotone",
-                   help="index coupling for the gap term")
+                   help="index coupling for the gap term; it matters only "
+                   "with --p, since a fixed index gives one gap under both")
     return parser
 
 
@@ -388,7 +389,7 @@ def cmd_bounds(args):
     fixed = args.k is not None
     reports = []
     for p in (None,) if fixed else args.p:
-        index = fixed_index(args.k) if fixed else GeometricIndex(p)
+        index = FixedIndex(args.k) if fixed else GeometricIndex(p)
         spec = RandomSumSpec(index, Summands(src, args.scales))
         entry = {"index": "fixed" if fixed else "geometric", "p": p,
                  "k": args.k, "scales": list(args.scales),

@@ -4,6 +4,9 @@ A random sum S = X_1 + ... + X_N (N-valued index N independent of the
 summands) scaled by 1/sqrt(E[N]) is approximately Laplace(0, sigma/sqrt(2 mu))
 when the summands are mean zero and sign balanced.  The machinery here:
 
+* two index laws, the ones ``bounds`` builds: ``GeometricIndex(p)`` and
+  ``FixedIndex(k)``, N = k, one atom held as the integer alone.
+
 * ``m_distribution`` builds the auxiliary index M with
   P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, the survival-reweighted law
   under which swapping the M-th summand for its equilibrium transform turns
@@ -139,48 +142,31 @@ class GeometricIndex:
         return max(1, math.ceil(k))
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitIndex:
-    """N with an explicit pmf over {1, ..., len(probs)}, held as one
-    read-only float array with its mean."""
+@dataclass(frozen=True)
+class FixedIndex:
+    """N identically equal to k: one atom, held as the integer alone."""
 
-    probs: np.ndarray
-    mean: float = field(init=False)
+    k: int
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        # a NaN entry fails arr >= 0, and an infinite one the sum
-        if arr.ndim != 1 or arr.size == 0 or not np.all(arr >= 0):
-            raise ValueError("pmf must be a nonempty nonnegative vector")
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise ValueError("pmf must sum to 1 within 1e-12")
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "mean", _support_mean(arr))
+        if self.k < 1:
+            raise ValueError("index value must be at least 1")
+        _check_fits(self.k, f"fixed index {self.k}")
 
-    def survival_atoms(self, k: int) -> np.ndarray:
-        """P{N >= m}, m = 1..min(k, len(probs)): N has no atom beyond."""
-        return np.cumsum(self.probs[::-1])[::-1][:k].copy()
+    @property
+    def mean(self) -> float:
+        return float(self.k)
 
-    def pmf_atoms(self, k: int) -> np.ndarray:
-        """P{N = m}, m = 1..min(k, len(probs)): a read-only view."""
-        return self.probs[:k]
+    def survival_atoms(self, j: int) -> np.ndarray:
+        """P{N >= m} = 1, m = 1..min(j, k): N has no atom beyond k."""
+        return np.ones(min(j, self.k))
 
-    def tail(self, k: int) -> float:
-        return 0.0 if k >= len(self.probs) else float(sum(self.probs[k:]))
+    def tail(self, j: int) -> float:
+        """P{N > j}."""
+        return 0.0 if j >= self.k else 1.0
 
 
-def fixed_index(k: int) -> ExplicitIndex:
-    """N identically equal to k."""
-    if k < 1:
-        raise ValueError("index value must be at least 1")
-    _check_fits(k, f"fixed index {k}")
-    probs = np.zeros(k)
-    probs[-1] = 1.0
-    return ExplicitIndex(probs)
-
-
-Index = Union[GeometricIndex, ExplicitIndex]
+Index = Union[GeometricIndex, FixedIndex]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +232,17 @@ class RandomSumSpec:
 
     def __post_init__(self):
         sm, index = self.summands, self.index
-        sigma2 = sm.residue_moments[0]
-        # all atoms of an explicit index (tail 0.0); one period of a
-        # geometric one, summed as a geometric series
-        k = len(sm.scales) if isinstance(index, GeometricIndex) \
-            else len(index.probs)
+        sigma2, period = sm.residue_moments[0], len(sm.scales)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if sm.is_iid:
                 total = sigma2[0] * index.mean
-            else:
-                total = float(np.sum(index.survival_atoms(k)
-                                     * _over_atoms(0, k, sigma2)[0])
-                              / (1.0 - index.tail(k)))
+            elif isinstance(index, GeometricIndex):
+                # one period, summed as a geometric series
+                total = float(np.sum(index.survival_atoms(period) * sigma2)
+                              / (1.0 - index.tail(period)))
+            else:  # every atom of a fixed index survives
+                total = metrics._tree_sum(
+                    index.k, lambda i, j: _over_atoms(i, j, sigma2)[0])
         if math.isfinite(total) and total > 0.0:
             object.__setattr__(self, "sigma2_total", total)
             return
@@ -265,8 +250,9 @@ class RandomSumSpec:
         if total != 0.0:
             raise OverflowError(
                 f"total variance sigma^2 is {total} at scales {named}")
-        if not np.any((index.survival_atoms(k) > 0.0)
-                      & (_over_atoms(0, k, np.asarray(sm.scales))[0] > 0.0)):
+        survival = index.survival_atoms(period)  # the residues N reaches
+        if not np.any((survival > 0.0)
+                      & (np.asarray(sm.scales[:survival.shape[0]]) > 0.0)):
             raise ValueError("total variance must be positive")
         raise FloatingPointError(
             f"total variance sigma^2 underflows to 0 at scales {named}")
@@ -301,10 +287,10 @@ def _over_atoms(i: int, j: int, *tables) -> tuple:
 
 
 def m_distribution(spec: RandomSumSpec) -> MDistribution:
-    """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..k.  k is an
-    explicit index's whole support (tail 0.0), or a geometric one's least k
-    with N's tail at most 1e-24 and M's certified tail, (sup_i sigma_i^2 /
-    sigma^2) (1-p)^k / p, at most 1e-10: the truncation for the smaller target.
+    """P{M = m} = (sigma_m^2 / sigma^2) P{N >= m}, m = 1..k.  k is a fixed
+    index's value (tail 0.0), or a geometric one's least k with N's tail
+    at most 1e-24 and M's certified tail, (sup_i sigma_i^2 / sigma^2)
+    (1-p)^k / p, at most 1e-10: the truncation for the smaller target.
 
     The pmf is the survival weighted in place, the one k-length array built.
     It is built at the first call for a spec and held by the spec, so every
@@ -313,8 +299,8 @@ def m_distribution(spec: RandomSumSpec) -> MDistribution:
     if spec._m_law is not None:
         return spec._m_law
     sigma2, index = spec.sigma2_total, spec.index
-    if isinstance(index, ExplicitIndex):
-        k, tail = len(index.probs), 0.0
+    if isinstance(index, FixedIndex):
+        k, tail = index.k, 0.0
     else:
         ratio = spec.summands.sup_sigma ** 2 / sigma2
         target = min(_GAP_TAIL, _TAIL_TOL * index.p / ratio)
@@ -391,39 +377,44 @@ def expected_sqrt_index_gap(spec: RandomSumSpec, m_dist: MDistribution,
                             coupling: str = "comonotone") -> tuple:
     """(E|N - M|^(1/2), additive slack).
 
-    Comonotone on a geometric index with L cyclic scales, P{N = m} =
-    p q^(m-1) and P{M = m} = w_r q^(m-1) put mass 1 - q^L on the first L
-    atoms and then repeat scaled by q^L, and so do their quantiles, shifted
-    by L: the gap is the merge of the first min(k, L) atoms over 1 - q^L =
-    -expm1(L log1p(-p)).  An explicit index is the same merge over all its
-    atoms and mass 1; the independent coupling is the exact double sum over
-    the truncated supports.  N's atoms come from the index, only those the
-    gap reads; on a geometric index with i.i.d. summands M has N's law, and
-    the M-pmf stands for both.
+    A fixed index N = k is a constant, so every coupling of N and M is the
+    product one, and both give sum_m P{M = m} sqrt(k - m), summed by
+    ``metrics._tree_sum``.  Comonotone on a geometric index with L cyclic
+    scales, P{N = m} = p q^(m-1) and P{M = m} = w_r q^(m-1) put mass
+    1 - q^L on the first L atoms and then repeat scaled by q^L, and so do
+    their quantiles, shifted by L: the gap is the merge of the first
+    min(k, L) atoms over 1 - q^L = -expm1(L log1p(-p)).  The independent
+    coupling on a geometric index is the exact double sum over the
+    truncated supports.  N's atoms come from the index, only those the gap
+    reads; with i.i.d. summands M has N's law, and the M-pmf stands for
+    both.
 
     The slack keeps the result a certified upper bound: the mass beyond the
     truncation k is covered via Cauchy-Schwarz (E[sqrt|N-M|; tail] <=
     (sqrt(E N) + sqrt(E M)) sqrt(P{tail}), the tail masses analytic), and
     cumulative-sum rounding, at most k*eps per quantile break, by
-    k*eps*sqrt(2k).  It over-covers the periodic gap, which is truncated
-    only when L > k and sums L atoms, not k.
+    k*eps*sqrt(2k).  That term also covers a fixed index's direct sum,
+    whose rounding is at most gamma_k sqrt(k), and it over-covers the
+    periodic gap, which is truncated only when L > k and sums L atoms.
     """
+    if coupling not in ("comonotone", "independent"):
+        raise ValueError(f"unknown coupling rule {coupling!r}")
     pm, index = m_dist.pmf, spec.index
     k = pm.shape[0]
-    geometric = isinstance(index, GeometricIndex)
-    same_law = geometric and spec.summands.is_iid
-    if coupling == "comonotone":
-        atoms, mass, period = k, 1.0, len(spec.summands.scales)
-        if geometric and index.p < 1.0:
-            atoms = min(k, period)
+    if isinstance(index, FixedIndex):
+        gap = metrics._tree_sum(k, lambda i, j: pm[i:j] * np.sqrt(
+            k - 1.0 - np.arange(i, j, dtype=float)))
+    elif coupling == "comonotone":
+        period = len(spec.summands.scales)
+        atoms, mass = min(k, period), 1.0  # at p = 1, k = 1
+        if index.p < 1.0:
             mass = -math.expm1(period * math.log1p(-index.p))
-        pn = pm[:atoms] if same_law else index.pmf_atoms(atoms)
+        pn = pm[:atoms] if spec.summands.is_iid \
+            else index.pmf_atoms(atoms)
         gap = _comonotone_sqrt_gap(pn, pm[:atoms]) / mass
-    elif coupling == "independent":
-        gap = _independent_sqrt_gap(pm if same_law else index.pmf_atoms(k),
-                                    pm)
     else:
-        raise ValueError(f"unknown coupling rule {coupling!r}")
+        gap = _independent_sqrt_gap(
+            pm if spec.summands.is_iid else index.pmf_atoms(k), pm)
     slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)
     slack += (math.sqrt(spec.index.mean) + math.sqrt(m_dist.mean + 1.0)) \
         * math.sqrt(spec.index.tail(k) + m_dist.tail_bound)
@@ -517,8 +508,8 @@ def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
 
     def ratios(i, j):
         var, third = _over_atoms(i, j, sigma2, abs_third)
-        return np.divide(pmf[i:j] * third, var, out=np.zeros(j - i),
-                         where=var > 0)
+        prod = pmf[i:j] * third  # 0.0 where var is 0: no M-mass there
+        return np.divide(prod, var, out=prod, where=var > 0)
 
     k = pmf.shape[0]
     return (metrics._tree_sum(k, abs_means),

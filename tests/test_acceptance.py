@@ -13,9 +13,9 @@ import pytest
 
 from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import EmpiricalSample, kolmogorov_empirical
-from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
-                                       Summands, convergence_sweep,
-                                       m_distribution, fixed_index)
+from laplace_stein.random_sums import (FixedIndex, GeometricIndex,
+                                       RandomSumSpec, Summands,
+                                       convergence_sweep, m_distribution)
 from laplace_stein.stein import (certify_bounds, cos_fn, residual, sin_fn,
                                  solve, standard_grid, stein_family)
 from laplace_stein import transforms as tr
@@ -188,7 +188,7 @@ def test_criterion_09_index_reweighting():
         md = m_distribution(spec)
         pn = spec.index.pmf_atoms(md.pmf.shape[0])
         worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(md.pmf - pn))))
-    spec = RandomSumSpec(fixed_index(7), Summands(tr.rademacher(SQRT2)))
+    spec = RandomSumSpec(FixedIndex(7), Summands(tr.rademacher(SQRT2)))
     uniform_exact = np.array_equal(m_distribution(spec).pmf,
                                    np.full(7, 1.0 / 7.0))
     ok = worst_tv <= 1e-12 and uniform_exact

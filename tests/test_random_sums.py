@@ -19,14 +19,14 @@ from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
                                    dkw_band, kolmogorov_empirical,
                                    kolmogorov_from_bl, wasserstein_empirical)
-from laplace_stein.random_sums import (ExplicitIndex, GeometricIndex,
+from laplace_stein.random_sums import (FixedIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
                                        _chunked_sums,
                                        _comonotone_sqrt_gap,
                                        _independent_sqrt_gap,
                                        _moments_under_m,
                                        _next_fast_len, convergence_sweep,
-                                       expected_sqrt_index_gap, fixed_index,
+                                       expected_sqrt_index_gap,
                                        general_sum_bound, geometric_sum_bound,
                                        iid_sum_bound, m_distribution,
                                        random_sum_sample, recompute_bound)
@@ -41,19 +41,11 @@ RAD = tr.rademacher(SQRT2)
 
 
 def atom_survival(index, m):
-    """P{N >= m} at each atom of the index array m (within an explicit
-    index's support): the reference for ``survival_atoms``."""
+    """P{N >= m} at each atom of the index array m (within a fixed index's
+    support): the reference for ``survival_atoms``."""
     if isinstance(index, GeometricIndex):
         return (1.0 - index.p) ** (m - 1)
-    return np.cumsum(index.probs[::-1])[::-1][m - 1]
-
-
-def atom_pmf(index, m):
-    """P{N = m} at each atom of the index array m: the reference for
-    ``pmf_atoms``."""
-    if isinstance(index, GeometricIndex):
-        return index.p * atom_survival(index, m)
-    return np.asarray(index.probs)[m - 1]
+    return np.ones(m.shape[0])
 
 
 def atom_moments(summands, m):
@@ -81,38 +73,18 @@ class TestIndexes:
         assert np.allclose(idx.survival_atoms(5), 0.75 ** (m - 1), rtol=1e-15)
         assert idx.tail(10) == 0.75 ** 10
 
-    def test_explicit_validation(self):
-        with pytest.raises(ValueError):
-            ExplicitIndex(probs=(0.5, 0.6))
-        with pytest.raises(ValueError):
-            ExplicitIndex(probs=(0.5, -0.5, 1.0))
-        # NaN is neither negative nor caught by a sum test against 1
-        for bad in [(0.5, math.nan, 0.5), (math.nan,), (math.inf,),
-                    (0.5, math.inf, 0.5)]:
-            with pytest.raises(ValueError):
-                ExplicitIndex(probs=bad)
-        idx = ExplicitIndex(probs=(0.25, 0.75))
-        assert idx.mean == 1.75
-        assert np.array_equal(idx.survival_atoms(2), [1.0, 0.75])
-        # atoms past the support do not exist
-        assert np.array_equal(idx.survival_atoms(3), [1.0, 0.75])
-        assert np.array_equal(idx.pmf_atoms(1), [0.25])
-
-    def test_explicit_pmf_is_one_read_only_array(self):
-        given_pmf = np.array([0.25, 0.75])
-        idx = ExplicitIndex(given_pmf)
-        assert idx.probs.dtype == float and idx.probs is not given_pmf
-        with pytest.raises(ValueError):
-            idx.probs[0] = 0.5
-        given_pmf[0] = 0.5  # the index holds its own copy
-        assert idx.probs[0] == 0.25 and idx.mean == 1.75
-        assert not fixed_index(3).probs.flags.writeable
-
     def test_fixed_index(self):
-        idx = fixed_index(4)
+        # the integer alone; every atom up to k survives, none beyond it
+        idx = FixedIndex(4)
+        assert [f.name for f in dataclasses.fields(idx)] == ["k"]
         assert idx.mean == 4.0
-        assert np.array_equal(idx.pmf_atoms(4), [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(idx.survival_atoms(4), [1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(idx.survival_atoms(9), [1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(idx.survival_atoms(2), [1.0, 1.0])
+        assert idx.tail(4) == idx.tail(9) == 0.0 and idx.tail(3) == 1.0
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                FixedIndex(bad)
 
 
 class TestSurvivalSlices:
@@ -207,8 +179,8 @@ class TestSummands:
         m = np.arange(1, 400)
         series = float(np.sum(0.7 ** (m - 1) * atom_moments(sm, m)[0]))
         assert spec.sigma2_total == pytest.approx(series, rel=1e-13)
-        # explicit index, exact finite sum
-        spec = RandomSumSpec(fixed_index(2), sm)
+        # fixed index, exact finite sum
+        spec = RandomSumSpec(FixedIndex(2), sm)
         assert spec.sigma2_total == pytest.approx(1.0 + 4.0, rel=1e-14)
 
 
@@ -221,13 +193,13 @@ class TestMDistribution:
         assert 0.5 * np.sum(np.abs(md.pmf - pn)) <= 1e-12
 
     def test_deterministic_index_gives_uniform(self):
-        spec = RandomSumSpec(fixed_index(7), Summands(RAD))
+        spec = RandomSumSpec(FixedIndex(7), Summands(RAD))
         md = m_distribution(spec)
         assert np.array_equal(md.pmf, np.full(7, 1.0 / 7.0))
         assert md.tail_bound == 0.0
 
     def test_zero_variance_atom_has_zero_mass(self):
-        spec = RandomSumSpec(fixed_index(2),
+        spec = RandomSumSpec(FixedIndex(2),
                              Summands(tr.rademacher(1.0), scales=(1.0, 0.0)))
         md = m_distribution(spec)
         assert md.pmf[1] == 0.0 and md.pmf[0] == 1.0
@@ -242,14 +214,14 @@ class TestMDistribution:
         assert abs(float(md.pmf.sum()) + md.tail_bound - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("index", [
-        GeometricIndex(1e-4), GeometricIndex(0.123),
-        ExplicitIndex((0.2, 0.0, 0.8))], ids=["p1e-4", "p0.123", "explicit"])
+        GeometricIndex(1e-4), GeometricIndex(0.123), FixedIndex(3)],
+        ids=["p1e-4", "p0.123", "fixed"])
     def test_builds_no_index_pmf(self, index, monkeypatch):
         # M's law alone, read-only; the gap takes N's atoms from the index
         def refused(self, k):
             raise AssertionError("m_distribution built N's pmf")
 
-        monkeypatch.setattr(type(index), "pmf_atoms", refused)
+        monkeypatch.setattr(type(index), "pmf_atoms", refused, raising=False)
         md = m_distribution(RandomSumSpec(index, Summands(RAD, (1.0, 2.0))))
         assert [f.name for f in dataclasses.fields(md)] \
             == ["pmf", "tail_bound", "mean"]
@@ -257,13 +229,14 @@ class TestMDistribution:
         with pytest.raises(ValueError):
             md.pmf[0] = 0.0
 
-    def test_explicit_index_takes_its_whole_support(self):
-        spec = RandomSumSpec(ExplicitIndex((0.2, 0.0, 0.8, 0.0)),
-                             Summands(RAD, (1.0, 2.0)))
+    def test_fixed_index_takes_its_whole_support(self):
+        # k atoms, tail 0.0, each atom's mass its variance over sigma^2
+        spec = RandomSumSpec(FixedIndex(4),
+                             Summands(tr.rademacher(1.0), (1.0, 2.0)))
         md = m_distribution(spec)
         assert md.pmf.shape[0] == 4 and md.tail_bound == 0.0
-        # the gap's N atoms: a view, not a copy
-        assert spec.index.pmf_atoms(4).base is spec.index.probs
+        assert spec.sigma2_total == 10.0
+        assert np.array_equal(md.pmf, [0.1, 0.4, 0.1, 0.4])
 
 
 class TestMLawOnSpec:
@@ -286,18 +259,22 @@ class TestMLawOnSpec:
         del spec
         assert law() is None
 
-    @pytest.mark.parametrize("scales", [(1.0,), (1.0, 2.0)],
+    @pytest.mark.parametrize("scales, floats", [((1.0,), 0.1),
+                                                ((1.0, 2.0), 0.25)],
                              ids=["iid", "cyclic"])
-    def test_second_bound_builds_no_law(self, scales):
+    def test_second_bound_builds_no_law(self, scales, floats):
         # the second bound reads the law the first one built: what it
-        # allocates is a few blocks of 2**16 values (about 1 MB), not a
-        # k-float array (44 MB at p = 1e-5)
-        spec = RandomSumSpec(GeometricIndex(1e-5), Summands(RAD, scales))
+        # allocates is a few of ``metrics._tree_sum``'s leaf blocks, not a
+        # k-float array (4.4 MB at p = 1e-4).  A leaf holds k/16 atoms
+        # here: one block on i.i.d. summands, where the ratio is divided in
+        # place, and three on cyclic ones, which gather each residue table
+        # through an index array
+        spec = RandomSumSpec(GeometricIndex(1e-4), Summands(RAD, scales))
         first = iid_sum_bound if len(scales) == 1 else general_sum_bound
         first(spec)
         k = m_distribution(spec).pmf.shape[0]
         _, peak = traced_peak(general_sum_bound, spec, "comonotone")
-        assert peak < 0.1 * 8 * k
+        assert peak < floats * 8 * k
 
     def test_bounds_command_holds_one_law(self, tmp_path):
         # two reports at one p: each p's law is built once and freed with
@@ -395,7 +372,7 @@ class TestIndexGap:
 
     def test_deterministic_vs_uniform_oracle(self):
         k = 6
-        spec = RandomSumSpec(fixed_index(k), Summands(RAD))
+        spec = RandomSumSpec(FixedIndex(k), Summands(RAD))
         md = m_distribution(spec)
         gap, slack = expected_sqrt_index_gap(spec, md, "comonotone")
         oracle = sum(math.sqrt(k - m) for m in range(1, k + 1)) / k
@@ -414,21 +391,54 @@ class TestIndexGap:
         assert gap == pytest.approx(series, rel=1e-10)
 
     def test_independent_matches_brute_force_double_sum(self):
-        spec = RandomSumSpec(ExplicitIndex((0.2, 0.3, 0.5)),
+        # a geometric index at p = 0.5 with cyclic scales: k is about 80,
+        # small enough for the double sum over both truncated supports
+        spec = RandomSumSpec(GeometricIndex(0.5),
                              Summands(tr.rademacher(1.0), scales=(1.0, 2.0,
                                                                   0.5)))
         md = m_distribution(spec)
+        k = md.pmf.shape[0]
+        assert 70 <= k <= 100
         gap, _ = expected_sqrt_index_gap(spec, md, "independent")
-        pn = spec.index.pmf_atoms(3)
-        brute = sum(pn[i] * md.pmf[j] * math.sqrt(abs(i - j))
-                    for i in range(3) for j in range(3))
+        pn = spec.index.pmf_atoms(k)
+        brute = math.fsum(pn[i] * md.pmf[j] * math.sqrt(abs(i - j))
+                          for i in range(k) for j in range(k))
         assert gap == pytest.approx(brute, rel=1e-12)
 
     def test_unknown_coupling(self):
-        spec = RandomSumSpec(GeometricIndex(0.5), Summands(RAD))
-        md = m_distribution(spec)
-        with pytest.raises(ValueError):
-            expected_sqrt_index_gap(spec, md, "antithetic")
+        # refused on a fixed index too, whose gap reads no coupling
+        for index in (GeometricIndex(0.5), FixedIndex(3)):
+            spec = RandomSumSpec(index, Summands(RAD))
+            md = m_distribution(spec)
+            with pytest.raises(ValueError, match="unknown coupling"):
+                expected_sqrt_index_gap(spec, md, "antithetic")
+
+
+class TestFixedIndexGap:
+    """N = k is a constant, so every coupling of N and M is the product
+    one: both couplings give one sum, sum_m P{M = m} sqrt(k - m)."""
+
+    @given(k=st.integers(min_value=1, max_value=2000),
+           scales=st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.65])
+                           | st.floats(min_value=0.1, max_value=4.0),
+                           min_size=1, max_size=4).map(tuple),
+           source=st.sampled_from(tr.builtin_sources(1.0)))
+    @example(k=1, scales=(1.0,), source=RAD)
+    @example(k=2000, scales=(1.0, 0.0, 2.0), source=RAD)
+    def test_couplings_agree_within_slack_of_oracle(self, k, scales, source):
+        try:
+            spec = RandomSumSpec(FixedIndex(k), Summands(source, scales))
+        except ValueError:  # no atom N reaches has variance
+            reject()
+        reports = {coupling: general_sum_bound(spec, coupling).components
+                   for coupling in ("comonotone", "independent")}
+        gap = reports["comonotone"]["e_sqrt_gap"]
+        slack = reports["comonotone"]["gap_tail_slack"]
+        assert reports["independent"] == reports["comonotone"]
+        pmf = m_distribution(spec).pmf
+        oracle = math.fsum(pmf[m - 1] * math.sqrt(k - m)
+                           for m in range(1, k + 1))
+        assert abs(gap - oracle) <= slack
 
 
 def periodic_gap_oracle(p, scales):
@@ -586,15 +596,13 @@ class TestRecomputeProperty:
         rep = geometric_sum_bound(p, b, rho)
         assert recompute_bound(rep.kind, rep.components) == rep.value
 
-    @given(weights=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
-                            max_size=6).filter(any),
+    @given(index=st.integers(min_value=1, max_value=6).map(FixedIndex)
+           | st.just(GeometricIndex(0.5)),
            scales=st.lists(st.floats(min_value=0.25, max_value=4.0),
                            min_size=1, max_size=3),
            source=st.sampled_from(tr.builtin_sources(1.0)),
            coupling=st.sampled_from(("comonotone", "independent")))
-    def test_general_sum_round_trip(self, weights, scales, source, coupling):
-        total = sum(weights)
-        index = ExplicitIndex(tuple(w / total for w in weights))
+    def test_general_sum_round_trip(self, index, scales, source, coupling):
         spec = RandomSumSpec(index, Summands(source, tuple(scales)))
         rep = general_sum_bound(spec, coupling=coupling)
         assert recompute_bound(rep.kind, rep.components) == rep.value
@@ -613,7 +621,7 @@ class TestIidSumBound:
 
     def test_deterministic_index(self):
         k = 6
-        spec = RandomSumSpec(fixed_index(k), Summands(RAD))
+        spec = RandomSumSpec(FixedIndex(k), Summands(RAD))
         rep = iid_sum_bound(spec)
         gap = sum(math.sqrt(k - m) for m in range(1, k + 1)) / k
         b = 1.0
@@ -633,7 +641,7 @@ class TestIidSumBound:
             iid_sum_bound(spec)
 
     def test_rederivable(self):
-        spec = RandomSumSpec(fixed_index(3), Summands(RAD))
+        spec = RandomSumSpec(FixedIndex(3), Summands(RAD))
         rep = iid_sum_bound(spec, coupling="independent")
         assert recompute_bound(rep.kind, rep.components) == rep.value
 
@@ -646,7 +654,7 @@ class TestGeneralSumBound:
 
     def test_two_block_hand_evaluation(self):
         # N = 2, scales (1, 2) on unit atoms: sigma^2 = 5, pmf_M = (1/5, 4/5)
-        spec = RandomSumSpec(fixed_index(2),
+        spec = RandomSumSpec(FixedIndex(2),
                              Summands(tr.rademacher(1.0), scales=(1.0, 2.0)))
         rep = general_sum_bound(spec)
         c = rep.components
@@ -661,7 +669,7 @@ class TestGeneralSumBound:
         assert recompute_bound(rep.kind, rep.components) == rep.value
 
     def test_zero_variance_atom_skipped(self):
-        spec = RandomSumSpec(fixed_index(2),
+        spec = RandomSumSpec(FixedIndex(2),
                              Summands(tr.rademacher(1.0), scales=(1.0, 0.0)))
         rep = general_sum_bound(spec)
         assert math.isfinite(rep.value)
@@ -683,33 +691,30 @@ def quantile_merge_gap(pn, pm):
 def per_atom_bounds(spec, coupling, k):
     """(M-pmf, gap, i.i.d. components or None, general components) at the
     truncation k, each atom's moments and survival evaluated on the full
-    index array m = 1..k: the reference for the per-residue tables.  N's
-    pmf is the M-pmf on a geometric index with i.i.d. summands, where M has
-    N's law.  A geometric comonotone gap merges the first min(k, L) atoms
-    and divides by 1 - q^L; an explicit index's, all k."""
+    index array m = 1..k: the reference for the per-residue tables.  A
+    fixed index's gap is np.sum of P{M = m} sqrt(k - m) under either
+    coupling.  N's pmf is the M-pmf on a geometric index with i.i.d.
+    summands, where M has N's law.  A geometric comonotone gap merges the
+    first min(k, L) atoms and divides by 1 - q^L."""
     sm, index = spec.summands, spec.index
     m = np.arange(1, k + 1)
     sigma2 = spec.sigma2_total
     sigma2_m, abs_mean_m, abs_third_m = atom_moments(sm, m)
     pmf = sigma2_m / sigma2 * atom_survival(index, m)
-    if isinstance(index, ExplicitIndex):
+    if isinstance(index, FixedIndex):
         tail = 0.0
+        gap = float(np.sum(pmf * np.sqrt(k - m.astype(float))))
     else:
         tail = sm.sup_sigma ** 2 / sigma2 * (1.0 - index.p) ** k / index.p
-    if isinstance(index, GeometricIndex) and sm.is_iid:
-        pn = pmf
-    else:
-        pn = np.asarray(atom_pmf(index, m), dtype=float)
-    if coupling == "independent":
-        gap = _independent_sqrt_gap(pn, pmf)
-    elif isinstance(index, ExplicitIndex):
-        gap = quantile_merge_gap(pn, pmf)
-    else:
-        # both laws repeat with the period L of the scales, scaled by q^L
-        period = len(sm.scales)
-        atoms = min(k, period)
-        gap = quantile_merge_gap(pn[:atoms], pmf[:atoms]) \
-            / -math.expm1(period * math.log1p(-index.p))
+        pn = pmf if sm.is_iid else index.p * atom_survival(index, m)
+        if coupling == "independent":
+            gap = _independent_sqrt_gap(pn, pmf)
+        else:
+            # both laws repeat with the period L of the scales, scaled by q^L
+            period = len(sm.scales)
+            atoms = min(k, period)
+            gap = quantile_merge_gap(pn[:atoms], pmf[:atoms]) \
+                / -math.expm1(period * math.log1p(-index.p))
     slack = k * np.finfo(float).eps * math.sqrt(2.0 * k)
     tail_mass = index.tail(k) + tail
     if tail_mass > 0.0:
@@ -748,9 +753,7 @@ def third_over_variance(pmf, third, var):
 SCALES = st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.45, 1.65, 2.9, 3.3]) \
     | st.floats(min_value=0.1, max_value=4.0)
 INDEXES = st.floats(min_value=1e-3, max_value=0.9).map(GeometricIndex) \
-    | st.lists(st.integers(min_value=0, max_value=9), min_size=1,
-               max_size=8).filter(any).map(
-        lambda w: ExplicitIndex(tuple(x / sum(w) for x in w)))
+    | st.integers(min_value=1, max_value=600).map(FixedIndex)
 
 
 class TestBoundBits:
@@ -768,7 +771,7 @@ class TestBoundBits:
              source=RAD, coupling="comonotone")
     @example(index=GeometricIndex(0.2), scales=(1.45, 0.0, 2.9),
              source=RAD, coupling="comonotone")
-    @example(index=ExplicitIndex((0.5, 0.0, 0.5, 0.0)), scales=(1.65,),
+    @example(index=FixedIndex(4), scales=(1.65,),
              source=RAD, coupling="independent")
     @example(index=GeometricIndex(0.9), scales=(1.0, 2.0) * 20, source=RAD,
              coupling="comonotone")
@@ -782,8 +785,9 @@ class TestBoundBits:
         k = md.pmf.shape[0]
         pmf, gap, iid, general = per_atom_bounds(spec, coupling, k)
         assert np.array_equal(md.pmf, pmf)
-        assert np.array_equal(index.pmf_atoms(k),
-                              atom_pmf(index, np.arange(1, k + 1)))
+        if isinstance(index, GeometricIndex):
+            assert np.array_equal(index.pmf_atoms(k), index.p * atom_survival(
+                index, np.arange(1, k + 1)))
         assert md.mean == float(np.sum(np.arange(1.0, k + 1.0) * pmf))
         assert expected_sqrt_index_gap(spec, md, coupling)[0] == gap
         if iid is not None:
@@ -885,6 +889,18 @@ class TestBoundMemory:
                               "independent")
         _, double_sum = traced_peak(_independent_sqrt_gap, md.pmf, md.pmf)
         assert peak <= double_sum + 0.1 * 8 * md.pmf.shape[0]
+
+    @pytest.mark.parametrize("coupling", ["comonotone", "independent"])
+    @pytest.mark.parametrize("scales", ["1", "1,2"], ids=["iid", "cyclic"])
+    def test_bounds_fixed_index(self, scales, coupling, tmp_path):
+        # a fixed index's one k-float array is M's pmf: the gap is one
+        # blockwise sum, with no N-pmf, quantile merge or FFT
+        k = 2_000_000
+        argv = ["bounds", "--k", str(k), "--scales", scales, "--coupling",
+                coupling, "--out", str(tmp_path / "report.json")]
+        status, peak = traced_peak(cli.main, argv)
+        assert status == 0
+        assert peak <= 1.3 * 8 * k
 
     def test_independent_gap_in_place(self):
         # the spectra are multiplied and the weights built in place: about
@@ -1045,7 +1061,7 @@ class TestRandomSumSample:
     @pytest.mark.parametrize("spec", [
         RandomSumSpec(GeometricIndex(0.5), Summands(RAD, (1.0, 2.0))),
         RandomSumSpec(GeometricIndex(0.5), Summands(RAD, (2.5,))),
-        RandomSumSpec(fixed_index(3), Summands(RAD)),
+        RandomSumSpec(FixedIndex(3), Summands(RAD)),
         RandomSumSpec(GeometricIndex(0.5), Summands(dataclasses.replace(
             tr.uniform_symmetric(1.0), one_word_draws=False))),
     ], ids=["scales-1-2", "scale-2.5", "fixed-index", "undeclared-words"])
