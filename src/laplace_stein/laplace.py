@@ -13,6 +13,11 @@ import numpy as np
 
 from .seeding import substream
 
+# values per block of the n-length kernels, here and in ``metrics`` and
+# ``transforms``: their temporaries are arrays of 512 KiB, a few at a time,
+# however large the sample is
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class LaplaceParams:
@@ -60,14 +65,24 @@ def cdf(w, params: LaplaceParams):
 
 
 def _quantile_in_place(levels, params: LaplaceParams):
-    """``levels``, a float array in (0, 1), overwritten by their quantiles:
-    b log(2q) below 1/2, -b log(2(1 - q)) from 1/2 on."""
-    upper = levels >= 0.5
-    np.subtract(1.0, levels, out=levels, where=upper)
-    levels *= 2.0
-    np.log(levels, out=levels)
-    levels *= params.b
-    np.negative(levels, out=levels, where=upper)
+    """``levels``, a contiguous float array in (0, 1), overwritten by their
+    quantiles: b log(2q) below 1/2, -b log(2(1 - q)) from 1/2 on.
+
+    1 - q is exact for q >= 1/2, so min(q, 1 - q) is q below 1/2 and
+    1 - q from 1/2 on; the upper branch's sign bit is XORed in.  The work
+    runs a block at a time, so its temporaries are a block long.
+    """
+    flat = levels.reshape(-1)
+    for start in range(0, flat.shape[0], _BLOCK):
+        q = flat[start:start + _BLOCK]
+        sign = (q >= 0.5).astype(np.uint64)
+        sign <<= 63
+        np.minimum(q, np.subtract(1.0, q), out=q)
+        q *= 2.0
+        np.log(q, out=q)
+        q *= params.b
+        bits = q.view(np.uint64)
+        bits ^= sign
     levels += 0.0  # the -0.0 at q = 1/2 becomes 0.0
     return levels
 

@@ -19,13 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .laplace import LaplaceParams, cdf
+from .laplace import _BLOCK, LaplaceParams, cdf
 from .stein import _U, _cached_wh, _gamma, wh_enclosure
-
-# values per block of the n-length kernels, here and in ``transforms``: their
-# temporaries are arrays of 512 KiB, a few at a time, however large the
-# sample is
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

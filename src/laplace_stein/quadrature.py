@@ -31,14 +31,23 @@ Two tools live here:
     need more than ``MAX_PANELS`` panels raises QuadratureError up front, and
     the panels are integrated and summed in blocks of ``_PANEL_BLOCK``.
 
-SciPy is imported inside ``laplace_expectation``, the one function that calls
-it, so that importing the package, and commands that never integrate, load
-numpy alone.
+``laplace_expectation`` calls QUADPACK (Piessens et al., 1983) through SciPy's
+compiled extension ``scipy.integrate._quadpack``, loaded from its file at the
+first call.  ``scipy.integrate``'s package import, which loads
+``scipy.special``, ``scipy.optimize`` and more (about half a second and 50 MB),
+never runs, and importing the package, or a command that never integrates,
+loads numpy alone.  The extension goes into ``sys.modules`` under its own
+name, so a later ``from scipy import integrate`` finds the same module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -51,7 +60,7 @@ _GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the nodes mapped onto [0, 1]
 TAIL_SPAN = 40.0
 
 # laplace_expectation integrates over [-EXPECTATION_SPAN b, EXPECTATION_SPAN b]
-# and accepts its value when quad's error estimate, over 2b, is at most
+# and accepts its value when QUADPACK's error estimate, over 2b, is at most
 # EXPECTATION_TOL; stein.wh_enclosure's radius is built on the same two.
 EXPECTATION_SPAN = 80.0
 EXPECTATION_TOL = 1e-8
@@ -62,45 +71,90 @@ MAX_PANELS = 2 ** 20
 # Panels integrated at once: 2^14 x 10 nodes, 1.3 MB an array.
 _PANEL_BLOCK = 2 ** 14
 
+_QUADPACK = "scipy.integrate._quadpack"
+_QUADPACK_LOCK = threading.Lock()  # sweep points may integrate on threads
+# QUADPACK's complaints, ier = 1..5, after scipy.integrate.quad's messages
+_QUADPACK_REASONS = {
+    1: "subdivision limit reached", 2: "roundoff error detected",
+    3: "bad integrand behavior", 4: "roundoff error in the extrapolation",
+    5: "probably divergent"}
+
+
+def _quadpack():
+    """SciPy's QUADPACK extension, from ``sys.modules`` or else loaded from
+    its file in the installed ``scipy`` package.  Raises ImportError, naming
+    SciPy's version, when the file or its _qagse or _qagpe is missing."""
+    import scipy  # its own __init__ loads no subpackage
+
+    with _QUADPACK_LOCK:
+        module = sys.modules.get(_QUADPACK)
+        if module is None:
+            folder = os.path.join(os.path.dirname(scipy.__file__),
+                                  "integrate")
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "_quadpack" + suffix)
+                if os.path.isfile(path):
+                    spec = importlib.util.spec_from_file_location(
+                        _QUADPACK, path)
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                    sys.modules[_QUADPACK] = module
+                    break
+    if not (hasattr(module, "_qagse") and hasattr(module, "_qagpe")):
+        raise ImportError(f"scipy {scipy.__version__} has no QUADPACK "
+                          f"extension {_QUADPACK} with _qagse and _qagpe")
+    return module
+
 
 def laplace_expectation(f, b: float, kinks=()) -> float:
     """E[f(W)], W ~ Laplace(0, b), by adaptive quadrature on [0, 80b].
 
     ``kinks`` lists points where f or f' jumps; the rule is split there,
     except at a kink within 80b * 2^-52 of 0, which is dropped.
-    quad may take max(300, ceil(80b)) subintervals, to an absolute error
-    of 1e-12 min(1, 2b), which over 2b meets ``EXPECTATION_TOL`` at any b.
+    QUADPACK may take max(300, ceil(80b)) subintervals, to an absolute error
+    of 1e-12 min(1, 2b), which over 2b meets ``EXPECTATION_TOL`` at any b:
+    _qagse without breakpoints, _qagpe with them.
     Raises QuadratureError when the error estimate over 2b exceeds
     ``EXPECTATION_TOL``, or up front when 80b exceeds MAX_PANELS.
     QUADPACK's own complaint (roundoff, the subdivision limit) is logged at
-    DEBUG, not warned: the error estimate alone decides.
+    DEBUG: the error estimate alone decides.  Its refusal of the input
+    (ier = 6) raises ValueError.
     """
     hi = EXPECTATION_SPAN * b
-    # quad's subinterval limit grows with the span: Wh of cos takes 3735
+    # the subinterval limit grows with the span: Wh of cos takes 3735
     # subintervals at b = 1e3 and 21189 at 5e3; past MAX_PANELS it is
     # refused before any work, as the tail rule is
     if not hi <= MAX_PANELS:
         raise QuadratureError(
             f"expectation quadrature at b={b:g} needs up to {hi:.3g} "
             f"subintervals, more than {MAX_PANELS}")
-    from scipy import integrate
+    quadpack = _quadpack()
 
     def folded(u):
         return (f(u) + f(-u)) * np.exp(-u / b)
 
-    # a kink within hi * eps of 0 cannot move the integral, and quad given
-    # it as a breakpoint reports bad integrand behaviour
+    # a kink within hi * eps of 0 cannot move the integral, and QUADPACK
+    # given it as a breakpoint reports bad integrand behaviour
     points = sorted({abs(k) for k in kinks if hi * 2.0 ** -52 < abs(k) < hi})
-    val, err, info, *message = integrate.quad(
-        folded, 0.0, hi, points=points or None,
-        limit=max(300, math.ceil(hi)), epsabs=1e-12 * min(1.0, 2.0 * b),
-        epsrel=1e-12, full_output=1)
-    if message:
-        import logging  # loaded by scipy already
+    limit = max(300, math.ceil(hi))
+    epsabs, epsrel = 1e-12 * min(1.0, 2.0 * b), 1e-12
+    # the calls and arguments of integrate.quad(folded, 0.0, hi, points=
+    # points or None, ..., full_output=1): its breakpoints, unique and
+    # inside (0, hi) as these are, end with two zeros
+    if points:
+        out = quadpack._qagpe(folded, 0.0, hi, np.array(points + [0.0, 0.0]),
+                              (), 1, epsabs, epsrel, limit)
+    else:
+        out = quadpack._qagse(folded, 0.0, hi, (), 1, epsabs, epsrel, limit)
+    val, err, ier = out[0], out[1], out[-1]
+    if ier == 6:
+        raise ValueError(f"QUADPACK refused its input at b={b:g}")
+    if ier:
+        import logging  # on a complaint only: nothing else needs it
 
         logging.getLogger(__name__).debug(
-            "quad at b=%g: %d subintervals, error estimate %.3e: %s",
-            b, info["last"], err, " ".join(message[0].split()))
+            "QUADPACK at b=%g: %d subintervals, error estimate %.3e: %s",
+            b, out[2]["last"], err, _QUADPACK_REASONS.get(ier, f"ier={ier}"))
     if err / (2.0 * b) > EXPECTATION_TOL:
         raise QuadratureError(f"expectation quadrature did not converge "
                               f"(error estimate {err / (2.0 * b):.3e})")

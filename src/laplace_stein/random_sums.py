@@ -279,11 +279,15 @@ class MDistribution:
 
 def _over_atoms(i: int, j: int, *tables) -> tuple:
     """Per-residue tables read at the atoms m = i+1..j: as they are when
-    L = 1 (they broadcast), else gathered by one (m-1) mod L index array."""
-    if tables[0].shape[0] == 1:
+    L = 1 (they broadcast), else each repeated by np.tile, which copies
+    whole periods with no index array, and cut at residue i mod L."""
+    period = tables[0].shape[0]
+    if period == 1:
         return tables
-    residue = np.arange(i, j) % tables[0].shape[0]
-    return tuple(table[residue] for table in tables)
+    start = i % period
+    reps = (start + j - i - 1) // period + 1
+    return tuple(np.tile(table, reps)[start:start + j - i]
+                 for table in tables)
 
 
 def m_distribution(spec: RandomSumSpec) -> MDistribution:
@@ -502,14 +506,18 @@ def _moments_under_m(summands: Summands, pmf: np.ndarray) -> tuple:
     has no M-mass and adds 0.0 to the ratio term.
     """
     sigma2, abs_mean, abs_third = summands.residue_moments
+    # 1.0 for a variance of 0: its atoms have no M-mass, and their term,
+    # 0.0, divided by 1.0 keeps its bits, as under a masked division
+    divisor = np.where(sigma2 > 0, sigma2, 1.0)
 
     def abs_means(i, j):
         return pmf[i:j] * _over_atoms(i, j, abs_mean)[0]
 
     def ratios(i, j):
-        var, third = _over_atoms(i, j, sigma2, abs_third)
-        prod = pmf[i:j] * third  # 0.0 where var is 0: no M-mass there
-        return np.divide(prod, var, out=prod, where=var > 0)
+        third, var = _over_atoms(i, j, abs_third, divisor)
+        prod = pmf[i:j] * third
+        prod /= var
+        return prod
 
     k = pmf.shape[0]
     return (metrics._tree_sum(k, abs_means),

@@ -241,10 +241,10 @@ def wh_enclosure(h: TestFunction, b: float) -> tuple:
     terms, so it is low by at most a factor 1 - gamma_(m+10); gamma of
     twice the count covers that.
 
-    Radius.  quad's value is accepted when its error estimate over 2b is
-    at most EXPECTATION_TOL; it integrates fn, within e = h.interp_error of
-    y, over |x| <= EXPECTATION_SPAN b, which leaves out at most
-    sup e^(-EXPECTATION_SPAN), and rounds once more on dividing by 2b
+    Radius.  The quadrature value is accepted when its error estimate over
+    2b is at most EXPECTATION_TOL; it integrates fn, within e =
+    h.interp_error of y, over |x| <= EXPECTATION_SPAN b, which leaves out at
+    most sup e^(-EXPECTATION_SPAN), and rounds once more on dividing by 2b
     (u sup).  The radius is EXPECTATION_TOL (1 + 8u) plus twice the sum
     of e, sup (u + e^(-EXPECTATION_SPAN)) and the centre's rounding bound;
     the doubling and the 8u cover the radius's own arithmetic.

@@ -92,14 +92,23 @@ def _map_blocks(f, x, out=None):
 
 
 def _signed(rng, magnitudes):
-    """``magnitudes``, negated in place where ``rng.integers(0, 2)`` draws 0.
+    """Float64 ``magnitudes``, negated in place where ``rng.integers(0, 2)``
+    draws 0.
 
     The integers are drawn a block at a time; each is one 32-bit half-word
-    of the bit stream, so the blocks take the words one call would.
+    of the bit stream, so the blocks take the words one call would.  A draw
+    d becomes the sign bit (d ^ 1) << 63, XORed into the value's bits: the
+    bits np.negative gives, without a masked ufunc's cost per value.
     """
-    return _map_blocks(lambda block: np.negative(
-        block, out=block, where=rng.integers(0, 2, block.shape[0]) == 0),
-        magnitudes)
+    def flip(block):
+        sign = rng.integers(0, 2, block.shape[0])
+        sign ^= 1
+        sign <<= 63
+        bits = block.view(np.uint64)
+        bits ^= sign.view(np.uint64)
+        return block
+
+    return _map_blocks(flip, magnitudes)
 
 
 def _over_counts(counts, f=lambda block: block):
@@ -138,7 +147,7 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
 
     def atoms(rng, n, c=c):
         # Y = +-c equiprobable: the |y|-reweighting leaves the law of X
-        return _signed(rng, np.full(n, c))
+        return _signed(rng, np.full(n, float(c)))
 
     return SourceDistribution(
         label=f"rademacher({c:g})",

@@ -27,14 +27,18 @@ def run_cli(args):
     return cli.main(args)
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def cli_subprocess(argv):
     """Run the command in a fresh interpreter that shows every warning."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-W", "default", "-m", "laplace_stein.cli", *argv],
-        env=env, capture_output=True, text=True)
+        env=src_env(), capture_output=True, text=True)
 
 
 class TestSweepCommand:
@@ -816,19 +820,59 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 
+INTEGRATING_COMMANDS = [
+    ["stein-check", "--b", "1"],
+    ["sweep", "--source", "rademacher", "--c", RADC, "--b", "1",
+     "--p", "0.3,0.1", "--n", "2000", "--seed", "3"],
+]
+
+
+def scipy_probe(commands):
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        env=src_env(), capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
 class TestStartup:
     def test_numpy_only_commands_load_no_scipy(self):
-        # SciPy is imported where something integrates, so the package and
+        # SciPy is loaded where something integrates, so the package and
         # the bounds, transform-check and fixed-point commands run on numpy
-        # alone; one module-level SciPy import would add about a second to
-        # every invocation
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE,
-             json.dumps(NUMPY_ONLY_COMMANDS)],
-            env=env, capture_output=True, text=True, check=True)
-        probe = json.loads(run.stdout)
+        # alone; one module-level import of scipy.integrate would add about
+        # half a second to every invocation
+        probe = scipy_probe(NUMPY_ONLY_COMMANDS)
         assert probe["codes"] == [0] * len(NUMPY_ONLY_COMMANDS)
         assert probe["scipy"] == []
+
+    @pytest.mark.parametrize("argv", INTEGRATING_COMMANDS,
+                             ids=lambda argv: argv[0])
+    def test_integrating_commands_load_quadpack_alone(self, argv):
+        # scipy.integrate's package import, with scipy.special and
+        # scipy.optimize, never runs: the QUADPACK extension is loaded
+        # from its file
+        probe = scipy_probe([argv])
+        assert probe["codes"] == [0]
+        assert "scipy.integrate._quadpack" in probe["scipy"]
+        assert "scipy.integrate" not in probe["scipy"]
+        assert not any(m.startswith("scipy.special") for m in probe["scipy"])
+
+    def test_missing_quadpack_entry_point_is_one_line(self):
+        # a QUADPACK extension without _qagpe: exit 3, one line naming the
+        # SciPy version, and no fallback to scipy.integrate
+        stub = ("import sys, types\n"
+                "name = 'scipy.integrate._quadpack'\n"
+                "sys.modules[name] = types.ModuleType(name)\n"
+                "sys.modules[name]._qagse = None\n"
+                "from laplace_stein import cli\n"
+                "code = cli.main(['stein-check', '--b', '1'])\n"
+                "assert 'scipy.integrate' not in sys.modules\n"
+                "sys.exit(code)\n")
+        run = subprocess.run([sys.executable, "-W", "default", "-c", stub],
+                             env=src_env(), capture_output=True, text=True)
+        import scipy
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert run.stderr.splitlines() == [
+            f"numeric/runtime failure: ImportError: scipy {scipy.__version__} "
+            "has no QUADPACK extension scipy.integrate._quadpack with _qagse "
+            "and _qagpe"]

@@ -1,6 +1,11 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from laplace_stein.errors import QuadratureError
 from laplace_stein.laplace import LaplaceParams, char_fn, moment
 from laplace_stein.quadrature import (exp_weighted_right_tail,
                                       laplace_expectation)
-from laplace_stein.stein import smoothed_indicator
+from laplace_stein.stein import smoothed_indicator, stein_family
 
 
 def numpy_scalar_tail(f, b, xs, kinks=()):
@@ -118,6 +123,83 @@ class TestLaplaceExpectation:
             warnings.simplefilter("ignore")
             with pytest.raises(QuadratureError):
                 laplace_expectation(lambda w: np.cos(5e4 * w * w), 1.0)
+
+
+def quad_expectation(f, b, kinks=()):
+    """E[f(W)] as integrate.quad takes it, with laplace_expectation's
+    arguments."""
+    hi = quadrature.EXPECTATION_SPAN * b
+    points = sorted({abs(k) for k in kinks if hi * 2.0 ** -52 < abs(k) < hi})
+    val = integrate.quad(
+        lambda u: (f(u) + f(-u)) * np.exp(-u / b), 0.0, hi,
+        points=points or None, limit=max(300, math.ceil(hi)),
+        epsabs=1e-12 * min(1.0, 2.0 * b), epsrel=1e-12, full_output=1)[0]
+    return val / (2.0 * b)
+
+
+LOADER_ORDER = """
+import sys
+import numpy as np
+from laplace_stein import quadrature
+from laplace_stein.quadrature import laplace_expectation
+from laplace_stein.stein import smoothed_indicator
+h = smoothed_indicator(0.7, 0.25)
+
+
+def loader():  # _qagpe, then _qagse
+    return (laplace_expectation(h.fn, 1.5, h.kinks),
+            laplace_expectation(np.cos, 4.0))
+
+
+if sys.argv[1] == "loader-first":
+    got = loader()
+    assert "scipy.integrate" not in sys.modules
+    module = quadrature._quadpack()
+    from scipy import integrate
+else:
+    from scipy import integrate
+    module = integrate._quadpack_py._quadpack
+    got = loader()
+assert sys.modules["scipy.integrate._quadpack"] is module
+assert integrate._quadpack_py._quadpack is module
+assert quadrature._quadpack() is module
+quad = (integrate.quad(lambda u: (h.fn(u) + h.fn(-u)) * np.exp(-u / 1.5), 0.0,
+                       120.0, points=sorted(abs(k) for k in h.kinks),
+                       limit=300, epsabs=1e-12, epsrel=1e-12)[0] / 3.0,
+        integrate.quad(lambda u: 2.0 * np.cos(u) * np.exp(-u / 4.0), 0.0,
+                       320.0, limit=320, epsabs=1e-12, epsrel=1e-12)[0] / 8.0)
+assert got == quad, (got, quad)
+"""
+
+
+class TestQuadpackLoader:
+    @pytest.mark.parametrize("b", [0.25, 1.0, 4.0, 64.0])
+    def test_same_bits_as_integrate_quad(self, b):
+        # every member, with and without breakpoints (_qagpe and _qagse)
+        family = stein_family()
+        assert any(h.kinks for h in family)
+        assert not all(h.kinks for h in family)
+        for h in family:
+            assert laplace_expectation(h.fn, b, h.kinks) == quad_expectation(
+                h.fn, b, h.kinks), h.label
+
+    @pytest.mark.parametrize("order", ["loader-first", "integrate-first"])
+    def test_one_module_in_either_import_order(self, order):
+        # the loader registers the extension under its own name, so
+        # scipy.integrate imported later runs on the same module, and a
+        # loader called after scipy.integrate reuses it
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", LOADER_ORDER, order], env=env,
+                       check=True)
+
+    def test_invalid_input_raises_value_error(self, monkeypatch):
+        # ier = 6, QUADPACK's refusal of its input, as integrate.quad takes it
+        stub = types.SimpleNamespace(_qagse=lambda *args: (0.0, 0.0, 6))
+        monkeypatch.setattr(quadrature, "_quadpack", lambda: stub)
+        with pytest.raises(ValueError, match="QUADPACK refused"):
+            laplace_expectation(np.cos, 1.0)
 
 
 class TestExpWeightedRightTail:
