@@ -21,7 +21,8 @@ Every option, its type and its default is declared once, in the argparse
 parser, and shown by --help.  An argument @FILE stands for the lines of FILE,
 one flag such as --n=500 per line, never @FILE itself; later flags win.
 The limits a verdict is judged by are constants, not flags: stein-check's
-residual tolerance, fixed-point's band factor and sweep's DKW level.
+residual tolerance and limit on |g(0)|, fixed-point's band factor and sweep's
+DKW level.
 """
 
 from __future__ import annotations
@@ -208,6 +209,7 @@ def _write(data: bytes, out: Optional[str]) -> None:
 
 
 RESIDUAL_TOLERANCE = 1e-6
+AT_ZERO_TOLERANCE = 1e-10  # the bounded solution has g(0) = 0
 
 
 def cmd_stein_check(args):
@@ -225,7 +227,7 @@ def cmd_stein_check(args):
             cert = certify_bounds(sol, grid)
             at_zero = sol.g(0.0)
             ok = bool(res_max <= RESIDUAL_TOLERANCE and cert.passed
-                      and abs(at_zero) <= 1e-10)
+                      and abs(at_zero) <= AT_ZERO_TOLERANCE)
             checks.append({
                 "label": h.label, "b": b, "target_mean": sol.target_mean,
                 "residual_max": res_max, "solution_at_zero": at_zero,

@@ -549,26 +549,6 @@ def general_sum_bound(spec: RandomSumSpec,
     })
 
 
-def _sum_rows(rng, sampler, ends: np.ndarray, out: np.ndarray, start: int,
-              stop: int) -> None:
-    """Row sums of rows start..stop-1 into ``out``, drawn from ``rng`` in
-    runs: a run is the longest run of rows, at least one, that takes at most
-    ``_DRAW_BLOCK`` draws.  ``ends`` is the cumulative sum of the row
-    counts."""
-    first = int(ends[start - 1]) if start else 0  # draws before row start
-    while start < stop:
-        end = min(stop, max(start + 1, int(np.searchsorted(
-            ends, first + _DRAW_BLOCK, side="right"))))
-        total = int(ends[end - 1]) - first
-        draws = np.asarray(sampler(rng, total), dtype=float)
-        offsets = np.concatenate([[0], ends[start:end - 1] - first])
-        np.add.reduceat(draws, offsets, out=out[start:end])
-        # one run alive at a time, and nothing allocated after it outlives
-        # it, so the next run reuses its memory instead of growing the heap
-        del draws, offsets
-        start, first = end, first + total
-
-
 def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     """Row sums of ``sampler`` draws, memory-bounded, with the bits of one
     sequential ``sampler(rng, total)`` summed row by row.
@@ -597,10 +577,24 @@ def _chunked_sums(rng, sampler, counts: np.ndarray) -> np.ndarray:
     state = rng.bit_generator.state
 
     def part(start, stop):
+        # rows start..stop-1 in runs: a run is the longest run of rows, at
+        # least one, that takes at most _DRAW_BLOCK draws
+        first = int(ends[start - 1]) if start else 0  # draws before row start
         clone = np.random.PCG64(0)  # its seed is replaced by the state
         clone.state = state
-        clone.advance(int(ends[start - 1]) if start else 0)
-        _sum_rows(np.random.Generator(clone), sampler, ends, out, start, stop)
+        clone.advance(first)
+        part_rng = np.random.Generator(clone)
+        while start < stop:
+            end = min(stop, max(start + 1, int(np.searchsorted(
+                ends, first + _DRAW_BLOCK, side="right"))))
+            total = int(ends[end - 1]) - first
+            draws = np.asarray(sampler(part_rng, total), dtype=float)
+            offsets = np.concatenate([[0], ends[start:end - 1] - first])
+            np.add.reduceat(draws, offsets, out=out[start:end])
+            # one run alive at a time, and nothing allocated after it outlives
+            # it, so the next run reuses its memory instead of growing the heap
+            del draws, offsets
+            start, first = end, first + total
 
     seeding.run_all(partial(part, start, stop)
                     for start, stop in zip(cuts[:-1], cuts[1:])

@@ -7,9 +7,11 @@ the symmetric-equilibrium variable X_L = U2*Z, Z ~ |z| f_{X_P}(z) / E|X_P|.
 X_L is characterized by E[f(X)] - f(0) = (1/2) E[X^2] E[f''(X_L)] for smooth
 f, and Laplace(0, b) is the fixed point of X -> X_L.
 
-Each built-in source carries both reweightings in closed form:
+Y and Z are symmetric, so each built-in source carries only the magnitudes
+|Y| and |Z|, in closed form; a transform draws its uniforms, then the
+magnitudes, then one random sign per value:
 
-  rademacher(c)        Y = +-c equiprobable, so X_P ~ Uniform(-c, c);
+  rademacher(c)        |Y| = c, so X_P ~ Uniform(-c, c);
                        |Z| = c*sqrt(U) (density 2z/c^2 on (0, c)).
   uniform_symmetric(c) |Y| = c*sqrt(U); X_P is triangular with density
                        (c-|x|)/c^2; |Z|/c has CDF 3r^2 - 2r^3, inverted in
@@ -45,9 +47,11 @@ class SourceDistribution:
     ``abs_moment`` (k -> E|X|^k) is the one moment recipe: ``sigma2``,
     ``abs_mean`` and ``abs_third`` (E[X^2], E|X| and E|X|^3) are read from
     it when the source is built, and E[X^k] is it at even k, 0 at odd k.
-    The four transform recipes are required: ``y_sampler``, ``z_sampler``
-    and ``zero_bias_sampler`` (callables (rng, n) -> ndarray, like
-    ``sampler``) and ``cf`` (t -> E[cos(tX)]).
+    The four transform recipes are required: ``y_magnitude`` and
+    ``z_magnitude`` (callables (rng, n) -> |Y| or |Z|, n values >= 0; Y and
+    Z are symmetric, so one step signs them), ``zero_bias_sampler`` (a
+    callable (rng, n) -> ndarray, like ``sampler``) and ``cf``
+    (t -> E[cos(tX)]).
     ``sum_sampler`` is the one optional recipe: it takes (rng, counts) and
     returns one row sum per count, used as an exact fast path for random
     sums; it may write the sums over the storage of int64 ``counts``, which
@@ -61,8 +65,8 @@ class SourceDistribution:
     label: str
     abs_moment: Callable
     sampler: Callable
-    y_sampler: Callable
-    z_sampler: Callable
+    y_magnitude: Callable
+    z_magnitude: Callable
     zero_bias_sampler: Callable
     cf: Callable
     sum_sampler: Optional[Callable] = None
@@ -145,17 +149,13 @@ def rademacher(c: float = 1.0) -> SourceDistribution:
     if c <= 0:
         raise ValueError("atom magnitude must be positive")
 
-    def atoms(rng, n, c=c):
-        # Y = +-c equiprobable: the |y|-reweighting leaves the law of X
-        return _signed(rng, np.full(n, float(c)))
-
     return SourceDistribution(
         label=f"rademacher({c:g})",
         abs_moment=lambda k, c=c: c ** k,
-        sampler=atoms,
-        y_sampler=atoms,
-        z_sampler=lambda rng, n, c=c: _signed(
-            rng, _scaled_sqrt_uniform(rng, n, c)),
+        sampler=lambda rng, n, c=c: _signed(rng, np.full(n, float(c))),
+        # |Y| = c: the |y|-reweighting leaves the law of X
+        y_magnitude=lambda rng, n, c=c: np.full(n, float(c)),
+        z_magnitude=lambda rng, n, c=c: _scaled_sqrt_uniform(rng, n, c),
         zero_bias_sampler=lambda rng, n, c=c: rng.uniform(-c, c, n),
         cf=lambda t, c=c: np.cos(c * np.asarray(t, float)),
         sum_sampler=lambda rng, counts, c=c: _binomial_walks(rng, counts, c),
@@ -212,9 +212,8 @@ def uniform_symmetric(c: float = 1.0) -> SourceDistribution:
         label=f"uniform({c:g})",
         abs_moment=lambda k, c=c: c ** k / (k + 1.0),
         sampler=draw,
-        y_sampler=lambda rng, n, c=c: _signed(
-            rng, _scaled_sqrt_uniform(rng, n, c)),
-        z_sampler=lambda rng, n: _signed(rng, z_magnitude(rng, n)),
+        y_magnitude=lambda rng, n, c=c: _scaled_sqrt_uniform(rng, n, c),
+        z_magnitude=z_magnitude,
         zero_bias_sampler=zero_bias,
         cf=lambda t, c=c: np.sinc(c * np.asarray(t, float) / np.pi),
         one_word_draws=True,  # draw: one rng.random per value
@@ -229,7 +228,7 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
         # |Y| and |Z| are both Gamma(2, b): X_P is Laplace(0, b) again
         g = rng.standard_gamma(2.0, n)
         g *= b
-        return _signed(rng, g)
+        return g
 
     def zero_bias(rng, n, b=b):
         # density (|x|+b) exp(-|x|/b)/(4 b^2): equal mixture of Gamma(1, b)
@@ -259,8 +258,8 @@ def laplace_source(b: float = 1.0) -> SourceDistribution:
         label=f"laplace({b:g})",
         abs_moment=lambda k, b=b: b ** k * math.factorial(k),
         sampler=lambda rng, n, params=params: laplace.draw(rng, n, params),
-        y_sampler=gamma2,
-        z_sampler=gamma2,
+        y_magnitude=gamma2,
+        z_magnitude=gamma2,
         zero_bias_sampler=zero_bias,
         cf=lambda t, params=params: laplace.char_fn(t, params),
         sum_sampler=sum_sampler,
@@ -300,22 +299,24 @@ def _transform_stream(src, n, seed, transform):
     return substream(seed, transform, src.label)
 
 
-def _product_sample(src, n, seed, magnitude_sampler, transform):
+def _product_sample(src, n, seed, magnitude, transform):
     rng = _transform_stream(src, n, seed, transform)
     u = rng.random(n)
-    u *= magnitude_sampler(rng, n)  # U * magnitude, in the uniforms' storage
+    # U * the signed magnitude, in the uniforms' storage
+    u *= _signed(rng, magnitude(rng, n))
     return TransformSample(values=u)
 
 
 def sgn_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:
     """Draws of X_P = U1 * Y, with Y the |y|-reweighted source."""
-    return _product_sample(src, n, seed, src.y_sampler, "sgn-bias")
+    return _product_sample(src, n, seed, src.y_magnitude, "sgn-bias")
 
 
 def sym_equilibrium_sample(src: SourceDistribution, n: int,
                            seed: int) -> TransformSample:
     """Draws of X_L = U2 * Z, with Z the |z|-reweighted sign-bias law."""
-    return _product_sample(src, n, seed, src.z_sampler, "symmetric-equilibrium")
+    return _product_sample(src, n, seed, src.z_magnitude,
+                           "symmetric-equilibrium")
 
 
 def zero_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:

@@ -1256,6 +1256,10 @@ class TestPartedChunkedSumsBits:
             mp.setattr(seeding, "_workers", lambda: workers)
             mp.setattr(random_sums, "_DRAW_BLOCK", block)
             got = _chunked_sums(rng, source.sampler, counts)
+        # the parts draw from copies: the caller's generator, its buffered
+        # half-word too, is left as it was
+        assert rng.bit_generator.state == half_word_rng(
+            seed, buffered).bit_generator.state
         ref = half_word_rng(seed, buffered)
         want = sequential_row_sums(ref, source.sampler, counts)
         assert got.tobytes() == want.tobytes()

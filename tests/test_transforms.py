@@ -76,6 +76,20 @@ class TestSources:
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(src, sigma2=1.0)
 
+    @given(make=st.sampled_from([tr.rademacher, tr.uniform_symmetric,
+                                 tr.laplace_source]),
+           which=st.sampled_from(["y_magnitude", "z_magnitude"]),
+           c=st.floats(min_value=1e-100, max_value=1e100),
+           n=st.integers(min_value=0, max_value=300),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_magnitudes_are_finite_and_nonnegative(self, make, which, c, n,
+                                                    seed):
+        # |Y| and |Z| carry no sign: the transform draws it once
+        values = getattr(make(c), which)(np.random.default_rng(seed), n)
+        assert values.shape == (n,)
+        assert np.all(np.isfinite(values))
+        assert np.all(values >= 0.0)
+
     def test_recipes_are_required(self):
         # a source without its transform recipes fails when it is built
         with pytest.raises(TypeError):
@@ -322,32 +336,62 @@ def laplace_quantile_reference(u, b):
     return out
 
 
+SOURCES = {"rademacher": tr.rademacher(SQRT2),
+           "uniform": tr.uniform_symmetric(SQRT6),
+           "laplace": tr.laplace_source(0.7)}
+
+# the whole-array |Y| and |Z| of each source, called as (rng, n); the
+# array-shape gamma call is Gamma(2) with one shape per value
+MAGNITUDE_FORMS = {
+    ("rademacher", "y"): lambda rng, n: np.full(n, SQRT2),
+    ("rademacher", "z"): lambda rng, n: SQRT2 * np.sqrt(rng.random(n)),
+    ("uniform", "y"): lambda rng, n: SQRT6 * np.sqrt(rng.random(n)),
+    ("uniform", "z"): lambda rng, n: SQRT6 * smoothstep_reference(
+        rng.random(n)),
+    ("laplace", "y"): lambda rng, n: 0.7 * rng.standard_gamma(
+        np.full(n, 2.0)),
+    ("laplace", "z"): lambda rng, n: 0.7 * rng.standard_gamma(
+        np.full(n, 2.0)),
+}
+
+PRODUCT_SAMPLES = {"y": (tr.sgn_bias_sample, "sgn-bias"),
+                   "z": (tr.sym_equilibrium_sample, "symmetric-equilibrium")}
+
+
+def product_forms(name, which):
+    """The transform sample of source ``name`` at a seed drawn from rng,
+    and its whole-array form on the same substream: U times the signed
+    whole-array magnitude."""
+    src, magnitude = SOURCES[name], MAGNITUDE_FORMS[name, which]
+    sample, transform = PRODUCT_SAMPLES[which]
+
+    def got(rng, n):
+        return sample(src, n, int(rng.integers(2 ** 32))).values
+
+    def want(rng, n):
+        sub = substream(int(rng.integers(2 ** 32)), transform, src.label)
+        u = sub.random(n)
+        return u * signed_reference(sub, magnitude(sub, n))
+
+    return got, want
+
+
 # (sampler under test, its whole-array form), both called as (rng, n)
 WHOLE_ARRAY_FORMS = {
-    "rademacher-z": (
-        tr.rademacher(SQRT2).z_sampler,
-        lambda rng, n: signed_reference(rng, SQRT2 * np.sqrt(rng.random(n)))),
+    **{f"{name}-{which}": (getattr(SOURCES[name], f"{which}_magnitude"),
+                           form)
+       for (name, which), form in MAGNITUDE_FORMS.items()},
+    **{f"{name}-{PRODUCT_SAMPLES[which][1]}": product_forms(name, which)
+       for name, which in MAGNITUDE_FORMS},
     "rademacher-atoms": (
-        tr.rademacher(SQRT2).sampler,
+        SOURCES["rademacher"].sampler,
         lambda rng, n: signed_reference(rng, np.full(n, SQRT2))),
-    "uniform-y": (
-        tr.uniform_symmetric(SQRT6).y_sampler,
-        lambda rng, n: signed_reference(rng, SQRT6 * np.sqrt(rng.random(n)))),
-    "uniform-z": (
-        tr.uniform_symmetric(SQRT6).z_sampler,
-        lambda rng, n: signed_reference(
-            rng, SQRT6 * smoothstep_reference(rng.random(n)))),
-    # the array-shape gamma call: Gamma(2) with one shape per value
-    "laplace-y": (
-        tr.laplace_source(0.7).y_sampler,
-        lambda rng, n: signed_reference(
-            rng, 0.7 * rng.standard_gamma(np.full(n, 2.0)))),
     "laplace-zero-bias": (
-        tr.laplace_source(0.7).zero_bias_sampler,
+        SOURCES["laplace"].zero_bias_sampler,
         lambda rng, n: signed_reference(
             rng, 0.7 * rng.standard_gamma(1.0 + (rng.random(n) < 0.5)))),
     "laplace-draw": (
-        tr.laplace_source(0.7).sampler,
+        SOURCES["laplace"].sampler,
         lambda rng, n: laplace_quantile_reference(
             np.maximum(rng.random(n), 2.0 ** -53), 0.7)),
 }
