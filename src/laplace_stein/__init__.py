@@ -1,6 +1,6 @@
 """Stein-equation toolkit for Laplace approximation of geometric random sums."""
 
-from .laplace import LaplaceParams, cdf, char_fn, moment, pdf, quantile, sample
+from .laplace import LaplaceParams, cdf, char_fn, draw, quantile
 from .metrics import (DistanceEstimate, EmpiricalSample, bl_lower_bound,
                       dkw_band, kolmogorov_empirical, kolmogorov_from_bl,
                       wasserstein_empirical, within_four_se)

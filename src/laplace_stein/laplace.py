@@ -1,7 +1,8 @@
-"""The centred Laplace(0, b) law: density, CDF, quantile, sampling, moments.
+"""The Laplace(0, b) law: CDF, quantile, sampler, characteristic function.
 
 Conventions: density (1/(2b)) exp(-|w|/b), variance 2*b**2.  Random sums of
-mean-zero summands are approximated by this law, so it has no location.
+mean-zero summands are approximated by this law, so it has no location.  Its
+moments E|W|^k = b^k k! are ``transforms.laplace_source(b).abs_moment``.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .seeding import substream
 
 # values per block of the n-length kernels, here and in ``metrics`` and
 # ``transforms``: their temporaries are arrays of 512 KiB, a few at a time,
@@ -33,22 +32,8 @@ class LaplaceParams:
             raise ValueError(f"scale must be in (0, inf), got b={self.b}")
 
 
-def _as_finite_array(w):
-    arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite")
-    return arr
-
-
 def _maybe_scalar(arr, like):
     return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
-
-
-def pdf(w, params: LaplaceParams):
-    """Density at w; maximum 1/(2b), attained at w = 0."""
-    arr = _as_finite_array(w)
-    out = np.exp(-np.abs(arr) / params.b) / (2.0 * params.b)
-    return _maybe_scalar(out, w)
 
 
 def cdf(w, params: LaplaceParams):
@@ -57,7 +42,9 @@ def cdf(w, params: LaplaceParams):
     Both branches are read off one exp(-|z|): it is exp(z) for z <= 0 and
     exp(-z) for z > 0.
     """
-    arr = _as_finite_array(w)
+    arr = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("argument must be finite")
     z = arr / params.b
     half = 0.5 * np.exp(-np.abs(z))
     out = np.where(z <= 0, half, 1.0 - half)
@@ -104,22 +91,6 @@ def draw(rng, n: int, params: LaplaceParams) -> np.ndarray:
     u = rng.random(n)
     np.maximum(u, 2.0 ** -53, out=u)  # quantile(0) = -inf
     return _quantile_in_place(u, params)
-
-
-def sample(n: int, params: LaplaceParams, seed: int):
-    """n i.i.d. draws by inverse transform, deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return draw(substream(seed, "laplace-sample"), n, params)
-
-
-def moment(k: int, params: LaplaceParams) -> float:
-    """Moment E[W^k]: zero for odd k, b^k * k! for even k."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    if k % 2 == 1:
-        return 0.0
-    return params.b ** k * math.factorial(k)
 
 
 def char_fn(t, params: LaplaceParams):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -835,6 +836,20 @@ def scipy_probe(commands):
 
 
 class TestStartup:
+    def test_declared_console_script_runs(self, capsys):
+        # the installed laplace-stein script calls what [project.scripts]
+        # names, so a renamed module or function breaks it here (tomllib is
+        # Python 3.11's; the package also supports 3.10)
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"laplace-stein": "laplace_stein.cli:main"}
+        module, _, attr = scripts["laplace-stein"].partition(":")
+        main = getattr(importlib.import_module(module), attr)
+        assert main(["--help"]) == 0
+        assert "usage: " in capsys.readouterr().out
+
     def test_numpy_only_commands_load_no_scipy(self):
         # SciPy is loaded where something integrates, so the package and
         # the bounds, transform-check and fixed-point commands run on numpy

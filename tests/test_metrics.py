@@ -8,7 +8,7 @@ from scipy import integrate
 
 from laplace_stein import metrics, stein, transforms
 from laplace_stein.errors import CertificationError
-from laplace_stein.laplace import LaplaceParams, cdf, quantile, sample
+from laplace_stein.laplace import LaplaceParams, cdf, draw, quantile
 from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
                                    _tree_sum, bl_lower_bound, dkw_band,
                                    kolmogorov_empirical,
@@ -17,10 +17,16 @@ from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
 from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
                                        Summands, convergence_sweep,
                                        random_sum_sample)
+from laplace_stein.seeding import substream
 from laplace_stein.stein import (_cached_wh, dense_bl_family,
                                  smoothed_indicator, stein_family)
 
 UNIT = LaplaceParams(0.0, 1.0)
+
+
+def _laplace_draws(n, seed):
+    """n Laplace(0, 1) draws from the seed's "laplace-sample" substream."""
+    return draw(substream(seed, "laplace-sample"), n, UNIT)
 
 
 class TestEmpiricalSample:
@@ -60,7 +66,7 @@ class TestKolmogorov:
 
     def test_target_draws_within_band(self):
         n = 10 ** 5
-        s = EmpiricalSample.from_values(sample(n, UNIT, seed=101))
+        s = EmpiricalSample.from_values(_laplace_draws(n, seed=101))
         assert kolmogorov_empirical(s, UNIT).value <= 1.5 * 1.36 / math.sqrt(n)
 
     def test_deterministic_zero_se(self):
@@ -102,7 +108,7 @@ class TestFourSeRule:
 class TestBlLowerBound:
     def test_same_law_sample_is_small(self):
         n = 10 ** 5
-        s = EmpiricalSample.from_values(sample(n, UNIT, seed=7))
+        s = EmpiricalSample.from_values(_laplace_draws(n, seed=7))
         est = bl_lower_bound(s, UNIT, dense_bl_family())
         assert est.family_size >= 100
         # every member mean is within ~4 SE of its target expectation
@@ -137,7 +143,7 @@ class TestBlLowerBound:
                 label="steep-sine")])
 
     def test_reports_worst_member_standard_error(self):
-        s = EmpiricalSample.from_values(sample(500, UNIT, seed=3))
+        s = EmpiricalSample.from_values(_laplace_draws(500, seed=3))
         family = stein_family()
         est = bl_lower_bound(s, UNIT, family)
         per_h = []
@@ -555,7 +561,7 @@ class TestBlockedKernelsBits:
                       != run_values.view(np.int64)[:-1])
 
     def test_sample_without_repeats_keeps_no_run_table(self):
-        for x in (sample(10 ** 5, UNIT, seed=3), np.arange(-3.0, 4.0),
+        for x in (_laplace_draws(10 ** 5, seed=3), np.arange(-3.0, 4.0),
                   [-0.0, 0.0]):
             assert EmpiricalSample.from_values(x).runs is None
 
