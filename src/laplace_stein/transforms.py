@@ -278,15 +278,17 @@ class TransformSample:
         return self.values.shape[0]
 
 
-def mc_estimate(values) -> DistanceEstimate:
-    """Mean of a sample with its standard error, with the bits of np.mean
-    and of np.std(ddof=1) / sqrt(n) (``metrics._mean_sd``), a block at a
-    time: ``values`` is left as it is."""
+def mc_estimate(values, fn=lambda v: v) -> DistanceEstimate:
+    """Mean of fn of a sample with its standard error, with the bits of
+    np.mean and of np.std(ddof=1) / sqrt(n) of fn(values), for an
+    elementwise fn (``metrics._mean_sd``).  fn runs a block at a time, once
+    in each of the two sums, so fn(values) is never held whole and
+    ``values`` is left as it is."""
     arr = np.asarray(values, float).ravel()
     n = arr.shape[0]
     if n == 0:
         raise ValueError("cannot estimate from an empty sample")
-    mean, sd = _mean_sd(n, lambda g: lambda i, j: g(arr[i:j]), lambda v: v)
+    mean, sd = _mean_sd(n, lambda g: lambda i, j: g(arr[i:j]), fn)
     return DistanceEstimate(
         value=mean, std_error=sd / math.sqrt(n) if n > 1 else math.inf)
 
@@ -300,11 +302,17 @@ def _transform_stream(src, n, seed, transform):
 
 
 def _product_sample(src, n, seed, magnitude, transform):
+    """n draws of U times a signed magnitude, in the uniforms' storage.
+
+    The stream gives all the uniforms, then all the magnitudes, then all
+    the signs.  The magnitudes are drawn and multiplied in a block at a
+    time, taking the words one call would, and the products are then
+    signed: U (-m) is -(U m) exactly, so no second n-array is needed.
+    """
     rng = _transform_stream(src, n, seed, transform)
-    u = rng.random(n)
-    # U * the signed magnitude, in the uniforms' storage
-    u *= _signed(rng, magnitude(rng, n))
-    return TransformSample(values=u)
+    u = _map_blocks(lambda block: np.multiply(
+        block, magnitude(rng, block.shape[0]), out=block), rng.random(n))
+    return TransformSample(values=_signed(rng, u))
 
 
 def sgn_bias_sample(src: SourceDistribution, n: int, seed: int) -> TransformSample:

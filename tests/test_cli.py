@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from laplace_stein import cli, stein
+from laplace_stein import cli, metrics, stein, transforms
 from laplace_stein.random_sums import recompute_bound
+from laplace_stein.seeding import derive_seed, substream
 
 RADC = "1.4142135623730951"
 UNIC = "2.449489742783178"
@@ -254,27 +255,73 @@ class TestOtherCommands:
 
 
 class TestTransformCheckMemory:
-    """transform-check's check groups run on the thread pool, each with a
-    few n-float arrays."""
+    """transform-check's check groups run on the thread pool, each holding
+    one n-float array, and fixed-point holds its sample alone."""
 
     N = 1 << 20
+    SOURCES = [("rademacher", RADC), ("uniform", UNIC), ("laplace", "1")]
 
-    @pytest.mark.parametrize("source,c", [("rademacher", RADC),
-                                          ("uniform", UNIC), ("laplace", "1")])
-    def test_peak_allocation(self, source, c, workers, capsys):
-        # each group drops its sample after its last estimate and forms its
-        # values in place, about 2 n-float arrays, two groups at a time;
-        # holding X_L, X_P and the coupling draw across the zero-bias groups
-        # reads 7 to 9
-        workers(2)
+    def peak(self, argv):
         tracemalloc.start()
         try:
-            assert run_cli(["transform-check", "--source", source, "--c", c,
-                            "--n", str(self.N)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert run_cli([*argv, "--n", str(self.N)]) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * self.N
+
+    @pytest.mark.parametrize("source,c", SOURCES)
+    def test_peak_allocation(self, source, c, workers, capsys):
+        # each group forms its values in place, applies each estimate's
+        # function a block at a time and drops its sample after its last
+        # estimate: 2.4 to 2.6 n-float arrays, two groups at a time; a
+        # second array per group reads 4.1 to 4.3
+        workers(2)
+        peak = self.peak(["transform-check", "--source", source, "--c", c])
+        assert peak <= 3 * 8 * self.N
+
+    @pytest.mark.parametrize("source,c", SOURCES)
+    def test_peak_allocation_on_one_cpu(self, source, c, workers, capsys):
+        # one group at a time: 1.1 to 1.4 arrays; a second array per group
+        # reads 2.1
+        workers(1)
+        peak = self.peak(["transform-check", "--source", source, "--c", c])
+        assert peak <= 1.5 * 8 * self.N
+
+    def test_fixed_point_sorts_its_sample_in_place(self, capsys):
+        # 1.4 arrays; a sorted copy beside the sample reads 2.4
+        assert self.peak(["fixed-point"]) <= 1.5 * 8 * self.N
+
+
+class TestEquilibriumChecksBits:
+    """The equilibrium group holds X_L alone: E[X_L^2] and the CFs apply
+    their function a block at a time, and the coupling draw is made a leaf
+    at a time, afresh for each sum.  Every number is the whole-array one,
+    bit for bit; odd sizes on Rademacher carry the buffered sign half-word
+    across the draws."""
+
+    @given(source=st.sampled_from(sorted(cli.SOURCES)),
+           n=st.integers(min_value=2, max_value=300),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           block=st.sampled_from([1, 7, 1 << 16]))
+    def test_equals_whole_array_form(self, source, n, seed, block):
+        src = cli.SOURCES[source](1.3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_BLOCK", block)  # the samples' maps
+            mp.setattr(metrics, "_BLOCK", block)  # the estimates' sums
+            checks, gap = cli._equilibrium_checks(src, n, seed, 0)
+        # one call per draw: U, then |Z|, then the signs, then the source
+        sub = substream(derive_seed(seed, "tc-equilibrium"),
+                        "symmetric-equilibrium", src.label)
+        u = sub.random(n)
+        magnitude = src.z_magnitude(sub, n)
+        xl = u * ((2.0 * sub.integers(0, 2, n) - 1.0) * magnitude)
+        x = src.sampler(substream(seed, "tc-coupling"), n)
+        wants = [xl ** 2, xl ** 4, np.cos(0.5 * xl), np.cos(1.0 * xl),
+                 np.cos(2.0 * xl), np.abs(x - xl)]
+        for check, v in zip(checks + [gap], wants, strict=True):
+            assert check["observed"] == float(np.mean(v))
+            assert check["std_error"] == float(np.std(v, ddof=1)
+                                               / math.sqrt(n))
 
 
 class TestTransformCheckErrors:

@@ -491,6 +491,13 @@ class TestInPlaceBits:
             float(np.std(rhs, ddof=1) / math.sqrt(n)))
 
 
+# the elementwise functions transform-check's estimates apply a block at a
+# time: E[X_L^2], E[X_L^4] and the CFs
+ELEMENTWISE_FNS = {"square": np.square, "fourth": lambda v: v ** 4,
+                   "cos-0.5": lambda v: np.cos(0.5 * v),
+                   "cos-2": lambda v: np.cos(2.0 * v)}
+
+
 class TestMcEstimate:
     """mc_estimate sums a block at a time (``metrics._tree_sum``) with the
     bits of np.mean and np.std(ddof=1) / sqrt(n), and leaves its input as
@@ -512,16 +519,35 @@ class TestMcEstimate:
         assert est.std_error == float(np.std(x, ddof=1) / math.sqrt(n))
         assert x.tobytes() == before.tobytes()
 
+    @given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                           min_size=1, max_size=300),
+           fn=st.sampled_from(sorted(ELEMENTWISE_FNS)),
+           block=st.sampled_from([1, 7, 1 << 16]))
+    def test_fn_equals_estimate_of_fn_values(self, values, fn, block):
+        # fn runs a block at a time in each sum, with the bits of fn over
+        # the whole array; v ** 4 on a negative base is numpy's slow pow
+        arr = np.array(values)
+        before = arr.copy()
+        fn = ELEMENTWISE_FNS[fn]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            got = tr.mc_estimate(arr, fn)
+        want = tr.mc_estimate(fn(arr))
+        assert (got.value, got.std_error) == (want.value, want.std_error)
+        assert arr.tobytes() == before.tobytes()
+
     def test_allocates_at_most_two_blocks(self):
-        x = np.random.default_rng(5).random(10 ** 6)
-        tracemalloc.start()
-        try:
-            est = tr.mc_estimate(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est.value == float(np.mean(x))
-        assert peak <= 2 * metrics._BLOCK * x.itemsize
+        # the sums hold fn of one block, and its deviations, at a time
+        x = np.random.default_rng(5).random(10 ** 6) - 0.5
+        for fn in (lambda v: v, *ELEMENTWISE_FNS.values()):
+            tracemalloc.start()
+            try:
+                est = tr.mc_estimate(x, fn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est.value == float(np.mean(fn(x)))
+            assert peak <= 2 * metrics._BLOCK * x.itemsize
 
 
 class TestZeroBiasRelation:
