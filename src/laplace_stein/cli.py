@@ -425,7 +425,7 @@ def cmd_bounds(args):
                 iid_sum_bound(spec, coupling=args.coupling))
             if p is not None:
                 entry["geometric_sum"] = _bound_entry(geometric_sum_bound(
-                    p, spec.b_equiv,
+                    p, spec.summands.b_equiv,
                     float(spec.summands.residue_moments[2][0])))
         entry["general_sum"] = _bound_entry(
             general_sum_bound(spec, coupling=args.coupling))

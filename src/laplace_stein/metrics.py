@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace import _BLOCK, LaplaceParams, cdf
-from .stein import _U, _cached_wh, _gamma, wh_enclosure
+from .stein import _U, _gamma, target_expectation, wh_enclosure
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _member_stats(h, s: EmpiricalSample, b: float) -> tuple:
     alone where the sample has a run table (``_per_value``)."""
     mean, sd = _mean_sd(s.n, lambda g: _per_value(s, g),
                         lambda v: np.asarray(h.fn(v), dtype=float))
-    return abs(mean - _cached_wh(h, b)), sd
+    return abs(mean - target_expectation(h, b)), sd
 
 
 def _screen(x: np.ndarray, data, b: float, exact) -> list:

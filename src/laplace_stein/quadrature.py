@@ -51,7 +51,10 @@ import threading
 
 import numpy as np
 
-from .errors import QuadratureError
+
+class QuadratureError(RuntimeError):
+    """An integral did not converge to the requested accuracy."""
+
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the nodes mapped onto [0, 1]

@@ -45,7 +45,6 @@ from typing import Union
 
 import numpy as np
 
-from .errors import TruncationError
 from .laplace import LaplaceParams
 from .metrics import (DistanceEstimate, EmpiricalSample, bl_lower_bound,
                       dkw_band, kolmogorov_empirical, kolmogorov_from_bl,
@@ -59,6 +58,10 @@ _TAIL_TOL = 1e-10
 _GAP_TAIL = 1e-24
 _DRAW_BLOCK = 1 << 18  # 2 MiB of float64 draws
 _FILL_BLOCK = 1 << 14  # exponents per np.power call of a survival slice
+
+
+class TruncationError(RuntimeError):
+    """A truncation's k-float arrays would not fit in physical memory."""
 
 
 def _parts(total: int) -> int:
@@ -210,6 +213,11 @@ class Summands:
     def sup_sigma(self) -> float:
         return max(self.scales) * math.sqrt(self.base.sigma2)
 
+    @property
+    def b_equiv(self) -> float:
+        """The i.i.d. bounds' Laplace scale: E[X_1^2] = 2 b^2."""
+        return math.sqrt(self.residue_moments[0][0] / 2.0)
+
 
 @dataclass(frozen=True, eq=False)
 class RandomSumSpec:
@@ -256,11 +264,6 @@ class RandomSumSpec:
             raise ValueError("total variance must be positive")
         raise FloatingPointError(
             f"total variance sigma^2 underflows to 0 at scales {named}")
-
-    @property
-    def b_equiv(self) -> float:
-        """Scale of the matching Laplace law: 2 b^2 = sigma^2 / mu."""
-        return math.sqrt(self.sigma2_total / (2.0 * self.index.mean))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +485,9 @@ def iid_sum_bound(spec: RandomSumSpec,
     for i.i.d. summands with E[X_1^2] = 2 b^2."""
     if not spec.summands.is_iid:
         raise ValueError("summands are not i.i.d.; use general_sum_bound")
-    sigma2, abs_mean, abs_third = spec.summands.residue_moments
+    _, abs_mean, abs_third = spec.summands.residue_moments
     mu = spec.index.mean
-    b = math.sqrt(sigma2[0] / 2.0)
+    b = spec.summands.b_equiv
     m_dist = m_distribution(spec)
     gap, slack = expected_sqrt_index_gap(spec, m_dist, coupling)
     return BoundReport("iid_sum", {
@@ -680,9 +683,9 @@ def _sweep_point(source: SourceDistribution, p: float, n: int, seed: int,
                  family: tuple) -> SweepPoint:
     """One sweep point: n geometric sums of ``source``, their d_K, d_BL and
     d_W, the bound and the verdict."""
-    s = random_sum_sample(RandomSumSpec(GeometricIndex(p), Summands(source)),
-                          n, seed)
-    b = source.b_equiv
+    spec = RandomSumSpec(GeometricIndex(p), Summands(source))
+    s = random_sum_sample(spec, n, seed)
+    b = spec.summands.b_equiv
     target = LaplaceParams(0.0, b)
     d_k = kolmogorov_empirical(s, target)
     d_bl = bl_lower_bound(s, target, family)

@@ -36,13 +36,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError, QuadratureError
-from .quadrature import (EXPECTATION_SPAN, EXPECTATION_TOL, check_tail_panels,
-                         exp_weighted_right_tail, laplace_expectation)
+from .quadrature import (EXPECTATION_SPAN, EXPECTATION_TOL, QuadratureError,
+                         check_tail_panels, exp_weighted_right_tail,
+                         laplace_expectation)
 
 _HBL_SLACK = 1e-12
 
 _U = 2.0 ** -53  # unit roundoff of float64
+
+
+class CertificationError(ValueError):
+    """A test function failed bounded-Lipschitz certification."""
 
 
 def _gamma(k: int) -> float:
@@ -193,12 +197,13 @@ def dense_bl_family() -> tuple:
     return tuple(members.values())
 
 
+@lru_cache(maxsize=None)
 def target_expectation(h: TestFunction, b: float) -> float:
     """Wh = E[h(W)] for W ~ Laplace(0, b); |Wh| <= 1 for members of the ball.
 
     For a member with data the quadrature value is audited against
     :func:`wh_enclosure`, and one outside it raises QuadratureError: the
-    d_BL screening relies on the enclosure.
+    d_BL screening relies on the enclosure.  Memoized per (h, b).
     """
     wh = laplace_expectation(h.fn, b, kinks=h.kinks)
     if h.knots:
@@ -264,11 +269,6 @@ def wh_enclosure(h: TestFunction, b: float) -> tuple:
     small = h.interp_error + sup * (_U + math.exp(-EXPECTATION_SPAN)) \
         + _gamma(2 * (len(k) + 10)) * mass
     return centre, EXPECTATION_TOL * (1.0 + 8.0 * _U) + 2.0 * small
-
-
-@lru_cache(maxsize=None)
-def _cached_wh(h: TestFunction, b: float) -> float:
-    return target_expectation(h, b)
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,8 @@ def solve(h: TestFunction, b: float) -> SteinSolution:
     """Construct the bounded solution for test function h at scale b."""
     if b <= 0:
         raise ValueError("scale b must be positive")
-    return SteinSolution(h=h, b=b, target_mean=_cached_wh(h, float(b)))
+    return SteinSolution(h=h, b=b,
+                         target_mean=target_expectation(h, float(b)))
 
 
 def residual(sol: SteinSolution, x):

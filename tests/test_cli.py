@@ -254,6 +254,41 @@ class TestOtherCommands:
         assert {"geometric_sum", "iid_sum", "general_sum"} <= set(entry)
 
 
+def handler_report(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)[0]
+
+
+class TestOneLaplaceScale:
+    """``bounds`` and ``sweep`` read the i.i.d. b from one place: the
+    geometric-sum bound in a ``bounds`` report has the iid_sum's rho/(6b^2)
+    and, at scale 1, ``sweep``'s components at the same source and p (once
+    0.25000000000000006 against 0.25 at Uniform(1), p = 0.01)."""
+
+    @given(source=st.sampled_from(sorted(cli.SOURCES)),
+           c=st.floats(min_value=0.1, max_value=10.0),
+           scale=st.one_of(st.just(1.0),
+                           st.floats(min_value=0.1, max_value=10.0)),
+           p=st.floats(min_value=1e-3, max_value=0.5))
+    @example(source="uniform", c=1.0, scale=1.0, p=0.01)
+    @example(source="laplace", c=1.0, scale=1.7, p=0.01)
+    @example(source="rademacher", c=3.0, scale=1.7, p=0.003)
+    @settings(max_examples=25, deadline=None)
+    def test_geometric_sum_reads_the_iid_b(self, source, c, scale, p):
+        entry = handler_report(
+            ["bounds", "--source", source, "--c", repr(c), "--scales",
+             repr(scale), "--p", repr(p)])["reports"][0]
+        geometric = entry["geometric_sum"]["components"]
+        assert geometric["third_moment_term"] == \
+            entry["iid_sum"]["components"]["third_moment_term"]
+        if scale == 1.0:
+            swept = handler_report(
+                ["sweep", "--source", source, "--c", repr(c), "--p",
+                 repr(p), "--n", "200", "--seed", "7", "--format", "json"])
+            point = swept["components"][0]
+            assert {k: point[k] for k in geometric} == geometric
+
+
 class TestTransformCheckMemory:
     """transform-check's check groups run on the thread pool, each holding
     one n-float array, and fixed-point holds its sample alone."""

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from laplace_stein import metrics, stein, transforms
-from laplace_stein.errors import CertificationError
 from laplace_stein.laplace import LaplaceParams, cdf, draw, quantile
 from laplace_stein.metrics import (EmpiricalSample, _prefix_sums,
                                    _tree_sum, bl_lower_bound, dkw_band,
@@ -18,8 +17,9 @@ from laplace_stein.random_sums import (GeometricIndex, RandomSumSpec,
                                        Summands, convergence_sweep,
                                        random_sum_sample)
 from laplace_stein.seeding import substream
-from laplace_stein.stein import (_cached_wh, dense_bl_family,
-                                 smoothed_indicator, stein_family)
+from laplace_stein.stein import (CertificationError, dense_bl_family,
+                                 smoothed_indicator, stein_family,
+                                 target_expectation)
 
 UNIT = LaplaceParams(0.0, 1.0)
 
@@ -158,7 +158,8 @@ def full_loop_bl(s, target, family):
     best, worst_se = -1.0, 0.0
     for h in family:
         vals = np.asarray(h.fn(s.values), dtype=float)
-        best = max(best, abs(float(np.mean(vals)) - _cached_wh(h, target.b)))
+        wh = target_expectation(h, target.b)
+        best = max(best, abs(float(np.mean(vals)) - wh))
         if s.n > 1:
             worst_se = max(worst_se,
                            float(np.std(vals, ddof=1)) / math.sqrt(s.n))
@@ -256,7 +257,7 @@ def survivors(x, family, b, exact_wh=False):
     with pytest.MonkeyPatch.context() as mp:
         if exact_wh:
             mp.setattr(metrics, "wh_enclosure",
-                       lambda h, b: (_cached_wh(h, b), 0.0))
+                       lambda h, b: (target_expectation(h, b), 0.0))
         return {id(h) for h in metrics._screen(x, data, b, exact)}
 
 
@@ -275,11 +276,11 @@ class TestScreenQuadratures:
             return expectation(f, b, kinks=kinks)
 
         monkeypatch.setattr(stein, "laplace_expectation", counted)
-        _cached_wh.cache_clear()
+        target_expectation.cache_clear()
         try:
             bl_lower_bound(EmpiricalSample.from_values([0.0]), UNIT, DENSE)
         finally:
-            _cached_wh.cache_clear()
+            target_expectation.cache_clear()
         assert sorted(f.__name__ for f in ran) == ["cos", "sin", "tanh"]
 
     def test_wh_anywhere_in_its_enclosure_keeps_the_result(self,
@@ -289,7 +290,7 @@ class TestScreenQuadratures:
         # the screen keeps it only because pad_d carries the radius
         ramp = smoothed_indicator(0.0, 1.0)
         centre, radius = stein.wh_enclosure(ramp, 1.0)
-        c = 2.0 * (1.0 - _cached_wh(ramp, 1.0) + 5e-9)
+        c = 2.0 * (1.0 - target_expectation(ramp, 1.0) + 5e-9)
         smooth = stein.TestFunction(fn=lambda x: c * np.cos(x), lip_const=c,
                                     sup_bound=c, label="c*cos")
         expectation = stein.laplace_expectation
@@ -299,13 +300,13 @@ class TestScreenQuadratures:
             return wh - 0.9 * radius if f is ramp.fn else wh
 
         monkeypatch.setattr(stein, "laplace_expectation", moved)
-        _cached_wh.cache_clear()
+        target_expectation.cache_clear()
         try:
             s = EmpiricalSample.from_values([0.0])
             est = bl_lower_bound(s, UNIT, [smooth, ramp])
             want = full_loop_bl(s, UNIT, [smooth, ramp])
         finally:
-            _cached_wh.cache_clear()
+            target_expectation.cache_clear()
         assert (est.value, est.std_error) == want
         assert est.value > c / 2.0 + 1e-9
 

@@ -13,9 +13,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from laplace_stein import quadrature
-from laplace_stein.errors import QuadratureError
 from laplace_stein.laplace import LaplaceParams, char_fn
-from laplace_stein.quadrature import (exp_weighted_right_tail,
+from laplace_stein.quadrature import (QuadratureError,
+                                      exp_weighted_right_tail,
                                       laplace_expectation)
 from laplace_stein.stein import smoothed_indicator, stein_family
 from laplace_stein.transforms import laplace_source

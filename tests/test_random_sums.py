@@ -14,13 +14,13 @@ import pytest
 from hypothesis import (HealthCheck, example, given, reject, settings,
                         strategies as st)
 
-from laplace_stein.errors import TruncationError
 from laplace_stein.laplace import LaplaceParams
 from laplace_stein.metrics import (EmpiricalSample, bl_lower_bound,
                                    dkw_band, kolmogorov_empirical,
                                    kolmogorov_from_bl, wasserstein_empirical)
 from laplace_stein.random_sums import (FixedIndex, GeometricIndex,
                                        RandomSumSpec, Summands,
+                                       TruncationError,
                                        _chunked_sums,
                                        _comonotone_sqrt_gap,
                                        _independent_sqrt_gap,

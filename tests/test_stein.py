@@ -10,10 +10,11 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from laplace_stein import cli, stein
-from laplace_stein.errors import CertificationError, QuadratureError
-from laplace_stein.quadrature import EXPECTATION_TOL, laplace_expectation
+from laplace_stein.quadrature import (EXPECTATION_TOL, QuadratureError,
+                                      laplace_expectation)
 from laplace_stein.stein import _HBL_SLACK, TestFunction as HBLFunction
-from laplace_stein.stein import (BoundCertificate, certify_bounds, clamp_fn,
+from laplace_stein.stein import (BoundCertificate, CertificationError,
+                                 certify_bounds, clamp_fn,
                                  constant_fn, cos_fn, dense_bl_family,
                                  residual, sin_fn, smoothed_indicator, solve,
                                  standard_grid, stein_family, tanh_fn,
@@ -383,11 +384,11 @@ class TestProfileReuse:
         monkeypatch.setattr(stein, "laplace_expectation", failing)
         monkeypatch.setattr(stein, "exp_weighted_right_tail",
                             lambda *a, **k: tails.append(1) or tail(*a, **k))
-        stein._cached_wh.cache_clear()
+        stein.target_expectation.cache_clear()
         try:
             assert cli.main(["stein-check", "--b", "0.5,1"]) == 3
         finally:
-            stein._cached_wh.cache_clear()
+            stein.target_expectation.cache_clear()
         assert tails == []
 
     def test_stein_check_keeps_one_profile_alive(self, monkeypatch, tmp_path):

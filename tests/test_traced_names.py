@@ -5,15 +5,21 @@
 the results (``family_size``, ``n``, ``pmf``).  A renamed or removed function
 or field would otherwise show up only in the slow benchmark smoke test, and
 so would a sampling-path rule of the tracer's that drifts from the package's.
+The workloads' set-up warmers call the public surface by name too
+(``EmpiricalSample.from_values``, ``LaplaceParams(0.0, b)``,
+``bl_lower_bound``, ``dense_bl_family``, ``stein_family``, ``solve`` and the
+sources' ``b_equiv``), so each one runs here as well.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import laplace_stein
 from laplace_stein import cli, random_sums, transforms
 from laplace_stein.random_sums import GeometricIndex, RandomSumSpec, Summands
 
@@ -45,6 +51,18 @@ def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
                                                   PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workloads(monkeypatch):
+    """The workload table, loaded by path; registered in ``sys.modules``
+    first, where its dataclass looks its module up."""
+    name = "_perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name,
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -85,3 +103,10 @@ def test_sample_path_names_the_sampler_that_ran(source, monkeypatch):
     random_sums.random_sum_sample(*args)
     path = _tracing()._sample_path(args)
     assert (path == "random_sums.sample_chunked") == bool(ran), path
+
+
+@pytest.mark.parametrize("workload", sorted(_reference_counts()))
+def test_set_up_warmer_runs(workload, monkeypatch):
+    warm = _workloads(monkeypatch).WORKLOADS[workload].warm
+    if warm is not None:
+        warm(laplace_stein, True)
